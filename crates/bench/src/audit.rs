@@ -9,11 +9,18 @@
 //! `exp_all` records the rows in the `"audit"` field of
 //! `BENCH_results.json`; the matching Criterion group lives in
 //! `benches/audit.rs` (`audit_overhead`).
+//!
+//! [`measure_append`] prices the durable trail itself: one
+//! `AuditLog::note` on a file-backed `EveryRecord` trail resumed at 10²
+//! to 10⁵ records, and how much the file grows per append. The trail is
+//! append-only, so the bar is a flat cost: the slowest size within 2× of
+//! the fastest. `exp_all` records these rows in the `"audit_append"`
+//! field.
 
 use enf_core::{IndexSet, V};
 use enf_flowchart::bytecode::Compiled;
 use enf_flowchart::generate::loop_program;
-use enf_policy::{AuditLog, Capability, Enforcer, RunVerdict, Sink, Tainted};
+use enf_policy::{AuditLog, Capability, Enforcer, FlushPolicy, RunVerdict, Sink, Tainted};
 use enf_surveillance::dynamic::SurvConfig;
 use enf_surveillance::vm::run_surveillance_vm;
 use std::time::Instant;
@@ -133,9 +140,108 @@ pub fn to_json(rows: &[AuditRow]) -> String {
     s
 }
 
+/// One trail length's durable-append measurement.
+#[derive(Clone, Debug)]
+pub struct AppendRow {
+    /// Records in the trail when the timed appends begin.
+    pub records: usize,
+    /// Appends timed.
+    pub appends: usize,
+    /// Median wall-clock microseconds of one `AuditLog::note`.
+    pub append_us_p50: f64,
+    /// Bytes the trail file grew by, per append.
+    pub bytes_per_append: f64,
+}
+
+/// Times `appends` calls of `AuditLog::note` on an `EveryRecord` trail
+/// resumed at each of `sizes` records. The fixture trails are written
+/// with one `Manual` persist into a private temporary directory, which
+/// is removed afterwards.
+pub fn measure_append(sizes: &[usize], appends: usize) -> Vec<AppendRow> {
+    let dir = std::env::temp_dir().join(format!("enf-bench-audit-append-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let rows = sizes
+        .iter()
+        .map(|&records| {
+            let path = dir.join(format!("n{records}.jsonl"));
+            let mut fixture =
+                AuditLog::create(&path, FlushPolicy::Manual).expect("create fixture trail");
+            for k in 0..records {
+                fixture.note(&format!("fixture record {k}")).expect("note");
+            }
+            fixture.persist().expect("persist fixture trail");
+            drop(fixture);
+            let mut log = AuditLog::resume(&path, FlushPolicy::EveryRecord).expect("resume");
+            let file_len = || std::fs::metadata(&path).expect("stat trail").len();
+            let before = file_len();
+            let mut us: Vec<f64> = (0..appends)
+                .map(|_| {
+                    let start = Instant::now();
+                    log.note("timed append").expect("append");
+                    start.elapsed().as_secs_f64() * 1e6
+                })
+                .collect();
+            let grown = file_len() - before;
+            us.sort_by(f64::total_cmp);
+            AppendRow {
+                records,
+                appends,
+                append_us_p50: us[appends / 2],
+                bytes_per_append: grown as f64 / appends as f64,
+            }
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    rows
+}
+
+/// The slowest size's median append over the fastest's; the bar is ≤ 2.
+pub fn append_spread(rows: &[AppendRow]) -> f64 {
+    let medians = rows.iter().map(|r| r.append_us_p50);
+    let slowest = medians.clone().fold(0.0, f64::max);
+    let fastest = medians.fold(f64::INFINITY, f64::min);
+    slowest / fastest.max(1e-12)
+}
+
+/// Serializes append rows as a JSON array.
+pub fn append_to_json(rows: &[AppendRow]) -> String {
+    let mut s = String::from("[\n");
+    for (i, r) in rows.iter().enumerate() {
+        s.push_str(&format!(
+            "  {{\"records\": {}, \"appends\": {}, \"append_us_p50\": {:.3}, \
+             \"bytes_per_append\": {:.1}}}{}\n",
+            r.records,
+            r.appends,
+            r.append_us_p50,
+            r.bytes_per_append,
+            if i + 1 == rows.len() { "" } else { "," }
+        ));
+    }
+    s.push(']');
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn durable_append_grows_the_file_by_one_record() {
+        let rows = measure_append(&[10, 100], 5);
+        assert_eq!(rows.len(), 2);
+        for r in &rows {
+            assert!(r.append_us_p50 > 0.0);
+            // One ~150-byte record per append, not a rewritten trail.
+            assert!(
+                (100.0..400.0).contains(&r.bytes_per_append),
+                "{} bytes per append at {} records",
+                r.bytes_per_append,
+                r.records
+            );
+        }
+        assert!(append_spread(&rows) >= 1.0);
+        assert!(append_to_json(&rows).contains("\"records\": 100"));
+    }
 
     #[test]
     fn json_shape() {

@@ -8,12 +8,13 @@
 //! dynamic-policy certificate vs bounded-schedule-sweep cost, and the
 //! shared multi-clearance lattice sweep vs per-clearance loop (bar ≥3×),
 //! and the typed-pipeline (audit-trail) overhead (bar ≤5%), and the
-//! enforcement-service load (fault-free vs chaos-proxied throughput),
-//! writing all ten to `BENCH_results.json` (`{"throughput": [...],
-//! "stepper_overhead": [...], "checkpoint_overhead": [...],
-//! "relational": [...], "bytecode": [...], "class_eval": [...],
-//! "schedule": [...], "lattice": [...], "audit": [...],
-//! "serve": [...]}`); skip with
+//! durable audit append at 10²–10⁵ records (bar: slowest within 2× of
+//! fastest), and the enforcement-service load (fault-free vs
+//! chaos-proxied throughput), writing all eleven to `BENCH_results.json`
+//! (`{"throughput": [...], "stepper_overhead": [...],
+//! "checkpoint_overhead": [...], "relational": [...], "bytecode": [...],
+//! "class_eval": [...], "schedule": [...], "lattice": [...],
+//! "audit": [...], "audit_append": [...], "serve": [...]}`); skip with
 //! `--no-bench`, or pass `--quick` for the small-size CI smoke run (same
 //! code paths, sub-minute, numbers not publication-grade).
 
@@ -173,6 +174,21 @@ fn main() {
                 r.overhead() * 100.0
             );
         }
+        let audit_append = if quick {
+            enf_bench::audit::measure_append(&[100, 1_000], 50)
+        } else {
+            enf_bench::audit::measure_append(&[100, 1_000, 10_000, 100_000], 1_000)
+        };
+        for r in &audit_append {
+            println!(
+                "audit_append {:>7} records  {:>5} appends  append p50 {:>8.3} us  grows {:>6.1} B/append",
+                r.records, r.appends, r.append_us_p50, r.bytes_per_append
+            );
+        }
+        println!(
+            "audit_append slowest/fastest {:.2}x (bar <= 2x)",
+            enf_bench::audit::append_spread(&audit_append)
+        );
         let serve = if quick {
             enf_bench::serve_eval::measure_sized(24)
         } else {
@@ -191,7 +207,7 @@ fn main() {
             );
         }
         let json = format!(
-            "{{\n\"throughput\": {},\n\"stepper_overhead\": {},\n\"checkpoint_overhead\": {},\n\"relational\": {},\n\"bytecode\": {},\n\"class_eval\": {},\n\"schedule\": {},\n\"lattice\": {},\n\"audit\": {},\n\"serve\": {}\n}}\n",
+            "{{\n\"throughput\": {},\n\"stepper_overhead\": {},\n\"checkpoint_overhead\": {},\n\"relational\": {},\n\"bytecode\": {},\n\"class_eval\": {},\n\"schedule\": {},\n\"lattice\": {},\n\"audit\": {},\n\"audit_append\": {},\n\"serve\": {}\n}}\n",
             enf_bench::throughput::to_json(&rows),
             enf_bench::stepper::to_json(&overhead),
             enf_bench::checkpoint::to_json(&ckpt),
@@ -201,6 +217,7 @@ fn main() {
             enf_bench::schedule_eval::to_json(&sched),
             enf_bench::lattice_eval::to_json(&lattice),
             enf_bench::audit::to_json(&audit),
+            enf_bench::audit::append_to_json(&audit_append),
             enf_bench::serve_eval::to_json(&serve)
         );
         match std::fs::write("BENCH_results.json", &json) {

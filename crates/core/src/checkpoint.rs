@@ -33,6 +33,7 @@ use crate::value::V;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Format tag embedded in every checkpoint document.
 pub const FORMAT: &str = "enf-soundness-checkpoint-v1";
@@ -271,16 +272,30 @@ where
 
 /// Writes `text` to `path` atomically: the bytes land in a sibling
 /// temporary file which is then renamed over the target, so a kill
-/// mid-write leaves the previous contents intact. This is the persistence
-/// discipline every durable artifact in the workspace shares — checkpoint
-/// documents here, and the `enf_policy` audit trail.
+/// mid-write leaves the previous contents intact. Every call gets its own
+/// temporary name (process id plus a process-wide counter), so concurrent
+/// writers of one path each rename a whole document and the last rename
+/// wins. Checkpoint documents are persisted this way.
 pub fn atomic_write_text(path: &Path, text: &str) -> Result<(), EnfError> {
+    // Relaxed: only the counter's uniqueness matters; it publishes no data.
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let reason = |what: &str, e: std::io::Error| EnfError::Checkpoint {
         reason: format!("{what} {}: {e}", path.display()),
     };
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, text).map_err(|e| reason("cannot write", e))?;
-    std::fs::rename(&tmp, path).map_err(|e| reason("cannot rename into", e))
+    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
+    tmp_name.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    let written = std::fs::write(&tmp, text)
+        .map_err(|e| reason("cannot write", e))
+        .and_then(|()| std::fs::rename(&tmp, path).map_err(|e| reason("cannot rename into", e)));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Writes a checkpoint document to `path` atomically via
@@ -657,5 +672,39 @@ mod tests {
         )
         .expect_err("fingerprint mismatch");
         assert!(matches!(err, EnfError::Checkpoint { .. }));
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_never_collide() {
+        let dir = std::env::temp_dir().join(format!("enf_core_atomic_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("job.ckpt");
+        let doc = |writer: usize, k: usize| {
+            Json::Obj(vec![
+                ("writer".to_string(), Json::Int(writer as i128)),
+                ("k".to_string(), Json::Int(k as i128)),
+            ])
+        };
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for writer in 0..2 {
+                let (path, start) = (&path, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for k in 0..500 {
+                        write_checkpoint_file(path, &doc(writer, k)).expect("every write lands");
+                    }
+                });
+            }
+        });
+        let last = read_checkpoint_file(&path).expect("a whole document");
+        assert!((0..2).any(|w| last == doc(w, 499)), "{}", last.render());
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .expect("list scratch dir")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(entries, vec![std::ffi::OsString::from("job.ckpt")]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,6 +7,10 @@
 //! parser and a deterministic writer (object keys are emitted in insertion
 //! order, integers only, no floats), so a checkpoint written twice from
 //! the same state is byte-identical.
+//!
+//! The parser reads untrusted bytes (serve frames, audit lines, checkpoint
+//! and ingest files), so its recursion is bounded: arrays and objects
+//! nested deeper than [`MAX_DEPTH`] are an error, not a stack overflow.
 
 use std::fmt::Write as _;
 
@@ -129,11 +133,16 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. Every
+/// document the workspace writes stays within a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document. Returns a description of the first error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -147,6 +156,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -184,8 +195,12 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(format!(
                 "unexpected character '{}' at byte {}",
@@ -194,6 +209,13 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -375,6 +397,19 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(parse(&format!("{{\"a\":{}}}", nest(MAX_DEPTH - 1))).is_ok());
+        assert!(parse(&format!("{{\"a\":{}}}", nest(MAX_DEPTH))).is_err());
+        // Far past the bound: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -18,13 +18,25 @@
 //! or reordering breaks the chain at or before the tampered record.
 //! [`verify_chain`] replays the whole chain and reports the first break.
 //!
-//! Persistence reuses the checkpoint codec's atomic discipline
-//! ([`enf_core::atomic_write_text`]: write a sibling temporary file, then
-//! rename over the target), so a crash mid-append leaves the previous
-//! intact log on disk, never a torn one.
+//! A file-backed log is append-only. It holds its file open under an
+//! exclusive lock for its whole life, and [`AuditLog::persist`] writes
+//! only the records not yet on disk, each as its line plus `\n`, in one
+//! write at the end of the file. One append therefore costs one write of
+//! about one record, whatever the trail's length. A write that fails is
+//! cut back to the last whole record, and the lock makes a second writer
+//! (another process, or a second log on the same path) fail with an error
+//! instead of interleaving a second chain into the file. Nothing is
+//! fsynced: a record on disk is as durable as the page cache that holds
+//! it.
+//!
+//! A kill mid-append can leave only one kind of damage: trailing bytes
+//! without a newline, which are not a record. [`AuditLog::resume`] cuts
+//! them off and verifies the rest; any other break is refused.
 
-use enf_core::{atomic_write_text, EnfError, Json};
-use std::path::PathBuf;
+use enf_core::{EnfError, Json};
+use std::fs::{File, OpenOptions, TryLockError};
+use std::io::{Read, Write};
+use std::path::{Path, PathBuf};
 
 /// `prev` of the first record: the FNV-1a fingerprint of the empty word
 /// sequence, rendered like every other hash.
@@ -58,32 +70,115 @@ pub fn hash_hex(h: u64) -> String {
     format!("{h:016x}")
 }
 
-/// When a file-backed log writes its bytes out.
+/// When a file-backed log writes its bytes out. Both policies write
+/// through [`AuditLog::persist`]; they differ only in who calls it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FlushPolicy {
-    /// Persist after every appended record (atomic tmp+rename each time).
+    /// Persist after every appended record: one write of that record.
     /// The durable default: the on-disk log is always a complete,
     /// verifiable chain ending at most one record behind the writer.
     EveryRecord,
-    /// Persist only on [`AuditLog::persist`] (and best-effort on drop).
-    /// For batch embedders that release many values per transaction.
+    /// Persist only on [`AuditLog::persist`] (and best-effort on drop),
+    /// which writes every record appended since the last persist in one
+    /// write. For batch embedders that release many values per
+    /// transaction. A batch cut short by a kill resumes as a whole-record
+    /// prefix of that batch.
     Manual,
 }
 
 /// An append-only, hash-chained audit log.
 ///
 /// In-memory by default; [`AuditLog::create`] / [`AuditLog::resume`]
-/// attach a JSONL file persisted with the atomic tmp+rename discipline.
-/// Records are appended only by the typed pipeline (grants, attestations,
-/// refusals, sweeps, releases) and by [`AuditLog::note`]; there is no way
-/// to append an arbitrary record with a forged chain position.
+/// attach a JSONL file that the log holds open and locked, and appends
+/// to. Records are appended only by the typed pipeline (grants,
+/// attestations, refusals, sweeps, releases) and by [`AuditLog::note`];
+/// there is no way to append an arbitrary record with a forged chain
+/// position.
 #[derive(Debug)]
 pub struct AuditLog {
     lines: Vec<String>,
     head: u64,
-    path: Option<PathBuf>,
+    disk: Option<Disk>,
     flush: FlushPolicy,
-    dirty: bool,
+}
+
+/// The file behind a file-backed log.
+#[derive(Debug)]
+struct Disk {
+    path: PathBuf,
+    /// Open for appending, under an exclusive lock until dropped.
+    file: File,
+    /// Records already in the file.
+    written: usize,
+    /// The file's length when it holds exactly those records.
+    len: u64,
+    /// Whether a failed write may have left bytes past `len`.
+    torn: bool,
+}
+
+impl Disk {
+    /// Opens (creating if missing) and locks the file at `path`.
+    fn open(path: PathBuf) -> Result<Disk, EnfError> {
+        let fail = |what: &str, e: std::io::Error| io_error(what, &path, e);
+        let file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(&path)
+            .map_err(|e| fail("cannot open", e))?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => {
+                return Err(EnfError::Checkpoint {
+                    reason: format!("audit log {} is locked by another writer", path.display()),
+                })
+            }
+            Err(TryLockError::Error(e)) => return Err(fail("cannot lock", e)),
+        }
+        Ok(Disk {
+            path,
+            file,
+            written: 0,
+            len: 0,
+            torn: false,
+        })
+    }
+
+    /// Cuts the file to `len` bytes.
+    fn cut(&mut self, len: u64) -> Result<(), EnfError> {
+        self.file
+            .set_len(len)
+            .map_err(|e| io_error("cannot truncate", &self.path, e))?;
+        self.len = len;
+        self.torn = false;
+        Ok(())
+    }
+
+    /// Appends `pending` in one write. On failure the file is cut back to
+    /// its last whole record, so no partial line stays behind.
+    fn append(&mut self, pending: &[String]) -> Result<(), EnfError> {
+        if self.torn {
+            self.cut(self.len)?;
+        }
+        let mut bytes = String::with_capacity(pending.iter().map(|l| l.len() + 1).sum());
+        for line in pending {
+            bytes.push_str(line);
+            bytes.push('\n');
+        }
+        if let Err(e) = self.file.write_all(bytes.as_bytes()) {
+            self.torn = self.file.set_len(self.len).is_err();
+            return Err(io_error("cannot append to", &self.path, e));
+        }
+        self.written += pending.len();
+        self.len += bytes.len() as u64;
+        Ok(())
+    }
+}
+
+fn io_error(what: &str, path: &Path, e: std::io::Error) -> EnfError {
+    EnfError::Checkpoint {
+        reason: format!("{what} audit log {}: {e}", path.display()),
+    }
 }
 
 impl AuditLog {
@@ -92,56 +187,71 @@ impl AuditLog {
         AuditLog {
             lines: Vec::new(),
             head: GENESIS,
-            path: None,
+            disk: None,
             flush: FlushPolicy::EveryRecord,
-            dirty: false,
         }
     }
 
     /// A fresh file-backed log at `path`, persisted per `flush`. The file
     /// is created (or truncated) immediately so a zero-record run still
-    /// leaves a verifiable empty log behind.
+    /// leaves a verifiable empty log behind. Fails if another log holds
+    /// the file.
     pub fn create(path: impl Into<PathBuf>, flush: FlushPolicy) -> Result<AuditLog, EnfError> {
-        let mut log = AuditLog::in_memory();
-        log.path = Some(path.into());
-        log.flush = flush;
-        log.persist()?;
-        Ok(log)
+        let mut disk = Disk::open(path.into())?;
+        disk.cut(0)?;
+        Ok(AuditLog {
+            lines: Vec::new(),
+            head: GENESIS,
+            disk: Some(disk),
+            flush,
+        })
     }
 
-    /// Reopens an existing log at `path` and continues its chain. The
-    /// existing contents are verified first; a tampered or torn log is
-    /// refused — appending to a broken chain would launder the break. A
+    /// Reopens an existing log at `path` and continues its chain. A
     /// missing file starts an empty log.
+    ///
+    /// Trailing bytes after the last newline are a torn append, not a
+    /// record: they are cut from the file. Everything before them is
+    /// verified first, and a tampered log is refused untouched —
+    /// appending to a broken chain would launder the break. Fails if
+    /// another log holds the file.
     pub fn resume(path: impl Into<PathBuf>, flush: FlushPolicy) -> Result<AuditLog, EnfError> {
-        let path = path.into();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => {
-                return Err(EnfError::Checkpoint {
-                    reason: format!("cannot read audit log {}: {e}", path.display()),
-                })
-            }
+        let mut disk = Disk::open(path.into())?;
+        let mut bytes = Vec::new();
+        disk.file
+            .read_to_end(&mut bytes)
+            .map_err(|e| io_error("cannot read", &disk.path, e))?;
+        let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let refuse = |line: usize, reason: String| EnfError::Checkpoint {
+            reason: format!(
+                "audit log {} fails verification at record {line}: {reason}",
+                disk.path.display()
+            ),
         };
-        match verify_chain(&text) {
+        let text = std::str::from_utf8(&bytes[..whole]).map_err(|e| {
+            let line = 1 + bytes[..e.valid_up_to()]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count();
+            refuse(line, "record is not UTF-8".to_string())
+        })?;
+        match verify_chain(text) {
             ChainVerdict::Intact { records, head } => {
-                let lines = text.lines().map(str::to_string).collect::<Vec<_>>();
+                let lines: Vec<String> = text.lines().map(str::to_string).collect();
                 debug_assert_eq!(lines.len(), records);
+                disk.written = records;
+                disk.len = bytes.len() as u64;
+                if whole < bytes.len() {
+                    disk.cut(whole as u64)?;
+                }
                 Ok(AuditLog {
                     lines,
                     head,
-                    path: Some(path),
+                    disk: Some(disk),
                     flush,
-                    dirty: false,
                 })
             }
-            ChainVerdict::Tampered { line, reason, .. } => Err(EnfError::Checkpoint {
-                reason: format!(
-                    "audit log {} fails verification at record {line}: {reason}",
-                    path.display()
-                ),
-            }),
+            ChainVerdict::Tampered { line, reason, .. } => Err(refuse(line, reason)),
         }
     }
 
@@ -195,7 +305,6 @@ impl AuditLog {
         obj.push(("hash".to_string(), Json::Str(hash_hex(hash))));
         self.lines.push(Json::Obj(obj).render());
         self.head = hash;
-        self.dirty = true;
         if self.flush == FlushPolicy::EveryRecord {
             self.persist()?;
         }
@@ -212,14 +321,15 @@ impl AuditLog {
         )
     }
 
-    /// Writes the log to its file (atomic tmp+rename). A no-op for
-    /// in-memory logs.
+    /// Appends the records not yet in the file to it, in one write. A
+    /// no-op for in-memory logs and when nothing is pending.
     pub fn persist(&mut self) -> Result<(), EnfError> {
-        if let Some(path) = &self.path {
-            atomic_write_text(path, &self.render())?;
+        match &mut self.disk {
+            Some(disk) if disk.written < self.lines.len() => {
+                disk.append(&self.lines[disk.written..])
+            }
+            _ => Ok(()),
         }
-        self.dirty = false;
-        Ok(())
     }
 }
 
@@ -227,9 +337,7 @@ impl Drop for AuditLog {
     fn drop(&mut self) {
         // Best effort: a Manual-flush log dropped without persist() should
         // not silently lose its tail. Errors are unreportable here.
-        if self.dirty && self.path.is_some() {
-            let _ = self.persist();
-        }
+        let _ = self.persist();
     }
 }
 
@@ -446,10 +554,25 @@ mod tests {
         }
     }
 
+    /// A fresh directory for one test's files.
+    fn scratch(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("enf_policy_audit_{}_{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn refusal(result: Result<AuditLog, EnfError>) -> String {
+        match result {
+            Ok(log) => panic!("resume accepted {} records", log.len()),
+            Err(e) => e.to_string(),
+        }
+    }
+
     #[test]
     fn file_roundtrip_and_resume() {
-        let dir = std::env::temp_dir().join(format!("enf_policy_audit_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("roundtrip");
         let path = dir.join("roundtrip.jsonl");
         {
             let mut log = AuditLog::create(&path, FlushPolicy::EveryRecord).unwrap();
@@ -460,10 +583,82 @@ mod tests {
         log.note("appended").unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(verify_chain(&text).is_intact());
-        assert_eq!(text.lines().count(), 2);
+        assert_eq!(text, log.render());
+        drop(log);
         // Tampered file refuses to resume.
         std::fs::write(&path, text.replace("persisted", "altered")).unwrap();
-        assert!(AuditLog::resume(&path, FlushPolicy::EveryRecord).is_err());
+        let reason = refusal(AuditLog::resume(&path, FlushPolicy::EveryRecord));
+        assert!(reason.contains("fails verification"), "{reason}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_open_log_refuses_a_second_writer() {
+        let dir = scratch("locked");
+        let path = dir.join("locked.jsonl");
+        let mut first = AuditLog::create(&path, FlushPolicy::EveryRecord).unwrap();
+        first.note("held").unwrap();
+        for second in [
+            AuditLog::create(&path, FlushPolicy::EveryRecord),
+            AuditLog::resume(&path, FlushPolicy::Manual),
+        ] {
+            let reason = refusal(second);
+            assert!(reason.contains("locked by another writer"), "{reason}");
+        }
+        // The refused writers touched nothing; the holder carries on.
+        first.note("still held").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), first.render());
+        drop(first);
+        assert_eq!(
+            AuditLog::resume(&path, FlushPolicy::EveryRecord)
+                .unwrap()
+                .len(),
+            2
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manual_persist_writes_exactly_the_rendering() {
+        let dir = scratch("manual");
+        let path = dir.join("manual.jsonl");
+        let mut log = AuditLog::create(&path, FlushPolicy::Manual).unwrap();
+        for k in 0..1000 {
+            log.note(&format!("batch record {k}")).unwrap();
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
+        log.persist().unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), log.render());
+        // A second persist with nothing pending writes nothing.
+        log.persist().unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), log.render());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_cuts_a_torn_tail_and_continues_the_chain() {
+        let dir = scratch("torn");
+        let path = dir.join("torn.jsonl");
+        let full = sample().render();
+        let whole = full.len() - sample().lines()[2].len() - 1;
+        std::fs::write(&path, &full[..full.len() - 10]).unwrap();
+        let mut log = AuditLog::resume(&path, FlushPolicy::EveryRecord).unwrap();
+        assert_eq!(log.len(), 2);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), full[..whole]);
+        log.note("third").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), full);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_too_deep_record_is_refused() {
+        let dir = scratch("deep");
+        let path = dir.join("deep.jsonl");
+        let deep = format!("{}\n", "[".repeat(100_000));
+        std::fs::write(&path, format!("{}{deep}", sample().render())).unwrap();
+        let reason = refusal(AuditLog::resume(&path, FlushPolicy::EveryRecord));
+        assert!(reason.contains("at record 4"), "{reason}");
+        assert!(reason.contains("nesting"), "{reason}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -548,6 +548,20 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_frame_is_malformed() {
+        // A tenth of MAX_FRAME_BYTES, far past the JSON nesting bound.
+        let payload = format!("{}\n", "[".repeat(100_000));
+        let mut buf = (payload.len() as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(payload.as_bytes());
+        match read_frame(&mut Cursor::new(buf)) {
+            Err(FrameError::Malformed { detail }) => {
+                assert!(detail.contains("nesting"), "{detail}")
+            }
+            other => panic!("deep frame read as {other:?}"),
+        }
+    }
+
+    #[test]
     fn request_parse_roundtrip() {
         let req = Request {
             op: Op::Check,

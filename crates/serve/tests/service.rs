@@ -363,6 +363,61 @@ fn interrupted_check_resumes_bit_identically() {
 }
 
 #[test]
+fn deeply_nested_frame_severs_only_its_connection() {
+    use std::io::Write as _;
+    let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let payload = format!("{}\n", "[".repeat(100_000));
+    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    conn.write_all(&(payload.len() as u32).to_be_bytes())
+        .unwrap();
+    conn.write_all(payload.as_bytes()).unwrap();
+    // The malformed frame gets no reply: its connection is severed…
+    assert!(!matches!(enf_serve::read_frame(&mut conn), Ok(Some(_))));
+    // …and the server still answers on a new one.
+    let pong = raw_exchange(&addr, &base_request(Op::Ping, ""));
+    assert!(enf_serve::reply_is_ok(&pong), "{}", pong.render());
+    let stats = server.stop();
+    assert!(!stats.degraded(), "{stats:?}");
+}
+
+#[test]
+fn a_trail_has_one_writing_server_at_a_time() {
+    let state = temp_dir("one-writer");
+    let cfg = || ServerConfig {
+        state_dir: Some(state.clone()),
+        ..ServerConfig::default()
+    };
+    let first = ServerHandle::spawn(cfg()).unwrap();
+    let second = ServerHandle::spawn(cfg()).unwrap();
+    let mut job = base_request(Op::Surveil, SOUND);
+    job.tenant = "acme".to_string();
+    job.input = vec![3, 0];
+    let reply = raw_exchange(&first.addr().to_string(), &job);
+    assert_eq!(str_field(&reply, "verdict"), "released");
+    // The first server holds acme's trail: the second gets an error
+    // reply instead of writing a second chain into the same file.
+    let reply = raw_exchange(&second.addr().to_string(), &job);
+    assert_eq!(str_field(&reply, "error"), "internal");
+    assert!(
+        str_field(&reply, "detail").contains("locked by another writer"),
+        "{}",
+        reply.render()
+    );
+    let held = std::fs::read_to_string(state.join("acme").join("audit.log")).unwrap();
+    first.stop();
+    // Released, the trail resumes in the second server and grows.
+    let reply = raw_exchange(&second.addr().to_string(), &job);
+    assert_eq!(str_field(&reply, "verdict"), "released");
+    second.stop();
+    let trail = std::fs::read_to_string(state.join("acme").join("audit.log")).unwrap();
+    assert!(trail.starts_with(&held) && trail.len() > held.len());
+    assert!(enf_policy::verify_chain(&trail).is_intact());
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
 fn drain_finishes_inflight_work() {
     let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
     let addr = server.addr().to_string();
