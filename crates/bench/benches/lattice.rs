@@ -1,12 +1,11 @@
 //! Multi-clearance sweep scaling: the lattice certifier, the shared
-//! anchored-class sweep judging all four clearances in one pass, and the
-//! per-clearance class-evaluator loop it replaces, as the grid grows.
+//! sweep judging all four clearances in one pass, and the per-clearance
+//! `check_soundness_with` loop it replaces, as the grid grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use enf_bench::lattice_eval::{lattice_labeling, lattice_subject};
 use enf_core::{
-    check_soundness_classes_with, check_soundness_lattice_with, Allow, EvalConfig, Grid, Identity,
-    Level,
+    check_soundness_lattice_with, check_soundness_with, Allow, EvalConfig, Grid, Identity, Level,
 };
 use enf_flowchart::corpus;
 use enf_static::certify_lattice;
@@ -53,7 +52,7 @@ fn bench_lattice(c: &mut Criterion) {
             |b, grid| {
                 b.iter(|| {
                     for c in &Level::ALL {
-                        black_box(check_soundness_classes_with(
+                        black_box(check_soundness_with(
                             &mech,
                             &Allow::from_set(labeling.arity(), labeling.readable_allow(&flow, c)),
                             grid,

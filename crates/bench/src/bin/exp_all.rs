@@ -4,7 +4,7 @@
 //! parallel engine), the stepper-vs-seed-loop interpreter overhead, the
 //! checkpointed-sweep overhead (bar ≤3%), the relational-proof vs
 //! pair-sweep cost, the bytecode-VM vs stepper speedup (bar ≥5×), and the
-//! class-evaluator vs generic-sweep speedup (bar ≥10×), and the
+//! class-partition vs view-partition speedup (bar ≥10×), and the
 //! dynamic-policy certificate vs bounded-schedule-sweep cost, and the
 //! shared multi-clearance lattice sweep vs per-clearance loop (bar ≥3×),
 //! and the typed-pipeline (audit-trail) overhead (bar ≤5%), and the
@@ -75,8 +75,9 @@ fn main() {
         };
         for r in &ckpt {
             println!(
-                "{:<16} {:>9} tuples  plain {:>10.6}s  checkpointed(block {}) {:>10.6}s  overhead {:>+6.2}%",
+                "{:<16} {:<5} {:>9} tuples  plain {:>10.6}s  checkpointed(block {}) {:>10.6}s  overhead {:>+6.2}%",
                 r.domain,
+                r.partition,
                 r.tuples,
                 r.plain_secs,
                 r.block,

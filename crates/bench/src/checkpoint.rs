@@ -9,11 +9,19 @@
 //! [`measure`] times both and `exp_all` records the rows in
 //! `BENCH_results.json` (`"checkpoint_overhead"`). The matching Criterion
 //! group lives in `benches/checkpoint.rs` (`checkpoint_overhead`).
+//!
+//! Each domain gets a row per partition: `view` hides the `Allow` policy's
+//! projection behind an `FnPolicy`, so both sweeps hash views; `class`
+//! passes the policy itself, so both number classes. The bar holds on
+//! each, and a `class` row's `checkpointed_secs` against the `view` row's
+//! `plain_secs` prices what resumable sweeps gained from the class
+//! partition.
 
 use enf_core::checkpoint::{check_soundness_checkpointed, PlainCodec};
 use enf_core::soundness::try_check_soundness_with;
 use enf_core::{
-    Allow, CancelToken, EvalConfig, FnMechanism, Grid, InputDomain, MechOutput, Verdict, V,
+    Allow, CancelToken, EvalConfig, FnMechanism, FnPolicy, Grid, InputDomain, MechOutput, Policy,
+    Verdict, V,
 };
 use std::time::Instant;
 
@@ -22,6 +30,8 @@ use std::time::Instant;
 pub struct CheckpointRow {
     /// Input domain description.
     pub domain: String,
+    /// How both sweeps partition the domain: `"view"` or `"class"`.
+    pub partition: &'static str,
     /// Tuples swept.
     pub tuples: usize,
     /// Checkpoint block size (one serialized checkpoint per block).
@@ -98,59 +108,74 @@ pub fn measure_sized(rounds: u32, halves: &[i64]) -> Vec<CheckpointRow> {
     let mut rows = Vec::new();
     for &half in halves {
         let grid = Grid::hypercube(2, -half..=half);
-        let mech = FnMechanism::new(2, |a: &[V]| MechOutput::Value(a[0]));
         let policy = Allow::new(2, [1]);
-        let config = EvalConfig::default();
-        let ctl = CancelToken::new();
-        // One checkpoint per 1M inputs. Blocks must stay comfortably above
-        // the engine's sequential threshold (16384) or every block runs
-        // single-threaded while the plain sweep parallelizes, and large
-        // enough to amortize both the per-block thread-scope barrier and
-        // the per-checkpoint re-serialization of the full class map —
-        // each sink call is O(classes), the dominant checkpoint cost on
-        // subjects as cheap as this projection.
-        let block = 1 << 20;
-        // Warm both paths before timing.
-        let warm = try_check_soundness_with(&mech, &policy, &grid, false, &config, &ctl)
-            .expect("no faults");
-        assert_eq!(
-            warm.verdict,
-            Verdict::Confirmed,
-            "benchmark subject drifted"
-        );
-        let (plain_secs, checkpointed_secs, ratio) = paired_rounds(
-            rounds,
-            || try_check_soundness_with(&mech, &policy, &grid, false, &config, &ctl),
-            || {
-                check_soundness_checkpointed(
-                    &mech,
-                    &policy,
-                    &grid,
-                    false,
-                    &config,
-                    &ctl,
-                    0xbe7c,
-                    block,
-                    None,
-                    // Price the full serialization, not the disk: render the
-                    // checkpoint document exactly as the CLI would persist it.
-                    &mut |ckpt| {
-                        std::hint::black_box(ckpt.to_json(&PlainCodec).render());
-                        Ok(())
-                    },
-                )
-            },
-        );
-        rows.push(CheckpointRow {
-            domain: format!("grid_{}x{}", 2 * half + 1, 2 * half + 1),
-            tuples: grid.len(),
-            block,
-            plain_secs,
-            checkpointed_secs,
-            overhead: ratio - 1.0,
-        });
+        let views = {
+            let policy = policy.clone();
+            FnPolicy::new(2, move |a: &[V]| policy.filter(a))
+        };
+        rows.push(measure_one(rounds, &grid, "view", &views));
+        rows.push(measure_one(rounds, &grid, "class", &policy));
     }
     rows
+}
+
+/// One paired plain-vs-checkpointed row on `grid` under `policy`.
+fn measure_one<P>(rounds: u32, grid: &Grid, partition: &'static str, policy: &P) -> CheckpointRow
+where
+    P: Policy<View = Vec<V>> + Sync,
+{
+    let mech = FnMechanism::new(2, |a: &[V]| MechOutput::Value(a[0]));
+    let config = EvalConfig::default();
+    let ctl = CancelToken::new();
+    // One checkpoint per 1M inputs. Blocks must stay comfortably above
+    // the engine's sequential threshold (16384) or every block runs
+    // single-threaded while the plain sweep parallelizes, and large
+    // enough to amortize both the per-block thread-scope barrier and
+    // the per-checkpoint re-serialization of the full class map —
+    // each sink call is O(classes), the dominant checkpoint cost on
+    // subjects as cheap as this projection.
+    let block = 1 << 20;
+    // Warm both paths before timing.
+    let warm =
+        try_check_soundness_with(&mech, policy, grid, false, &config, &ctl).expect("no faults");
+    assert_eq!(
+        warm.verdict,
+        Verdict::Confirmed,
+        "benchmark subject drifted"
+    );
+    let (plain_secs, checkpointed_secs, ratio) = paired_rounds(
+        rounds,
+        || try_check_soundness_with(&mech, policy, grid, false, &config, &ctl),
+        || {
+            check_soundness_checkpointed(
+                &mech,
+                policy,
+                grid,
+                false,
+                &config,
+                &ctl,
+                0xbe7c,
+                block,
+                None,
+                // Price the full serialization, not the disk: render the
+                // checkpoint document exactly as the CLI would persist it.
+                &mut |ckpt| {
+                    std::hint::black_box(ckpt.to_json(&PlainCodec).render());
+                    Ok(())
+                },
+            )
+        },
+    );
+    let side = grid.ranges()[0].clone().count();
+    CheckpointRow {
+        domain: format!("grid_{side}x{side}"),
+        partition,
+        tuples: grid.len(),
+        block,
+        plain_secs,
+        checkpointed_secs,
+        overhead: ratio - 1.0,
+    }
 }
 
 /// Serializes rows as a JSON array (no external dependencies).
@@ -158,9 +183,10 @@ pub fn to_json(rows: &[CheckpointRow]) -> String {
     let mut s = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
-            "  {{\"domain\": \"{}\", \"tuples\": {}, \"block\": {}, \"plain_secs\": {:.9}, \
-             \"checkpointed_secs\": {:.9}, \"overhead\": {:.4}}}{}\n",
+            "  {{\"domain\": \"{}\", \"partition\": \"{}\", \"tuples\": {}, \"block\": {}, \
+             \"plain_secs\": {:.9}, \"checkpointed_secs\": {:.9}, \"overhead\": {:.4}}}{}\n",
             r.domain,
+            r.partition,
             r.tuples,
             r.block,
             r.plain_secs,
@@ -181,6 +207,7 @@ mod tests {
     fn overhead_math_and_json_shape() {
         let rows = vec![CheckpointRow {
             domain: "grid_3x3".to_string(),
+            partition: "class",
             tuples: 9,
             block: 4,
             plain_secs: 1.0,
@@ -191,13 +218,14 @@ mod tests {
         assert!(j.starts_with('[') && j.ends_with(']'));
         assert!(j.contains("\"overhead\": 0.0300"), "{j}");
         assert!(j.contains("\"block\": 4"), "{j}");
+        assert!(j.contains("\"partition\": \"class\""), "{j}");
     }
 
     #[test]
     fn measured_sweeps_agree() {
         // A single fast round to keep the differential honest in tests.
         let rows = measure(1);
-        assert_eq!(rows.len(), 2);
+        assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.plain_secs > 0.0 && r.checkpointed_secs > 0.0);
         }

@@ -1,9 +1,9 @@
-//! Multi-clearance sweep cost: the shared anchored-class lattice sweep
-//! vs the per-clearance class-evaluator loop it replaces.
+//! Multi-clearance sweep cost: the shared lattice sweep vs the
+//! per-clearance loop it replaces.
 //!
-//! `check_soundness_lattice` evaluates the subject once per input and
-//! records the output into one class table per *distinct* induced policy
-//! `allow(J_c)`; the baseline runs a full `check_soundness_classes`
+//! `check_soundness_lattice_with` evaluates the subject once per input and
+//! records the output into one class partition per *distinct* induced
+//! policy `allow(J_c)`; the baseline runs a full `check_soundness_with`
 //! sweep per clearance, re-evaluating the subject `|clearances|` times.
 //! Each row measures both over the same grid at a growing side length,
 //! judging all four [`Level`] clearances of a two-input labeled program.
@@ -12,8 +12,8 @@
 //! subject evaluation dominates.
 
 use enf_core::{
-    check_soundness_classes_with, check_soundness_lattice_with, Allow, Classification, EvalConfig,
-    Grid, Identity, InputDomain, IntransitiveFlow, Level,
+    check_soundness_lattice_with, check_soundness_with, Allow, Classification, EvalConfig, Grid,
+    Identity, InputDomain, IntransitiveFlow, Level,
 };
 use enf_flowchart::parse;
 use enf_flowchart::program::FlowchartProgram;
@@ -32,7 +32,7 @@ pub struct LatticeRow {
     pub distinct: usize,
     /// Shared one-pass lattice sweep wall-clock seconds.
     pub shared_secs: f64,
-    /// Per-clearance class-evaluator loop wall-clock seconds.
+    /// Per-clearance `check_soundness_with` loop wall-clock seconds.
     pub per_clearance_secs: f64,
 }
 
@@ -118,7 +118,7 @@ pub fn measure_sized(sides: &[i64]) -> Vec<LatticeRow> {
         let mut solo = Vec::with_capacity(Level::ALL.len());
         let per_clearance_secs = time(|| {
             for c in &Level::ALL {
-                solo.push(check_soundness_classes_with(
+                solo.push(check_soundness_with(
                     &mech,
                     &Allow::from_set(labeling.arity(), labeling.readable_allow(&flow, c)),
                     &grid,

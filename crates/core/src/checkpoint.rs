@@ -23,14 +23,10 @@ use crate::error::{Coverage, EnfError};
 use crate::json::Json;
 use crate::mechanism::{MechOutput, Mechanism};
 use crate::notice::Notice;
-use crate::par::{try_partition_fold_range, CancelToken, EvalConfig};
+use crate::par::{CancelToken, EvalConfig};
 use crate::policy::Policy;
-use crate::soundness::{
-    decode_witness, least_conflict, merge_class_partial, record_input, ClassState, Occurrence,
-    SoundnessReport,
-};
+use crate::soundness::{guarded_sweep, Checkpoints, SoundnessReport};
 use crate::value::V;
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -341,10 +337,14 @@ pub fn soundness_fingerprint(total: usize, arity: usize, collapse_notices: bool,
 /// checkpoint are globally-first occurrences, exactly what the fresh sweep
 /// would have accumulated.
 ///
-/// Verdict semantics match
-/// [`try_check_soundness`](crate::soundness::try_check_soundness); the
-/// additional failure mode is `Err(Checkpoint)` when `resume` does not
-/// match the sweep fingerprint or domain.
+/// The sweep is the one behind
+/// [`try_check_soundness_with`](crate::soundness::try_check_soundness_with),
+/// class-partitioned for a projection policy over a grid. A row's `view`
+/// is always the policy's view of its representative, so the document
+/// does not depend on the partition and resumes under either. Verdict
+/// semantics match `try_check_soundness_with`; the additional failure mode
+/// is `Err(Checkpoint)` when `resume` does not match the sweep fingerprint
+/// or domain.
 #[allow(clippy::too_many_arguments)]
 pub fn check_soundness_checkpointed<M, P>(
     mechanism: &M,
@@ -367,10 +367,6 @@ where
     assert!(block > 0, "checkpoint block size must be positive");
     let total = domain.len();
     let fp = soundness_fingerprint(total, domain.arity(), collapse_notices, salt);
-
-    // Rebuild the accumulated class map from the resume point, if any.
-    let mut merged: HashMap<P::View, ClassState<M::Out>> = HashMap::new();
-    let mut start = 0usize;
     if let Some(ckpt) = resume {
         if ckpt.fingerprint != fp || ckpt.total != total || ckpt.next_index > total {
             return Err(EnfError::Checkpoint {
@@ -381,111 +377,21 @@ where
                 ),
             });
         }
-        // The serialized `input` column is redundant with `idx` (it is
-        // re-derived from the domain on every write); only index and
-        // output feed the resumed class state.
-        for (view, idx, _input, out) in ckpt.classes.iter().cloned() {
-            merged.insert(
-                view,
-                ClassState {
-                    rep: Occurrence { idx, out },
-                    conflict: None,
-                },
-            );
-        }
-        start = ckpt.next_index;
     }
-
-    let mut cursor = start;
-    while cursor < total {
-        let span = cursor..(cursor + block).min(total);
-        let partials = try_partition_fold_range(domain, span.clone(), config, ctl, |range, ctx| {
-            let mut seen: HashMap<P::View, ClassState<M::Out>> = HashMap::new();
-            domain.visit_range(range, &mut |idx, a| {
-                if ctx.cutoff().passed(idx) || ctx.stop_requested(idx) {
-                    return false;
-                }
-                let Some((view, out)) = ctx.guard(idx, || {
-                    let view = policy.filter(a);
-                    let mut out = mechanism.run(a);
-                    if collapse_notices {
-                        out = out.collapse_notice();
-                    }
-                    (view, out)
-                }) else {
-                    return false;
-                };
-                record_input(&mut seen, idx, view, out, ctx.cutoff());
-                true
-            });
-            seen
-        });
-
-        let complete = partials.complete;
-        let block_checked = partials.checked;
-        let quarantine = partials.resolve_quarantine(None).err();
-        for partial in partials.parts {
-            merge_class_partial(&mut merged, partial);
-        }
-
-        // Any conflict — within the block or against an earlier block's
-        // representative — ends the sweep. Rank it against a quarantine
-        // by input index, like the unchunked guarded sweep.
-        let conflict_idx = merged
-            .values()
-            .filter_map(|s| s.conflict.as_ref().map(|c| c.idx))
-            .min();
-        if let Some(err @ EnfError::SubjectPanicked { input_index, .. }) = quarantine {
-            if conflict_idx.is_none_or(|c| input_index < c) {
-                return Err(err);
-            }
-        }
-        if conflict_idx.is_some() {
-            let (_, witness) = least_conflict(std::mem::take(&mut merged));
-            if let Some((rep, conflict)) = witness {
-                let checked = conflict.idx + 1;
-                return Ok(Coverage::refuted(
-                    checked,
-                    total,
-                    SoundnessReport::Unsound(decode_witness(domain, rep, conflict)),
-                ));
-            }
-        }
-        if !complete {
-            return Ok(Coverage::unknown(span.start + block_checked, total));
-        }
-
-        cursor = span.end;
-        let mut decode_buf = Vec::new();
-        let mut classes: Vec<ClassRow<M::Out, P::View>> = merged
-            .iter()
-            .map(|(view, state)| {
-                domain.nth_input(state.rep.idx, &mut decode_buf);
-                (
-                    view.clone(),
-                    state.rep.idx,
-                    decode_buf.clone(),
-                    state.rep.out.clone(),
-                )
-            })
-            .collect();
-        classes.sort_by_key(|(_, idx, _, _)| *idx);
-        sink(&SoundnessCheckpoint {
+    guarded_sweep(
+        mechanism,
+        policy,
+        domain,
+        collapse_notices,
+        config,
+        ctl,
+        Some(Checkpoints {
             fingerprint: fp,
-            total,
-            next_index: cursor,
-            classes,
-        })?;
-    }
-
-    let classes = merged.len();
-    Ok(Coverage::confirmed(
-        total,
-        SoundnessReport::Sound {
-            inputs: total,
-            classes,
-        },
-    ))
+            block,
+            resume,
+            sink,
+        }),
+    )
 }
 
 #[cfg(test)]
@@ -644,6 +550,107 @@ mod tests {
                 .expect("no faults");
                 assert_eq!(format!("{fresh:?}"), format!("{resumed:?}"));
             }
+        }
+    }
+
+    type Outcome = Result<Coverage<SoundnessReport<V>>, EnfError>;
+
+    /// A checkpointed sweep of `mech` under `policy`, with every document
+    /// it wrote, rendered.
+    fn sweep_docs<P: Policy<View = Vec<V>> + Sync>(
+        mech: &FnMechanism<V>,
+        policy: &P,
+        threads: usize,
+        ctl: &CancelToken,
+        resume: Option<&SoundnessCheckpoint<V, Vec<V>>>,
+    ) -> (Outcome, Vec<String>) {
+        let mut docs = Vec::new();
+        let outcome = check_soundness_checkpointed(
+            mech,
+            policy,
+            &Grid::hypercube(2, 0..=9),
+            false,
+            &EvalConfig::with_threads(threads).seq_threshold(0),
+            ctl,
+            7,
+            16,
+            resume,
+            &mut |c| {
+                docs.push(c.to_json(&PlainCodec).render());
+                Ok(())
+            },
+        );
+        (outcome, docs)
+    }
+
+    #[test]
+    fn checkpoints_do_not_depend_on_the_partition() {
+        let classes = Allow::new(2, [1]);
+        let views = {
+            let p = classes.clone();
+            crate::policy::FnPolicy::new(2, move |a: &[V]| p.filter(a))
+        };
+        let decode = |doc: &str| {
+            SoundnessCheckpoint::from_json(&PlainCodec, &crate::json::parse(doc).expect("parses"))
+                .expect("decodes")
+        };
+        for mech in [leak_free(), leaky()] {
+            for t in 1..=8 {
+                let uncut = CancelToken::new();
+                let (view_report, view_docs) = sweep_docs(&mech, &views, t, &uncut, None);
+                let (class_report, class_docs) = sweep_docs(&mech, &classes, t, &uncut, None);
+                assert_eq!(view_report, class_report, "threads {t}");
+                assert_eq!(view_docs, class_docs, "threads {t}");
+
+                // Cut inside the third block: the second checkpoint (frontier
+                // 32) is the last one written, under either partition.
+                let cut = CancelToken::new().with_index_limit(45);
+                let (_, cut_views) = sweep_docs(&mech, &views, t, &cut, None);
+                let (_, cut_classes) = sweep_docs(&mech, &classes, t, &cut, None);
+                assert_eq!(cut_views, cut_classes, "threads {t}");
+                assert_eq!(cut_views, view_docs[..2], "threads {t}");
+                let at = decode(&cut_views[1]);
+                let (resumed, docs) = sweep_docs(&mech, &classes, t, &uncut, Some(&at));
+                assert_eq!(resumed, view_report, "view cut, class resume, threads {t}");
+                assert_eq!(docs, view_docs[2..], "threads {t}");
+                let at = decode(&cut_classes[1]);
+                let (resumed, docs) = sweep_docs(&mech, &views, t, &uncut, Some(&at));
+                assert_eq!(resumed, view_report, "class cut, view resume, threads {t}");
+                assert_eq!(docs, view_docs[2..], "threads {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn resume_refuses_rows_past_the_frontier_or_repeated() {
+        let g = Grid::hypercube(2, 0..=3);
+        let bad = |classes| SoundnessCheckpoint {
+            fingerprint: soundness_fingerprint(g.len(), 2, false, 7),
+            total: g.len(),
+            next_index: 4,
+            classes,
+        };
+        for ckpt in [
+            bad(vec![(vec![0], 9, vec![0, 9], MechOutput::Value(0))]),
+            bad(vec![
+                (vec![0], 0, vec![0, 0], MechOutput::Value(0)),
+                (vec![0], 1, vec![0, 1], MechOutput::Value(0)),
+            ]),
+        ] {
+            let err = check_soundness_checkpointed(
+                &leak_free(),
+                &Allow::new(2, [1]),
+                &g,
+                false,
+                &EvalConfig::with_threads(1),
+                &CancelToken::new(),
+                7,
+                4,
+                Some(&ckpt),
+                &mut |_| Ok(()),
+            )
+            .expect_err("corrupt checkpoint");
+            assert!(matches!(err, EnfError::Checkpoint { .. }), "{err}");
         }
     }
 

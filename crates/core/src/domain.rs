@@ -89,6 +89,14 @@ pub trait InputDomain: Sync {
         }
     }
 
+    /// The per-coordinate ranges when the domain is a [`Grid`] — their
+    /// full product in mixed-radix order, last coordinate fastest — and
+    /// `None` for any other domain. Soundness sweeps use it to number a
+    /// projection policy's classes without computing views.
+    fn grid_ranges(&self) -> Option<&[RangeInclusive<V>]> {
+        None
+    }
+
     /// Visits every tuple in enumeration order with a reusable buffer.
     ///
     /// Allocation-free counterpart of [`iter_inputs`](InputDomain::iter_inputs)
@@ -183,6 +191,10 @@ impl Grid {
 impl InputDomain for Grid {
     fn arity(&self) -> usize {
         self.ranges.len()
+    }
+
+    fn grid_ranges(&self) -> Option<&[RangeInclusive<V>]> {
+        Some(&self.ranges)
     }
 
     fn len(&self) -> usize {
@@ -338,6 +350,10 @@ impl<D: InputDomain + ?Sized> InputDomain for &D {
 
     fn nth_input(&self, idx: usize, buf: &mut Vec<V>) {
         (**self).nth_input(idx, buf)
+    }
+
+    fn grid_ranges(&self) -> Option<&[RangeInclusive<V>]> {
+        (**self).grid_ranges()
     }
 
     fn visit_range(&self, range: Range<usize>, visit: &mut dyn FnMut(usize, &[V]) -> bool) {

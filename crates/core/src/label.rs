@@ -25,21 +25,20 @@
 //!   it additionally demands a `declassify` box on every carrying path —
 //!   so certification implies soundness for this oracle by construction.
 //!
-//! [`check_soundness_lattice`] is the exhaustive ground truth: **one**
-//! anchored-class sweep shared across *all* clearances at once. The
+//! [`check_soundness_lattice_with`] is the exhaustive ground truth:
+//! **one** soundness sweep shared across *all* clearances at once. The
 //! subject is evaluated once per input and its output recorded into one
-//! class table per *distinct* induced allow-set (clearances inducing the
-//! same `J` share a table), with verdicts per clearance read off by
-//! comparison — bit-identical to `|L|` independent
-//! [`check_soundness_classes`](crate::check_soundness_classes) sweeps at
-//! every thread count, at a fraction of the subject evaluations.
+//! class partition per *distinct* induced allow-set (clearances inducing
+//! the same `J` share one) — bit-identical to `|L|` independent
+//! [`check_soundness_with`](crate::check_soundness_with) sweeps at every
+//! thread count, at a fraction of the subject evaluations.
 
-use crate::domain::{Grid, InputDomain};
+use crate::domain::Grid;
 use crate::indexset::IndexSet;
 use crate::mechanism::Mechanism;
-use crate::par::{partition_fold, EvalConfig};
+use crate::par::EvalConfig;
 use crate::policy::{Allow, Policy};
-use crate::soundness::{decode_witness, ClassLayout, ClassTable, SoundnessReport};
+use crate::soundness::{plain_sweep, SoundnessReport};
 use crate::value::V;
 
 /// A security label: an element of a join-semilattice with a bottom.
@@ -391,6 +390,10 @@ impl<L: Label> Policy for LatticePolicy<L> {
         );
         self.induced.iter().map(|i| input[i - 1]).collect()
     }
+
+    fn projection(&self) -> Option<IndexSet> {
+        Some(self.induced)
+    }
 }
 
 /// Checks the mechanism against the lattice policy of **every** clearance
@@ -398,42 +401,16 @@ impl<L: Label> Policy for LatticePolicy<L> {
 ///
 /// Each clearance `c` induces `allow(J_c)` with
 /// `J_c = { i : label(i) ⇝* c }`; clearances inducing the same `J` share
-/// one anchored class table. The subject is evaluated **once** per input
-/// and the output recorded into each distinct table, so the sweep costs
+/// one class partition. The subject is evaluated **once** per input and
+/// the output recorded into each distinct partition, so the sweep costs
 /// one pass of subject evaluations plus one cheap mixed-radix record per
 /// distinct policy — instead of `|clearances|` full sweeps.
 ///
 /// The returned reports are positionally aligned with `clearances` and
 /// **bit-identical** — verdict, class count, witness tuples and outputs —
-/// to running [`check_soundness_classes`](crate::check_soundness_classes)
-/// once per clearance, at every thread count (the workspace property
-/// tests pin this at threads 1–8).
-pub fn check_soundness_lattice<M, L>(
-    mechanism: &M,
-    labeling: &Classification<L>,
-    flow: &IntransitiveFlow<L>,
-    clearances: &[L],
-    domain: &Grid,
-    collapse_notices: bool,
-) -> Vec<SoundnessReport<M::Out>>
-where
-    M: Mechanism + Sync,
-    M::Out: PartialEq + Clone + Send,
-    L: Label + Sync,
-{
-    check_soundness_lattice_with(
-        mechanism,
-        labeling,
-        flow,
-        clearances,
-        domain,
-        collapse_notices,
-        &EvalConfig::default(),
-    )
-}
-
-/// Like [`check_soundness_lattice`] but with an explicit evaluation
-/// configuration.
+/// to running [`check_soundness_with`](crate::check_soundness_with) once
+/// per clearance, at every thread count (the workspace property tests pin
+/// this at threads 1–8).
 pub fn check_soundness_lattice_with<M, L>(
     mechanism: &M,
     labeling: &Classification<L>,
@@ -455,127 +432,29 @@ where
         mechanism.arity(),
         labeling.arity()
     );
-    assert_eq!(
-        domain.arity(),
-        labeling.arity(),
-        "domain arity {} does not match labeling arity {}",
-        domain.arity(),
-        labeling.arity()
-    );
-
-    // Deduplicate clearances by induced allow-set: slot[k] is the table
-    // index clearance k reads its verdict from.
-    let mut distinct: Vec<IndexSet> = Vec::new();
+    // Deduplicate clearances by induced policy: slot[k] is the policy
+    // clearance k reads its verdict from.
+    let mut policies: Vec<Allow> = Vec::new();
     let mut slot: Vec<usize> = Vec::with_capacity(clearances.len());
     for c in clearances {
-        let j = labeling.readable_allow(flow, c);
-        let at = distinct.iter().position(|d| *d == j).unwrap_or_else(|| {
-            distinct.push(j);
-            distinct.len() - 1
-        });
+        let policy = Allow::from_set(labeling.arity(), labeling.readable_allow(flow, c));
+        let at = policies
+            .iter()
+            .position(|p| *p == policy)
+            .unwrap_or_else(|| {
+                policies.push(policy);
+                policies.len() - 1
+            });
         slot.push(at);
     }
-    let layouts: Vec<ClassLayout> = distinct
-        .iter()
-        .map(|j| ClassLayout::new(&Allow::from_set(labeling.arity(), *j), domain))
-        .collect();
-    let len = domain.len();
-
-    // One table per distinct policy. A table stops recording once it has
-    // a conflict in the scan prefix — everything at a later index cannot
-    // change its least-index witness — exactly mirroring the early exit
-    // of the per-clearance sequential sweep. Tables without a conflict
-    // record the whole domain, so their class counts match the full
-    // per-clearance sweeps too.
-    let n_tables = layouts.len();
-    let mut merged: Vec<ClassTable<M::Out>> = if config.workers_for(len) <= 1 {
-        let mut tables: Vec<ClassTable<M::Out>> =
-            layouts.iter().map(|l| ClassTable::new(l.count)).collect();
-        let mut conflicted = vec![false; n_tables];
-        let mut remaining = n_tables;
-        domain.visit_range(0..len, &mut |idx, a| {
-            let mut out = mechanism.run(a);
-            if collapse_notices {
-                out = out.collapse_notice();
-            }
-            for (k, table) in tables.iter_mut().enumerate() {
-                if conflicted[k] {
-                    continue;
-                }
-                if table.record_seq(layouts[k].class_of(a), idx, out.clone()) {
-                    conflicted[k] = true;
-                    remaining -= 1;
-                }
-            }
-            remaining > 0
-        });
-        tables
-    } else {
-        // Parallel: no shared cutoff — a conflict in one policy's table
-        // must not truncate the scan another policy's verdict depends on.
-        // Each worker stops feeding a table after that table conflicts
-        // *within its own range*; every index below the global least
-        // conflict of a table is still recorded by some worker, so the
-        // range-order merge reproduces the sequential witness exactly.
-        let partials = partition_fold(domain, config, |range, _cutoff| {
-            let mut tables: Vec<ClassTable<M::Out>> =
-                layouts.iter().map(|l| ClassTable::new(l.count)).collect();
-            let mut conflicted = vec![false; n_tables];
-            let mut remaining = n_tables;
-            domain.visit_range(range, &mut |idx, a| {
-                let mut out = mechanism.run(a);
-                if collapse_notices {
-                    out = out.collapse_notice();
-                }
-                for (k, table) in tables.iter_mut().enumerate() {
-                    if conflicted[k] {
-                        continue;
-                    }
-                    if table.record_seq(layouts[k].class_of(a), idx, out.clone()) {
-                        conflicted[k] = true;
-                        remaining -= 1;
-                    }
-                }
-                remaining > 0
-            });
-            tables
-        });
-        let mut iter = partials.into_iter();
-        let mut acc: Vec<ClassTable<M::Out>> = match iter.next() {
-            Some(first) => first,
-            None => layouts.iter().map(|l| ClassTable::new(l.count)).collect(),
-        };
-        for partial in iter {
-            for (m, p) in acc.iter_mut().zip(partial) {
-                m.merge(p);
-            }
-        }
-        acc
-    };
-
-    // Read each distinct table's verdict once, then fan out by slot.
-    let verdicts: Vec<SoundnessReport<M::Out>> = merged
-        .drain(..)
-        .map(|table| {
-            let classes = table.classes();
-            match table.least_conflict() {
-                Some((rep, conflict)) => {
-                    SoundnessReport::Unsound(decode_witness(domain, rep, conflict))
-                }
-                None => SoundnessReport::Sound {
-                    inputs: len,
-                    classes,
-                },
-            }
-        })
-        .collect();
-    slot.into_iter().map(|k| verdicts[k].clone()).collect()
+    let reports = plain_sweep(mechanism, &policies, domain, collapse_notices, config);
+    slot.into_iter().map(|k| reports[k].clone()).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check_soundness_classes_with;
+    use crate::check_soundness_with;
     use crate::mechanism::{FnMechanism, MechOutput};
 
     #[test]
@@ -665,7 +544,7 @@ mod tests {
         g: &Grid,
     ) where
         M: Mechanism + Sync,
-        M::Out: PartialEq + Clone + Send + std::fmt::Debug,
+        M::Out: Eq + std::hash::Hash + Send + std::fmt::Debug,
     {
         for threads in [1usize, 2, 3, 8] {
             let cfg = EvalConfig::with_threads(threads).seq_threshold(0);
@@ -673,7 +552,7 @@ mod tests {
                 check_soundness_lattice_with(m, labeling, flow, &Level::ALL, g, false, &cfg);
             for (c, got) in Level::ALL.iter().zip(&shared) {
                 let policy = Allow::from_set(labeling.arity(), labeling.readable_allow(flow, c));
-                let solo = check_soundness_classes_with(m, &policy, g, false, &cfg);
+                let solo = check_soundness_with(m, &policy, g, false, &cfg);
                 assert_eq!(got, &solo, "clearance {c:?}, threads {threads}");
             }
         }
@@ -700,13 +579,14 @@ mod tests {
         let labeling = Classification::new(vec![Level::Secret, Level::Unclassified]);
         let g = Grid::hypercube(2, -1..=1);
         let leaky = FnMechanism::new(2, |a: &[V]| MechOutput::Value(a[0]));
-        let reports = check_soundness_lattice(
+        let reports = check_soundness_lattice_with(
             &leaky,
             &labeling,
             &IntransitiveFlow::transitive(),
             &Level::ALL,
             &g,
             false,
+            &EvalConfig::default(),
         );
         assert!(!reports[0].is_sound(), "public observer must not see x1");
         assert!(!reports[1].is_sound());
@@ -721,7 +601,7 @@ mod tests {
         let m = FnMechanism::new(2, |a: &[V]| MechOutput::Value(a[1]));
         // Confidential and Unclassified induce the same J = {2};
         // Secret and TopSecret the same J = {1, 2}.
-        let reports = check_soundness_lattice(
+        let reports = check_soundness_lattice_with(
             &m,
             &labeling,
             &IntransitiveFlow::transitive(),
@@ -733,6 +613,7 @@ mod tests {
             ],
             &g,
             false,
+            &EvalConfig::default(),
         );
         assert_eq!(reports[0], reports[1]);
         assert_eq!(reports[2], reports[3]);
@@ -752,13 +633,14 @@ mod tests {
         let labeling = Classification::new(vec![Level::Secret, Level::Confidential]);
         let g = Grid::hypercube(2, -1..=1);
         let m = FnMechanism::new(2, |a: &[V]| MechOutput::Value(a[0]));
-        let reports = check_soundness_lattice(
+        let reports = check_soundness_lattice_with(
             &m,
             &labeling,
             &IntransitiveFlow::transitive(),
             &Level::ALL,
             &g,
             false,
+            &EvalConfig::default(),
         );
         let mut sound_seen = false;
         for r in &reports {
@@ -774,13 +656,14 @@ mod tests {
     fn lattice_sweep_checks_arity() {
         let m = FnMechanism::new(2, |a: &[V]| MechOutput::Value(a[0]));
         let g = Grid::hypercube(2, 0..=1);
-        let _ = check_soundness_lattice(
+        let _ = check_soundness_lattice_with(
             &m,
             &Classification::new(vec![Level::Secret]),
             &IntransitiveFlow::transitive(),
             &[Level::Secret],
             &g,
             false,
+            &EvalConfig::default(),
         );
     }
 }

@@ -76,8 +76,8 @@ pub use integrity::{check_preservation, PreservationReport};
 pub use join::{Join, JoinAll};
 pub use json::Json;
 pub use label::{
-    check_soundness_lattice, check_soundness_lattice_with, Classification, Compartmented,
-    IntransitiveFlow, Label, LatticePolicy, Level,
+    check_soundness_lattice_with, Classification, Compartmented, IntransitiveFlow, Label,
+    LatticePolicy, Level,
 };
 pub use maximal::MaximalMechanism;
 pub use mechanism::{FnMechanism, Identity, MechOutput, Mechanism, Plug};
@@ -92,9 +92,7 @@ pub use schedule::{
     ScheduledObs, ScheduledProgram, ScheduledReport, ScheduledWitness,
 };
 pub use soundness::{
-    check_protection, check_protection_with, check_soundness, check_soundness_classes,
-    check_soundness_classes_with, check_soundness_with, try_check_protection,
-    try_check_protection_with, try_check_soundness, try_check_soundness_classes,
-    try_check_soundness_classes_with, try_check_soundness_with, SoundnessReport,
+    check_protection, check_protection_with, check_soundness, check_soundness_with,
+    try_check_protection, try_check_protection_with, try_check_soundness_with, SoundnessReport,
 };
 pub use value::V;

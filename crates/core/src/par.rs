@@ -453,6 +453,15 @@ impl<'a> WorkerCtx<'a> {
             }
         }
     }
+
+    /// [`WorkerCtx::guard`] without the panic isolation, for infallible
+    /// sweeps: a panicking subject unwinds out of the fold to its caller.
+    /// The evaluation still counts toward coverage.
+    pub(crate) fn call<R>(&self, f: impl FnOnce() -> R) -> R {
+        let r = f();
+        self.evaluated.set(self.evaluated.get() + 1);
+        r
+    }
 }
 
 /// Result of a guarded fold: partials in range order plus what the sweep
@@ -602,7 +611,9 @@ where
 ///   witness was found. Under deterministic cancellation (index limit)
 ///   the witness is the least-index one among evaluated inputs for every
 ///   thread count; under wall-clock cancellation it is a genuine witness
-///   but which one may depend on timing.
+///   but which one may depend on timing. `checked` is at most `idx + 1`,
+///   what the sequential scan reports: inputs a sibling worker evaluated
+///   past the witness before it heard of it do not count.
 /// * [`Verdict::Confirmed`] — the whole domain was scanned, no witness.
 /// * [`Verdict::Unknown`] — cut short before any witness.
 /// * `Err(SubjectPanicked)` — the subject panicked at an index smaller
@@ -646,7 +657,7 @@ where
         .flatten()
         .min_by_key(|(idx, _)| *idx);
     Ok(match hit {
-        Some(w) => Coverage::refuted(partials.checked, total, w),
+        Some(w) => Coverage::refuted(partials.checked.min(w.0 + 1), total, w),
         None if partials.complete => Coverage {
             checked: total,
             total,

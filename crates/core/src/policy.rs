@@ -30,6 +30,15 @@ pub trait Policy {
 
     /// Computes the filtered view `I(d1, …, dk)`.
     fn filter(&self, input: &[V]) -> Self::View;
+
+    /// The coordinate set `J` when the policy is the projection
+    /// `allow(J)` — two inputs share a view exactly when they agree on
+    /// every coordinate in `J` — and `None` otherwise. Soundness sweeps
+    /// over a [`crate::Grid`] then number the classes instead of hashing
+    /// views; wrapping a policy in [`FnPolicy`] hides the projection.
+    fn projection(&self) -> Option<IndexSet> {
+        None
+    }
 }
 
 /// The paper's `allow(i1, …, im)` policy: the user may learn the listed
@@ -165,6 +174,10 @@ impl Policy for Allow {
         );
         self.allowed.iter().map(|i| input[i - 1]).collect()
     }
+
+    fn projection(&self) -> Option<IndexSet> {
+        Some(self.allowed)
+    }
 }
 
 /// A policy defined by an arbitrary Rust closure — the paper's
@@ -232,6 +245,10 @@ impl<P: Policy + ?Sized> Policy for &P {
 
     fn filter(&self, input: &[V]) -> Self::View {
         (**self).filter(input)
+    }
+
+    fn projection(&self) -> Option<IndexSet> {
+        (**self).projection()
     }
 }
 

@@ -354,7 +354,7 @@ pub fn check_soundness_scheduled<S: ScheduledProgram>(
 
 /// Fault-tolerant [`check_soundness_scheduled`]: the bounded-schedule
 /// sweep under the cancellation and quarantine discipline of
-/// [`crate::try_check_soundness`]. Coverage counts *schedules*, not
+/// [`crate::try_check_soundness_with`]. Coverage counts *schedules*, not
 /// inputs: `checked` is the contiguous prefix of the canonical schedule
 /// enumeration that was fully swept.
 ///

@@ -9,21 +9,35 @@
 //! pair on failure — two inputs the policy deems indistinguishable on which
 //! the mechanism behaves differently, i.e. a concrete leak.
 //!
+//! Every sweep in the crate — plain, fail-closed, checkpointed
+//! ([`crate::checkpoint`]) and all-clearance ([`crate::label`]) — runs
+//! through the one sweep loop in this module. It names each input's class
+//! by a mixed-radix index when the policy is a projection
+//! ([`Policy::projection`]) and the domain a grid
+//! ([`InputDomain::grid_ranges`]), and by its hashed view otherwise; both
+//! partitions yield the same classes, so the choice never shows in a
+//! report.
+//!
 //! On *unbounded* domains soundness is undecidable (Ruzzo's observation in
 //! Section 4: `Q` is sound for `Q` and `allow()` iff `Q` is constant); the
 //! checker is therefore exact on the supplied finite domain and nothing
 //! more. Checking over a sampled sub-domain yields a sound *refuter* (a
 //! found witness is a real leak) but not a verifier.
 
-use crate::domain::{Grid, InputDomain};
-use crate::error::{Coverage, EnfError, Verdict};
+use crate::checkpoint::{CheckpointSink, ClassRow, SoundnessCheckpoint};
+use crate::domain::InputDomain;
+use crate::error::{Coverage, EnfError};
+use crate::indexset::IndexSet;
 use crate::mechanism::{MechOutput, Mechanism};
-use crate::par::{find_first, partition_fold, try_find_first, CancelToken, Cutoff, EvalConfig};
-use crate::policy::{Allow, Policy};
+use crate::par::{
+    find_first, try_find_first, try_partition_fold_range, CancelToken, EvalConfig, WorkerCtx,
+};
+use crate::policy::Policy;
 use crate::program::Program;
 use crate::value::V;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
 /// Outcome of an empirical soundness check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -112,142 +126,6 @@ where
     )
 }
 
-/// Occurrence of an input tuple during the scan: its enumeration index and
-/// the mechanism's output on it. The tuple itself is *not* stored — it is
-/// recovered from the index via [`InputDomain::nth_input`] only when a
-/// witness or checkpoint materializes it, so the hot loop allocates
-/// nothing per class.
-///
-/// `pub(crate)` so the checkpointed sweep ([`crate::checkpoint`]) can
-/// persist and restore class state.
-pub(crate) struct Occurrence<O> {
-    pub(crate) idx: usize,
-    pub(crate) out: MechOutput<O>,
-}
-
-/// Per-class partial state accumulated by one worker over its index range.
-pub(crate) struct ClassState<O> {
-    /// First occurrence of the class in the range.
-    pub(crate) rep: Occurrence<O>,
-    /// First occurrence in the range whose output differs from `rep`'s.
-    pub(crate) conflict: Option<Occurrence<O>>,
-}
-
-/// Folds one evaluated input into a worker's per-class state, proposing
-/// any conflict index to the cutoff.
-pub(crate) fn record_input<W, O>(
-    seen: &mut HashMap<W, ClassState<O>>,
-    idx: usize,
-    view: W,
-    out: MechOutput<O>,
-    cutoff: &Cutoff,
-) where
-    W: Eq + std::hash::Hash,
-    O: PartialEq,
-{
-    match seen.entry(view) {
-        Entry::Vacant(e) => {
-            e.insert(ClassState {
-                rep: Occurrence { idx, out },
-                conflict: None,
-            });
-        }
-        Entry::Occupied(mut e) => {
-            let state = e.get_mut();
-            if state.conflict.is_none() && state.rep.out != out {
-                state.conflict = Some(Occurrence { idx, out });
-                cutoff.propose(idx);
-            }
-        }
-    }
-}
-
-/// Materializes a witness from a `(representative, conflict)` pair by
-/// decoding the stored enumeration indices — one scratch buffer, two
-/// decodes, the only input allocations of an entire unsound sweep.
-pub(crate) fn decode_witness<O>(
-    domain: &dyn InputDomain,
-    rep: Occurrence<O>,
-    conflict: Occurrence<O>,
-) -> Witness<O> {
-    let mut buf = Vec::new();
-    domain.nth_input(rep.idx, &mut buf);
-    let a = buf.clone();
-    domain.nth_input(conflict.idx, &mut buf);
-    Witness {
-        a,
-        b: buf,
-        out_a: rep.out,
-        out_b: conflict.out,
-    }
-}
-
-/// Merges one worker's per-class partial into the accumulated map.
-///
-/// Partials **must** be merged in range order: the accumulated
-/// representative is then the globally first occurrence of each class, and
-/// each recorded conflict is the least index disagreeing with it — exactly
-/// the sequential semantics, for every thread count.
-pub(crate) fn merge_class_partial<W, O>(
-    merged: &mut HashMap<W, ClassState<O>>,
-    partial: HashMap<W, ClassState<O>>,
-) where
-    W: Eq + std::hash::Hash,
-    O: PartialEq,
-{
-    for (view, state) in partial {
-        match merged.entry(view) {
-            Entry::Vacant(e) => {
-                e.insert(state);
-            }
-            Entry::Occupied(mut e) => {
-                let m = e.get_mut();
-                // The least index in `state`'s range disagreeing with
-                // the global representative: the range's own first
-                // occurrence if it already disagrees, else the range's
-                // recorded conflict (which disagrees with the shared
-                // representative output).
-                let candidate = if state.rep.out != m.rep.out {
-                    Some(state.rep)
-                } else {
-                    state.conflict
-                };
-                if let Some(c) = candidate {
-                    if m.conflict.as_ref().is_none_or(|mc| c.idx < mc.idx) {
-                        m.conflict = Some(c);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Class count plus the winning `(representative, conflict)` pair, if any.
-pub(crate) type LeastConflict<O> = (usize, Option<(Occurrence<O>, Occurrence<O>)>);
-
-/// The least-index conflict across all classes, paired with its class
-/// representative, consuming the map.
-pub(crate) fn least_conflict<W, O>(merged: HashMap<W, ClassState<O>>) -> LeastConflict<O> {
-    let classes = merged.len();
-    let witness = merged
-        .into_values()
-        .filter_map(|s| s.conflict.map(|c| (s.rep, c)))
-        .min_by_key(|(_, c)| c.idx);
-    (classes, witness)
-}
-
-/// Asserts the three arities agree; shared by every soundness entry point.
-fn assert_soundness_arities(mech_arity: usize, policy_arity: usize, domain_arity: usize) {
-    assert_eq!(
-        mech_arity, policy_arity,
-        "mechanism arity {mech_arity} does not match policy arity {policy_arity}"
-    );
-    assert_eq!(
-        domain_arity, policy_arity,
-        "domain arity {domain_arity} does not match policy arity {policy_arity}"
-    );
-}
-
 /// Like [`check_soundness`] but with an explicit evaluation configuration.
 ///
 /// The scan partitions the domain's index space across workers
@@ -258,6 +136,10 @@ fn assert_soundness_arities(mech_arity: usize, policy_arity: usize, domain_arity
 /// class representative is the globally first occurrence of the class, and
 /// the conflicting input is the globally least-index input that
 /// disagrees with its class representative — for every thread count.
+///
+/// An `Allow`-shaped policy over a [`crate::Grid`] is swept by class index
+/// (no view vector, no hashing); any other pair by hashed view. The report
+/// is the same either way.
 pub fn check_soundness_with<M, P>(
     mechanism: &M,
     policy: &P,
@@ -271,469 +153,27 @@ where
     P: Policy + Sync,
     P::View: Send,
 {
-    assert_soundness_arities(mechanism.arity(), policy.arity(), domain.arity());
-    let partials = partition_fold(domain, config, |range, cutoff| {
-        let mut seen: HashMap<P::View, ClassState<M::Out>> = HashMap::new();
-        domain.visit_range(range, &mut |idx, a| {
-            // A recorded conflict bounds the final witness index from
-            // above; once past it this range can contribute nothing.
-            if cutoff.passed(idx) {
-                return false;
-            }
-            let view = policy.filter(a);
-            let mut out = mechanism.run(a);
-            if collapse_notices {
-                out = out.collapse_notice();
-            }
-            record_input(&mut seen, idx, view, out, cutoff);
-            true
-        });
-        seen
-    });
-
-    // Deterministic reduction: merge in range order, so each class's
-    // representative is its globally first occurrence and each conflict is
-    // the least index disagreeing with that representative.
-    let mut merged: HashMap<P::View, ClassState<M::Out>> = HashMap::new();
-    for partial in partials {
-        merge_class_partial(&mut merged, partial);
-    }
-
-    // With no conflict, no worker exited early, so `merged` holds every
-    // class the sequential scan would have seen.
-    let (classes, witness) = least_conflict(merged);
-    match witness {
-        Some((rep, conflict)) => SoundnessReport::Unsound(decode_witness(domain, rep, conflict)),
-        None => SoundnessReport::Sound {
-            inputs: domain.len(),
-            classes,
-        },
-    }
-}
-
-/// Largest class count for which workers use a flat slot table; beyond it
-/// they fall back to hashing class indices. 2^16 slots keep a per-worker
-/// table within a few megabytes for any output type.
-const FLAT_CLASS_LIMIT: u128 = 1 << 16;
-
-/// The equivalence-class arithmetic of an [`Allow`] policy over a [`Grid`]:
-/// since `Allow(J)`'s view is the projection onto the allowed coordinates,
-/// every class is itself a sub-grid, and a tuple's class is a mixed-radix
-/// number over the allowed coordinates — no view vector, no hashing.
-///
-/// `pub(crate)` so the shared all-clearance lattice sweep
-/// ([`crate::label`]) can keep one layout per distinct induced policy.
-pub(crate) struct ClassLayout {
-    /// `(tuple position, range start, span)` per allowed coordinate,
-    /// ascending — the same order [`Allow::filter`] projects in.
-    coords: Vec<(usize, V, u128)>,
-    /// Total class count, `None` if it overflows `u128`.
-    pub(crate) count: Option<u128>,
-}
-
-impl ClassLayout {
-    pub(crate) fn new(policy: &Allow, domain: &Grid) -> Self {
-        let mut coords = Vec::new();
-        let mut count: Option<u128> = Some(1);
-        for i in policy.allowed().iter() {
-            let r = &domain.ranges()[i - 1];
-            let span = (*r.end() as i128 - *r.start() as i128) as u128 + 1;
-            count = count.and_then(|c| c.checked_mul(span));
-            coords.push((i - 1, *r.start(), span));
-        }
-        ClassLayout { coords, count }
-    }
-
-    /// The class index of `a`: injective on policy views, so two tuples
-    /// share a class index iff [`Allow::filter`] maps them to the same
-    /// view.
-    #[inline]
-    pub(crate) fn class_of(&self, a: &[V]) -> u128 {
-        let mut ci: u128 = 0;
-        for &(pos, start, span) in &self.coords {
-            ci = ci * span + (a[pos] as i128 - start as i128) as u128;
-        }
-        ci
-    }
-}
-
-/// Per-class state of the class evaluator: the flat-indexed twin of
-/// [`ClassState`], with occurrences stored as `(index, output)` pairs.
-pub(crate) struct ClassSlot<O> {
-    rep_idx: usize,
-    rep_out: MechOutput<O>,
-    conflict: Option<(usize, MechOutput<O>)>,
-}
-
-/// A worker's class table: dense when the class count is small enough,
-/// index-hashed otherwise. Either way no per-tuple view vector exists.
-///
-/// `pub(crate)` so the shared all-clearance lattice sweep
-/// ([`crate::label`]) can keep one table per distinct induced policy.
-pub(crate) enum ClassTable<O> {
-    Flat(Vec<Option<ClassSlot<O>>>),
-    Hashed(HashMap<u128, ClassSlot<O>>),
-}
-
-impl<O: PartialEq> ClassTable<O> {
-    pub(crate) fn new(count: Option<u128>) -> Self {
-        match count {
-            Some(n) if n <= FLAT_CLASS_LIMIT => {
-                let mut slots = Vec::new();
-                slots.resize_with(n as usize, || None);
-                ClassTable::Flat(slots)
-            }
-            _ => ClassTable::Hashed(HashMap::new()),
-        }
-    }
-
-    /// [`record_input`] on a class index: first occurrence becomes the
-    /// representative, first disagreeing occurrence the conflict. Shares
-    /// the cutoff with the other workers of a parallel sweep.
-    #[inline]
-    fn record(&mut self, ci: u128, idx: usize, out: MechOutput<O>, cutoff: &Cutoff) {
-        if self.record_seq(ci, idx, out) {
-            cutoff.propose(idx);
-        }
-    }
-
-    /// Cutoff-free [`ClassTable::record`]: returns `true` when this
-    /// occurrence became its class's conflict. An in-order sequential scan
-    /// can then stop immediately — the first conflict it meets is the
-    /// least-index conflict.
-    #[inline]
-    pub(crate) fn record_seq(&mut self, ci: u128, idx: usize, out: MechOutput<O>) -> bool {
-        let slot = match self {
-            ClassTable::Flat(slots) => &mut slots[ci as usize],
-            ClassTable::Hashed(map) => match map.entry(ci) {
-                Entry::Vacant(e) => {
-                    e.insert(ClassSlot {
-                        rep_idx: idx,
-                        rep_out: out,
-                        conflict: None,
-                    });
-                    return false;
-                }
-                Entry::Occupied(e) => {
-                    let s = e.into_mut();
-                    if s.conflict.is_none() && s.rep_out != out {
-                        s.conflict = Some((idx, out));
-                        return true;
-                    }
-                    return false;
-                }
-            },
-        };
-        match slot {
-            None => {
-                *slot = Some(ClassSlot {
-                    rep_idx: idx,
-                    rep_out: out,
-                    conflict: None,
-                });
-                false
-            }
-            Some(s) => {
-                if s.conflict.is_none() && s.rep_out != out {
-                    s.conflict = Some((idx, out));
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// [`merge_class_partial`] on class indices; `partial` must come from
-    /// the next range in order.
-    pub(crate) fn merge(&mut self, partial: ClassTable<O>) {
-        fn merge_into<O: PartialEq>(m: &mut ClassSlot<O>, p: ClassSlot<O>) {
-            let candidate = if p.rep_out != m.rep_out {
-                Some((p.rep_idx, p.rep_out))
-            } else {
-                p.conflict
-            };
-            if let Some(c) = candidate {
-                if m.conflict.as_ref().is_none_or(|mc| c.0 < mc.0) {
-                    m.conflict = Some(c);
-                }
-            }
-        }
-        match (self, partial) {
-            (ClassTable::Flat(merged), ClassTable::Flat(parts)) => {
-                for (m, p) in merged.iter_mut().zip(parts) {
-                    match (m, p) {
-                        (m @ None, p) => *m = p,
-                        (Some(m), Some(p)) => merge_into(m, p),
-                        (Some(_), None) => {}
-                    }
-                }
-            }
-            (ClassTable::Hashed(merged), ClassTable::Hashed(parts)) => {
-                for (ci, p) in parts {
-                    match merged.entry(ci) {
-                        Entry::Vacant(e) => {
-                            e.insert(p);
-                        }
-                        Entry::Occupied(mut e) => merge_into(e.get_mut(), p),
-                    }
-                }
-            }
-            _ => unreachable!("workers share one table shape"),
-        }
-    }
-
-    pub(crate) fn classes(&self) -> usize {
-        match self {
-            ClassTable::Flat(slots) => slots.iter().flatten().count(),
-            ClassTable::Hashed(map) => map.len(),
-        }
-    }
-
-    /// The least-index conflict with its class representative.
-    pub(crate) fn least_conflict(self) -> Option<(Occurrence<O>, Occurrence<O>)> {
-        let pick = |s: ClassSlot<O>| {
-            s.conflict.map(|(idx, out)| {
-                (
-                    Occurrence {
-                        idx: s.rep_idx,
-                        out: s.rep_out,
-                    },
-                    Occurrence { idx, out },
-                )
-            })
-        };
-        match self {
-            ClassTable::Flat(slots) => slots
-                .into_iter()
-                .flatten()
-                .filter_map(pick)
-                .min_by_key(|(_, c)| c.idx),
-            ClassTable::Hashed(map) => map
-                .into_values()
-                .filter_map(pick)
-                .min_by_key(|(_, c)| c.idx),
-        }
-    }
-}
-
-/// [`check_soundness`] specialized to [`Allow`] policies over a [`Grid`]:
-/// the view-keyed hash map becomes mixed-radix class arithmetic over the
-/// allowed coordinates. Same verdict, same witness, same class count —
-/// differentially pinned against the generic sweep at every thread count —
-/// at a fraction of the cost per tuple (no view vector, no hashing, no
-/// per-class allocation).
-///
-/// Note `M::Out` only needs `PartialEq`, not `Eq + Hash`: outputs are
-/// never used as map keys here.
-pub fn check_soundness_classes<M>(
-    mechanism: &M,
-    policy: &Allow,
-    domain: &Grid,
-    collapse_notices: bool,
-) -> SoundnessReport<M::Out>
-where
-    M: Mechanism + Sync,
-    M::Out: PartialEq + Send,
-{
-    check_soundness_classes_with(
+    plain_sweep(
         mechanism,
-        policy,
+        std::slice::from_ref(policy),
         domain,
         collapse_notices,
-        &EvalConfig::default(),
+        config,
     )
+    .swap_remove(0)
 }
 
-/// Like [`check_soundness_classes`] but with an explicit evaluation
-/// configuration.
-pub fn check_soundness_classes_with<M>(
-    mechanism: &M,
-    policy: &Allow,
-    domain: &Grid,
-    collapse_notices: bool,
-    config: &EvalConfig,
-) -> SoundnessReport<M::Out>
-where
-    M: Mechanism + Sync,
-    M::Out: PartialEq + Send,
-{
-    assert_soundness_arities(mechanism.arity(), policy.arity(), domain.arity());
-    let layout = ClassLayout::new(policy, domain);
-    let len = domain.len();
-
-    // Sequential fast path: an in-order scan meets the least-index
-    // conflict first, so there is no cutoff to share and no atomics to
-    // load — stop at the first conflict, exactly like the merged parallel
-    // result.
-    if config.workers_for(len) <= 1 {
-        let mut seen: ClassTable<M::Out> = ClassTable::new(layout.count);
-        domain.visit_range(0..len, &mut |idx, a| {
-            let mut out = mechanism.run(a);
-            if collapse_notices {
-                out = out.collapse_notice();
-            }
-            !seen.record_seq(layout.class_of(a), idx, out)
-        });
-        let classes = seen.classes();
-        return match seen.least_conflict() {
-            Some((rep, conflict)) => {
-                SoundnessReport::Unsound(decode_witness(domain, rep, conflict))
-            }
-            None => SoundnessReport::Sound {
-                inputs: len,
-                classes,
-            },
-        };
-    }
-
-    let partials = partition_fold(domain, config, |range, cutoff| {
-        let mut seen: ClassTable<M::Out> = ClassTable::new(layout.count);
-        domain.visit_range(range, &mut |idx, a| {
-            if cutoff.passed(idx) {
-                return false;
-            }
-            let mut out = mechanism.run(a);
-            if collapse_notices {
-                out = out.collapse_notice();
-            }
-            seen.record(layout.class_of(a), idx, out, cutoff);
-            true
-        });
-        seen
-    });
-
-    // Deterministic reduction: merge in range order, so each class's
-    // representative is its globally first occurrence and each conflict
-    // is the least index disagreeing with that representative.
-    let mut merged: ClassTable<M::Out> = ClassTable::new(layout.count);
-    for partial in partials {
-        merged.merge(partial);
-    }
-
-    let classes = merged.classes();
-    match merged.least_conflict() {
-        Some((rep, conflict)) => SoundnessReport::Unsound(decode_witness(domain, rep, conflict)),
-        None => SoundnessReport::Sound {
-            inputs: domain.len(),
-            classes,
-        },
-    }
-}
-
-/// Fault-tolerant [`check_soundness_classes`]: the mixed-radix class
-/// evaluator under the same cancellation and quarantine discipline as
-/// [`try_check_soundness`]. This closes the fail-closed gap where server
-/// deadlines only reached the generic sweep — the fast path now honors
-/// the [`CancelToken`] too.
-pub fn try_check_soundness_classes<M>(
-    mechanism: &M,
-    policy: &Allow,
-    domain: &Grid,
-    collapse_notices: bool,
-    ctl: &CancelToken,
-) -> Result<Coverage<SoundnessReport<M::Out>>, EnfError>
-where
-    M: Mechanism + Sync,
-    M::Out: PartialEq + Send,
-{
-    try_check_soundness_classes_with(
-        mechanism,
-        policy,
-        domain,
-        collapse_notices,
-        &EvalConfig::default(),
-        ctl,
-    )
-}
-
-/// Like [`try_check_soundness_classes`] but with an explicit evaluation
-/// configuration.
-///
-/// Verdict semantics match [`try_check_soundness_with`] exactly: `Refuted`
-/// carries the same least-index witness the plain class evaluator reports,
-/// `Confirmed` requires full coverage with nothing quarantined, `Unknown`
-/// means the token fired before any conflict, and a subject panicking at
-/// an index below every conflict surfaces as `Err(SubjectPanicked)`.
-pub fn try_check_soundness_classes_with<M>(
-    mechanism: &M,
-    policy: &Allow,
-    domain: &Grid,
-    collapse_notices: bool,
-    config: &EvalConfig,
-    ctl: &CancelToken,
-) -> Result<Coverage<SoundnessReport<M::Out>>, EnfError>
-where
-    M: Mechanism + Sync,
-    M::Out: PartialEq + Send,
-{
-    assert_soundness_arities(mechanism.arity(), policy.arity(), domain.arity());
-    let layout = ClassLayout::new(policy, domain);
-    let total = domain.len();
-    let partials = crate::par::try_partition_fold(domain, config, ctl, |range, ctx| {
-        let mut seen: ClassTable<M::Out> = ClassTable::new(layout.count);
-        domain.visit_range(range, &mut |idx, a| {
-            if ctx.cutoff().passed(idx) || ctx.stop_requested(idx) {
-                return false;
-            }
-            let Some(out) = ctx.guard(idx, || {
-                let mut out = mechanism.run(a);
-                if collapse_notices {
-                    out = out.collapse_notice();
-                }
-                out
-            }) else {
-                return false;
-            };
-            seen.record(layout.class_of(a), idx, out, ctx.cutoff());
-            true
-        });
-        seen
-    });
-
-    let complete = partials.complete;
-    let checked = partials.checked;
-    let quarantine = partials.resolve_quarantine(None).err();
-    let mut merged: ClassTable<M::Out> = ClassTable::new(layout.count);
-    for partial in partials.parts {
-        merged.merge(partial);
-    }
-    let classes = merged.classes();
-    let witness = merged.least_conflict();
-    // Order events by input index, exactly as the sequential scan would
-    // encounter them: a conflict below the quarantined index wins, a
-    // quarantine below the conflict is the error.
-    if let Some(err @ EnfError::SubjectPanicked { input_index, .. }) = quarantine {
-        if witness.as_ref().is_none_or(|(_, c)| input_index < c.idx) {
-            return Err(err);
-        }
-    }
-    Ok(match witness {
-        Some((rep, conflict)) => Coverage::refuted(
-            checked,
-            total,
-            SoundnessReport::Unsound(decode_witness(domain, rep, conflict)),
-        ),
-        None if complete => Coverage::confirmed(
-            total,
-            SoundnessReport::Sound {
-                inputs: total,
-                classes,
-            },
-        ),
-        None => Coverage::unknown(checked, total),
-    })
-}
-
-/// Fault-tolerant [`check_soundness`]: a panicking mechanism or policy is
-/// quarantined ([`EnfError::SubjectPanicked`]) instead of unwinding, and
-/// the sweep honors the cancellation token, reporting partial coverage.
+/// Fault-tolerant [`check_soundness_with`]: a panicking mechanism or
+/// policy is quarantined ([`EnfError::SubjectPanicked`]) instead of
+/// unwinding, and the sweep honors the cancellation token, reporting
+/// partial coverage.
 ///
 /// Verdict semantics (deterministic for every thread count under
 /// fault-free, quarantined, or index-limited runs):
 ///
 /// * `Ok(Coverage { verdict: Refuted, report: Some(Unsound(w)), .. })` — a
-///   genuine leak; `w` is the same witness the sequential scan reports.
+///   genuine leak; `w` is the same witness the sequential scan reports,
+///   and `checked` is at most the conflicting input's index plus one.
 /// * `Ok(Coverage { verdict: Confirmed, report: Some(Sound { .. }), .. })`
 ///   — full coverage, no conflict, nothing quarantined. This is the
 ///   **only** way to obtain a `Sound` report from this function.
@@ -741,31 +181,6 @@ where
 ///   before any conflict; nothing is claimed.
 /// * `Err(SubjectPanicked)` — a subject panicked at an index smaller than
 ///   any conflict.
-pub fn try_check_soundness<M, P>(
-    mechanism: &M,
-    policy: &P,
-    domain: &dyn InputDomain,
-    collapse_notices: bool,
-    ctl: &CancelToken,
-) -> Result<Coverage<SoundnessReport<M::Out>>, EnfError>
-where
-    M: Mechanism + Sync,
-    M::Out: Eq + std::hash::Hash + Send,
-    P: Policy + Sync,
-    P::View: Send,
-{
-    try_check_soundness_with(
-        mechanism,
-        policy,
-        domain,
-        collapse_notices,
-        &EvalConfig::default(),
-        ctl,
-    )
-}
-
-/// Like [`try_check_soundness`] but with an explicit evaluation
-/// configuration.
 pub fn try_check_soundness_with<M, P>(
     mechanism: &M,
     policy: &P,
@@ -780,61 +195,611 @@ where
     P: Policy + Sync,
     P::View: Send,
 {
-    assert_soundness_arities(mechanism.arity(), policy.arity(), domain.arity());
-    let total = domain.len();
-    let partials = crate::par::try_partition_fold(domain, config, ctl, |range, ctx| {
-        let mut seen: HashMap<P::View, ClassState<M::Out>> = HashMap::new();
-        domain.visit_range(range, &mut |idx, a| {
-            if ctx.cutoff().passed(idx) || ctx.stop_requested(idx) {
-                return false;
-            }
-            let Some((view, out)) = ctx.guard(idx, || {
-                let view = policy.filter(a);
-                let mut out = mechanism.run(a);
-                if collapse_notices {
-                    out = out.collapse_notice();
-                }
-                (view, out)
-            }) else {
-                return false;
-            };
-            record_input(&mut seen, idx, view, out, ctx.cutoff());
-            true
-        });
-        seen
-    });
+    guarded_sweep(
+        mechanism,
+        policy,
+        domain,
+        collapse_notices,
+        config,
+        ctl,
+        None,
+    )
+}
 
-    let mut merged: HashMap<P::View, ClassState<M::Out>> = HashMap::new();
-    let complete = partials.complete;
-    let checked = partials.checked;
-    let quarantine = partials.resolve_quarantine(None).err();
-    for partial in partials.parts {
-        merge_class_partial(&mut merged, partial);
+/// Block-sequential checkpointing for [`guarded_sweep`].
+pub(crate) struct Checkpoints<'s, 'a, O, W> {
+    /// Stamped into every checkpoint document.
+    pub(crate) fingerprint: u64,
+    /// Inputs per block; a checkpoint follows each completed block.
+    pub(crate) block: usize,
+    /// A validated checkpoint of this sweep to continue from.
+    pub(crate) resume: Option<&'s SoundnessCheckpoint<O, W>>,
+    /// Receives each checkpoint; an error aborts the sweep.
+    pub(crate) sink: &'s mut CheckpointSink<'a, O, W>,
+}
+
+/// The fail-closed sweep of one policy, checkpointed when asked: the body
+/// of [`try_check_soundness_with`] and
+/// [`check_soundness_checkpointed`](crate::checkpoint::check_soundness_checkpointed).
+pub(crate) fn guarded_sweep<M, P>(
+    mechanism: &M,
+    policy: &P,
+    domain: &dyn InputDomain,
+    collapse_notices: bool,
+    config: &EvalConfig,
+    ctl: &CancelToken,
+    checkpoints: Option<Checkpoints<'_, '_, M::Out, P::View>>,
+) -> Result<Coverage<SoundnessReport<M::Out>>, EnfError>
+where
+    M: Mechanism + Sync,
+    M::Out: Send,
+    P: Policy + Sync,
+    P::View: Send,
+{
+    let swept = sweep::<Guarded, _, _>(
+        mechanism,
+        std::slice::from_ref(policy),
+        domain,
+        collapse_notices,
+        config,
+        ctl,
+        checkpoints,
+    )?;
+    let (checked, total, complete) = (swept.checked, swept.total, swept.complete);
+    Ok(match swept.into_reports(domain).pop() {
+        Some(report @ SoundnessReport::Unsound(_)) => Coverage::refuted(checked, total, report),
+        Some(report) if complete => Coverage::confirmed(total, report),
+        _ => Coverage::unknown(checked, total),
+    })
+}
+
+/// The infallible sweep of several policies at once, one subject
+/// evaluation per input: the body of [`check_soundness_with`] and of the
+/// all-clearance [`crate::label::check_soundness_lattice_with`]. Reports
+/// are aligned with `policies`; a subject panic unwinds to the caller.
+pub(crate) fn plain_sweep<M, P>(
+    mechanism: &M,
+    policies: &[P],
+    domain: &dyn InputDomain,
+    collapse_notices: bool,
+    config: &EvalConfig,
+) -> Vec<SoundnessReport<M::Out>>
+where
+    M: Mechanism + Sync,
+    M::Out: Send,
+    P: Policy + Sync,
+    P::View: Send,
+{
+    let ctl = CancelToken::new();
+    match sweep::<Plain, _, _>(
+        mechanism,
+        policies,
+        domain,
+        collapse_notices,
+        config,
+        &ctl,
+        None,
+    ) {
+        Ok(swept) => swept.into_reports(domain),
+        // Only a quarantine or a checkpoint sink fails a sweep, and a
+        // plain sweep has neither.
+        Err(e) => panic!("{e}"),
     }
-    let (classes, witness) = least_conflict(merged);
-    // Order events by input index, exactly as the sequential scan would
-    // encounter them: a conflict below the quarantined index wins, a
-    // quarantine below the conflict is the error.
-    if let Some(err @ EnfError::SubjectPanicked { input_index, .. }) = quarantine {
-        if witness.as_ref().is_none_or(|(_, c)| input_index < c.idx) {
-            return Err(err);
+}
+
+/// How the sweep loop evaluates the subject. A type parameter rather
+/// than a flag, so the infallible forms compile to a plain call.
+trait Guard {
+    /// Whether the worker should stop before evaluating `idx`.
+    fn stop(ctx: &WorkerCtx, idx: usize) -> bool;
+    /// Runs the subject at `idx`; `None` ends the worker's range.
+    fn eval<R>(ctx: &WorkerCtx, idx: usize, f: impl FnOnce() -> R) -> Option<R>;
+}
+
+/// The fail-closed forms: poll the cancellation token, quarantine panics.
+struct Guarded;
+
+impl Guard for Guarded {
+    #[inline]
+    fn stop(ctx: &WorkerCtx, idx: usize) -> bool {
+        ctx.cutoff().passed(idx) || ctx.stop_requested(idx)
+    }
+
+    #[inline]
+    fn eval<R>(ctx: &WorkerCtx, idx: usize, f: impl FnOnce() -> R) -> Option<R> {
+        ctx.guard(idx, f)
+    }
+}
+
+/// The infallible forms: no token, and a subject panic unwinds.
+struct Plain;
+
+impl Guard for Plain {
+    #[inline]
+    fn stop(ctx: &WorkerCtx, idx: usize) -> bool {
+        ctx.cutoff().passed(idx)
+    }
+
+    #[inline]
+    fn eval<R>(ctx: &WorkerCtx, _idx: usize, f: impl FnOnce() -> R) -> Option<R> {
+        Some(ctx.call(f))
+    }
+}
+
+/// What a sweep leaves behind: one merged table per policy plus coverage.
+struct Sweep<W, O> {
+    tables: Vec<ClassTable<W, O>>,
+    /// Every index in `0..checked` was evaluated; after a refutation, no
+    /// more than the deciding conflict's index plus one.
+    checked: usize,
+    /// Every input was evaluated with nothing quarantined.
+    complete: bool,
+    total: usize,
+}
+
+impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> Sweep<W, O> {
+    /// One report per policy: the least-index conflict as a witness, else
+    /// `Sound` with the class count.
+    fn into_reports(self, domain: &dyn InputDomain) -> Vec<SoundnessReport<O>> {
+        let total = self.total;
+        self.tables
+            .into_iter()
+            .map(|table| {
+                let classes = table.classes();
+                match table.least_conflict() {
+                    Some((rep, conflict)) => {
+                        SoundnessReport::Unsound(decode_witness(domain, rep, conflict))
+                    }
+                    None => SoundnessReport::Sound {
+                        inputs: total,
+                        classes,
+                    },
+                }
+            })
+            .collect()
+    }
+}
+
+/// The soundness sweep: every entry point of this module runs it.
+///
+/// The index space is folded in blocks (one block unless checkpointing)
+/// through [`try_partition_fold_range`]. Each worker evaluates the subject
+/// once per input and records the output in one class table per policy;
+/// a table stops taking inputs once it holds a conflict in the worker's
+/// range, and once every table has one, the index goes to the shared
+/// cutoff so sibling workers stop past it. Partials merge in range order,
+/// so each class's representative is its globally first occurrence and
+/// each table's least conflict the one the sequential scan meets first. A
+/// quarantine ranks against the conflicts by input index.
+fn sweep<G, M, P>(
+    mechanism: &M,
+    policies: &[P],
+    domain: &dyn InputDomain,
+    collapse_notices: bool,
+    config: &EvalConfig,
+    ctl: &CancelToken,
+    mut checkpoints: Option<Checkpoints<'_, '_, M::Out, P::View>>,
+) -> Result<Sweep<P::View, M::Out>, EnfError>
+where
+    G: Guard,
+    M: Mechanism + Sync,
+    M::Out: Send,
+    P: Policy + Sync,
+    P::View: Send,
+{
+    for policy in policies {
+        assert_soundness_arities(mechanism.arity(), policy.arity(), domain.arity());
+    }
+    let total = domain.len();
+    let parts: Vec<Partition<'_, P>> = policies.iter().map(|p| Partition::of(p, domain)).collect();
+    let mut merged: Vec<ClassTable<P::View, M::Out>> = parts.iter().map(Partition::table).collect();
+    let mut start = 0;
+    let mut block = total;
+    if let Some(c) = &checkpoints {
+        block = c.block;
+        if let (Some(ckpt), Some(part), Some(table)) = (c.resume, parts.first(), merged.first_mut())
+        {
+            table.resume(part, ckpt, domain)?;
+            start = ckpt.next_index;
         }
     }
-    Ok(match witness {
-        Some((rep, conflict)) => Coverage::refuted(
-            checked,
-            total,
-            SoundnessReport::Unsound(decode_witness(domain, rep, conflict)),
-        ),
-        None if complete => Coverage::confirmed(
-            total,
-            SoundnessReport::Sound {
-                inputs: total,
-                classes,
-            },
-        ),
-        None => Coverage::unknown(checked, total),
+
+    while start < total {
+        let span = start..start.saturating_add(block).min(total);
+        let mut partials =
+            try_partition_fold_range(domain, span.clone(), config, ctl, |range, ctx| {
+                // (partition, its table, still taking inputs) per policy.
+                let mut lanes: Vec<_> = parts.iter().map(|p| (p, p.table(), true)).collect();
+                let mut remaining = lanes.len();
+                domain.visit_range(range, &mut |idx, a| {
+                    if remaining == 0 || G::stop(ctx, idx) {
+                        return false;
+                    }
+                    // The policy is part of the subject, so its view is
+                    // taken under the guard too. A view is taken before the
+                    // record it keys and guarded sweeps have one policy, so
+                    // a panic leaves nothing recorded at `idx`.
+                    G::eval(ctx, idx, || {
+                        let out = mechanism.run(a);
+                        let out = if collapse_notices {
+                            out.collapse_notice()
+                        } else {
+                            out
+                        };
+                        for (part, table, open) in &mut lanes {
+                            if *open && part.record(table, a, idx, &out) {
+                                *open = false;
+                                remaining -= 1;
+                                if remaining == 0 {
+                                    ctx.cutoff().propose(idx);
+                                }
+                            }
+                        }
+                    })
+                    .is_some()
+                });
+                lanes
+                    .into_iter()
+                    .map(|(_, table, _)| table)
+                    .collect::<Vec<_>>()
+            });
+
+        for part in std::mem::take(&mut partials.parts) {
+            for (m, p) in merged.iter_mut().zip(part) {
+                m.merge(p);
+            }
+        }
+        // The sweep is decided once every table holds a conflict: no later
+        // input can change a verdict.
+        let decided = merged
+            .iter()
+            .try_fold(0, |acc, t| t.least_conflict_idx().map(|c| acc.max(c)));
+        partials.resolve_quarantine(decided)?;
+        let frontier = span.start + partials.checked;
+        if decided.is_some() || !partials.complete {
+            return Ok(Sweep {
+                tables: merged,
+                checked: decided.map_or(frontier, |d| frontier.min(d + 1)),
+                complete: false,
+                total,
+            });
+        }
+        start = span.end;
+        if let (Some(c), Some(policy), Some(table)) =
+            (checkpoints.as_mut(), policies.first(), merged.first())
+        {
+            (c.sink)(&SoundnessCheckpoint {
+                fingerprint: c.fingerprint,
+                total,
+                next_index: start,
+                classes: table.rows(policy, domain),
+            })?;
+        }
+    }
+    Ok(Sweep {
+        tables: merged,
+        checked: total,
+        complete: true,
+        total,
     })
+}
+
+/// Asserts the three arities agree; shared by every soundness entry point.
+fn assert_soundness_arities(mech_arity: usize, policy_arity: usize, domain_arity: usize) {
+    assert_eq!(
+        mech_arity, policy_arity,
+        "mechanism arity {mech_arity} does not match policy arity {policy_arity}"
+    );
+    assert_eq!(
+        domain_arity, policy_arity,
+        "domain arity {domain_arity} does not match policy arity {policy_arity}"
+    );
+}
+
+/// Largest class count for which a table keeps its classes in a flat
+/// array; beyond it class indices are hashed. 2^16 slots keep a
+/// per-worker table within a few megabytes for any output type.
+const FLAT_CLASS_LIMIT: u128 = 1 << 16;
+
+/// How a sweep names an input's class.
+enum Partition<'p, P> {
+    /// A projection policy over a grid: every class is a sub-grid, and a
+    /// tuple's class is a mixed-radix number over the allowed coordinates.
+    Classes(ClassLayout),
+    /// Any other policy: the class is the view itself.
+    Views(&'p P),
+}
+
+impl<'p, P: Policy> Partition<'p, P> {
+    /// The class index when the policy is a projection and the domain a
+    /// grid, the hashed view otherwise.
+    fn of(policy: &'p P, domain: &dyn InputDomain) -> Self {
+        match (policy.projection(), domain.grid_ranges()) {
+            (Some(allowed), Some(ranges)) => Partition::Classes(ClassLayout::new(allowed, ranges)),
+            _ => Partition::Views(policy),
+        }
+    }
+
+    /// Records input `idx` (the tuple `a`) with output `out` in `table`.
+    /// Each arm calls [`ClassTable::record`] with a key of known shape,
+    /// so the class-index path carries no view and no drop glue.
+    #[inline(always)]
+    fn record<O: Clone + PartialEq>(
+        &self,
+        table: &mut ClassTable<P::View, O>,
+        a: &[V],
+        idx: usize,
+        out: &MechOutput<O>,
+    ) -> bool {
+        match self {
+            Partition::Classes(layout) => {
+                table.record(ClassKey::Index(layout.class_of(a)), idx, out)
+            }
+            Partition::Views(policy) => table.record(ClassKey::View(policy.filter(a)), idx, out),
+        }
+    }
+
+    /// An empty table, flat when the classes are few enough to number.
+    fn table<O>(&self) -> ClassTable<P::View, O> {
+        let flat = match self {
+            Partition::Classes(ClassLayout { count: Some(n), .. }) if *n <= FLAT_CLASS_LIMIT => {
+                *n as usize
+            }
+            _ => 0,
+        };
+        let mut slots = Vec::new();
+        slots.resize_with(flat, || None);
+        ClassTable {
+            flat: slots,
+            hashed: HashMap::new(),
+        }
+    }
+}
+
+/// The class arithmetic of a projection `allow(J)` over a grid: a
+/// mixed-radix number over the allowed coordinates.
+struct ClassLayout {
+    /// `(tuple position, range start, span)` per allowed coordinate,
+    /// ascending — the same order [`crate::Allow::filter`] projects in.
+    coords: Vec<(usize, V, u128)>,
+    /// Total class count, `None` if it overflows `u128`.
+    count: Option<u128>,
+}
+
+impl ClassLayout {
+    fn new(allowed: IndexSet, ranges: &[RangeInclusive<V>]) -> Self {
+        let mut coords = Vec::new();
+        let mut count: Option<u128> = Some(1);
+        for i in allowed.iter() {
+            let r = &ranges[i - 1];
+            let span = (*r.end() as i128 - *r.start() as i128) as u128 + 1;
+            count = count.and_then(|c| c.checked_mul(span));
+            coords.push((i - 1, *r.start(), span));
+        }
+        ClassLayout { coords, count }
+    }
+
+    /// The class index of `a`: injective on policy views, so two tuples
+    /// share a class index iff the projection maps them to the same view.
+    #[inline]
+    fn class_of(&self, a: &[V]) -> u128 {
+        let mut ci: u128 = 0;
+        for &(pos, start, span) in &self.coords {
+            ci = ci * span + (a[pos] as i128 - start as i128) as u128;
+        }
+        ci
+    }
+}
+
+/// An input's class: a class index or a view.
+#[derive(PartialEq, Eq, Hash)]
+enum ClassKey<W> {
+    Index(u128),
+    View(W),
+}
+
+/// An input tuple seen by the sweep: its enumeration index and the
+/// mechanism's output on it. The tuple itself is recovered from the index
+/// only when a witness or checkpoint needs it, so the hot loop allocates
+/// nothing per class.
+struct Occurrence<O> {
+    idx: usize,
+    out: MechOutput<O>,
+}
+
+/// One class's state over an index range.
+struct Class<O> {
+    /// First occurrence of the class.
+    rep: Occurrence<O>,
+    /// First occurrence whose output differs from `rep`'s.
+    conflict: Option<Occurrence<O>>,
+}
+
+impl<O: PartialEq> Class<O> {
+    /// Folds in the same class's state from the next range in order.
+    fn absorb(&mut self, later: Class<O>) {
+        // The least index of `later`'s range disagreeing with this
+        // representative: its own first occurrence if that already
+        // disagrees, else its recorded conflict (which disagrees with the
+        // shared representative output).
+        let candidate = if later.rep.out != self.rep.out {
+            Some(later.rep)
+        } else {
+            later.conflict
+        };
+        if let Some(c) = candidate {
+            if self.conflict.as_ref().is_none_or(|mc| c.idx < mc.idx) {
+                self.conflict = Some(c);
+            }
+        }
+    }
+}
+
+/// A worker's or the merged per-class state. Numbered classes sit in a
+/// flat array, the rest in a hash map.
+struct ClassTable<W, O> {
+    flat: Vec<Option<Class<O>>>,
+    hashed: HashMap<ClassKey<W>, Class<O>>,
+}
+
+impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> ClassTable<W, O> {
+    /// Records input `idx` with output `out`: the first occurrence of a
+    /// class becomes its representative, the first disagreeing one its
+    /// conflict. Returns `true` when this input became the conflict.
+    #[inline(always)]
+    fn record(&mut self, key: ClassKey<W>, idx: usize, out: &MechOutput<O>) -> bool {
+        let first = || Class {
+            rep: Occurrence {
+                idx,
+                out: out.clone(),
+            },
+            conflict: None,
+        };
+        let class = match key {
+            ClassKey::Index(ci) if ci < self.flat.len() as u128 => {
+                match &mut self.flat[ci as usize] {
+                    Some(class) => class,
+                    slot => {
+                        *slot = Some(first());
+                        return false;
+                    }
+                }
+            }
+            key => match self.hashed.entry(key) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    e.insert(first());
+                    return false;
+                }
+            },
+        };
+        if class.conflict.is_none() && class.rep.out != *out {
+            class.conflict = Some(Occurrence {
+                idx,
+                out: out.clone(),
+            });
+            return true;
+        }
+        false
+    }
+
+    /// Merges the table of the next range in order.
+    fn merge(&mut self, partial: ClassTable<W, O>) {
+        for (m, p) in self.flat.iter_mut().zip(partial.flat) {
+            match (m, p) {
+                (Some(m), Some(p)) => m.absorb(p),
+                (m @ None, p) => *m = p,
+                (Some(_), None) => {}
+            }
+        }
+        for (key, p) in partial.hashed {
+            match self.hashed.entry(key) {
+                Entry::Occupied(mut e) => e.get_mut().absorb(p),
+                Entry::Vacant(e) => {
+                    e.insert(p);
+                }
+            }
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Class<O>> {
+        self.flat.iter().flatten().chain(self.hashed.values())
+    }
+
+    fn classes(&self) -> usize {
+        self.iter().count()
+    }
+
+    fn least_conflict_idx(&self) -> Option<usize> {
+        self.iter()
+            .filter_map(|c| c.conflict.as_ref().map(|o| o.idx))
+            .min()
+    }
+
+    /// The least-index conflict with its class representative.
+    fn least_conflict(self) -> Option<(Occurrence<O>, Occurrence<O>)> {
+        self.flat
+            .into_iter()
+            .flatten()
+            .chain(self.hashed.into_values())
+            .filter_map(|c| c.conflict.map(|conflict| (c.rep, conflict)))
+            .min_by_key(|(_, c)| c.idx)
+    }
+
+    /// One checkpoint row per class, sorted by representative index. The
+    /// view is the policy's view of the representative, whichever
+    /// partition the table was keyed by, so the document is the same.
+    fn rows<P: Policy<View = W>>(
+        &self,
+        policy: &P,
+        domain: &dyn InputDomain,
+    ) -> Vec<ClassRow<O, W>> {
+        let mut input = Vec::new();
+        let mut rows: Vec<ClassRow<O, W>> = self
+            .iter()
+            .map(|c| {
+                domain.nth_input(c.rep.idx, &mut input);
+                (
+                    policy.filter(&input),
+                    c.rep.idx,
+                    input.clone(),
+                    c.rep.out.clone(),
+                )
+            })
+            .collect();
+        rows.sort_by_key(|(_, idx, _, _)| *idx);
+        rows
+    }
+
+    /// Refills an empty table from a checkpoint's class representatives.
+    /// Each row's class is re-derived from its index, so a checkpoint
+    /// written under either partition resumes under either.
+    fn resume<P: Policy<View = W>>(
+        &mut self,
+        part: &Partition<'_, P>,
+        ckpt: &SoundnessCheckpoint<O, W>,
+        domain: &dyn InputDomain,
+    ) -> Result<(), EnfError> {
+        let mut input = Vec::new();
+        for (_, idx, _, out) in &ckpt.classes {
+            if *idx >= ckpt.next_index {
+                return Err(EnfError::Checkpoint {
+                    reason: format!(
+                        "class representative {idx} lies past the frontier {}",
+                        ckpt.next_index
+                    ),
+                });
+            }
+            domain.nth_input(*idx, &mut input);
+            part.record(self, &input, *idx, out);
+        }
+        if self.classes() != ckpt.classes.len() {
+            return Err(EnfError::Checkpoint {
+                reason: "checkpoint lists a class twice".to_string(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Materializes a witness from a `(representative, conflict)` pair by
+/// decoding the stored enumeration indices — one scratch buffer, two
+/// decodes, the only input allocations of an entire unsound sweep.
+fn decode_witness<O>(
+    domain: &dyn InputDomain,
+    rep: Occurrence<O>,
+    conflict: Occurrence<O>,
+) -> Witness<O> {
+    let mut buf = Vec::new();
+    domain.nth_input(rep.idx, &mut buf);
+    let a = buf.clone();
+    domain.nth_input(conflict.idx, &mut buf);
+    Witness {
+        a,
+        b: buf,
+        out_a: rep.out,
+        out_b: conflict.out,
+    }
 }
 
 /// Checks clause (1) of the mechanism definition: whenever `M` accepts, its
@@ -938,22 +903,46 @@ where
     Ok(coverage.map(|(_, offender)| offender))
 }
 
-/// Convenience verdict accessor shared by the guarded checkers' tests and
-/// the CLI: whether a coverage outcome may be treated as an established
-/// pass. Fails closed — only a complete, [`Verdict::Confirmed`] sweep
-/// qualifies.
-pub fn is_established<R>(coverage: &Coverage<R>) -> bool {
-    coverage.verdict == Verdict::Confirmed && coverage.is_complete()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::Grid;
+    use crate::domain::{Explicit, Grid};
+    use crate::error::Verdict;
+    use crate::label::{Classification, IntransitiveFlow, LatticePolicy, Level};
     use crate::mechanism::{FnMechanism, Identity, Plug};
     use crate::notice::Notice;
     use crate::policy::{Allow, FnPolicy};
     use crate::program::FnProgram;
+
+    /// The view-hash reference for a projection policy: the same classes,
+    /// with the projection hidden behind a closure.
+    fn views(policy: &Allow) -> FnPolicy<Vec<V>> {
+        let policy = policy.clone();
+        FnPolicy::new(policy.arity(), move |a: &[V]| policy.filter(a))
+    }
+
+    #[test]
+    fn partition_is_picked_from_the_inputs() {
+        let g = Grid::hypercube(2, 0..=2);
+        let allow = Allow::new(2, [1]);
+        assert!(matches!(Partition::of(&allow, &g), Partition::Classes(_)));
+        assert!(matches!(Partition::of(&&allow, &&g), Partition::Classes(_)));
+        let lattice = LatticePolicy::new(
+            Classification::new(vec![Level::Secret, Level::Unclassified]),
+            IntransitiveFlow::transitive(),
+            Level::Unclassified,
+        );
+        assert!(matches!(Partition::of(&lattice, &g), Partition::Classes(_)));
+        assert!(matches!(
+            Partition::of(&views(&allow), &g),
+            Partition::Views(_)
+        ));
+        let listed = Explicit::new(2, vec![vec![0, 0], vec![1, 2]]);
+        assert!(matches!(
+            Partition::of(&allow, &listed),
+            Partition::Views(_)
+        ));
+    }
 
     #[test]
     fn plug_is_sound_for_any_policy() {
@@ -983,7 +972,6 @@ mod tests {
         let policy = Allow::none(1);
         match check_soundness(&m, &policy, &g, false) {
             SoundnessReport::Unsound(w) => {
-                use crate::policy::Policy as _;
                 assert_eq!(policy.filter(&w.a), policy.filter(&w.b));
                 assert_ne!(w.out_a, w.out_b);
             }
@@ -1074,8 +1062,9 @@ mod tests {
         let _ = check_soundness(&m, &Allow::none(3), &g, false);
     }
 
-    /// Every class-evaluator report — verdict, class count, witness tuples
-    /// and outputs — must equal the generic sweep's, at every thread count.
+    /// Every class-partition report — verdict, class count, witness tuples
+    /// and outputs — must equal the view partition's, at every thread
+    /// count.
     fn assert_classes_match<M>(m: &M, policy: &Allow, g: &Grid, collapse: bool)
     where
         M: Mechanism + Sync,
@@ -1083,8 +1072,8 @@ mod tests {
     {
         for threads in [1, 2, 3, 8] {
             let cfg = EvalConfig::with_threads(threads).seq_threshold(0);
-            let generic = check_soundness_with(m, policy, g, collapse, &cfg);
-            let classes = check_soundness_classes_with(m, policy, g, collapse, &cfg);
+            let generic = check_soundness_with(m, &views(policy), g, collapse, &cfg);
+            let classes = check_soundness_with(m, policy, g, collapse, &cfg);
             assert_eq!(generic, classes, "thread count {threads}");
         }
     }
@@ -1132,29 +1121,25 @@ mod tests {
         // counts and witnesses must not change.
         let wide = Grid::new(vec![0..=((1 << 17) - 1), 0..=1]);
         let policy = Allow::new(2, [1]);
-        assert!(ClassLayout::new(&policy, &wide)
+        assert!(ClassLayout::new(policy.allowed(), wide.ranges())
             .count
             .is_some_and(|c| c > FLAT_CLASS_LIMIT));
         // Sound: the output reads only the allowed coordinate.
         let sound_m = FnMechanism::new(2, |a: &[V]| MechOutput::Value(a[0] & 0xff));
         assert_eq!(
+            check_soundness(&sound_m, &views(&policy), &wide, false),
             check_soundness(&sound_m, &policy, &wide, false),
-            check_soundness_classes(&sound_m, &policy, &wide, false),
         );
         // Unsound: the output also reads the denied coordinate.
         let leaky_m = FnMechanism::new(2, |a: &[V]| MechOutput::Value((a[0] & 0xff) ^ a[1]));
-        let generic = check_soundness(&leaky_m, &policy, &wide, false);
-        let classes = check_soundness_classes(&leaky_m, &policy, &wide, false);
+        let generic = check_soundness(&leaky_m, &views(&policy), &wide, false);
+        let classes = check_soundness(&leaky_m, &policy, &wide, false);
         assert_eq!(generic, classes);
         assert!(!classes.is_sound());
     }
 
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn class_evaluator_arity_mismatch_panics() {
-        let m: Plug<V> = Plug::new(2);
-        let g = Grid::hypercube(2, 0..=1);
-        let _ = check_soundness_classes(&m, &Allow::none(3), &g, false);
+    fn established<R>(coverage: &Coverage<R>) -> bool {
+        coverage.verdict == Verdict::Confirmed && coverage.is_complete()
     }
 
     #[test]
@@ -1165,22 +1150,15 @@ mod tests {
                 MechOutput::Value(if leaky { a[0] + a[1] } else { a[0] })
             });
             let policy = Allow::new(2, [1]);
-            let plain = check_soundness_classes(&m, &policy, &g, false);
+            let plain = check_soundness(&m, &policy, &g, false);
             for t in [1usize, 2, 4, 8] {
                 let cfg = EvalConfig::with_threads(t).seq_threshold(0);
-                let r = try_check_soundness_classes_with(
-                    &m,
-                    &policy,
-                    &g,
-                    false,
-                    &cfg,
-                    &CancelToken::new(),
-                )
-                .expect("no faults injected");
+                let r = try_check_soundness_with(&m, &policy, &g, false, &cfg, &CancelToken::new())
+                    .expect("no faults injected");
                 if leaky {
                     assert_eq!(r.verdict, Verdict::Refuted, "threads={t}");
                 } else {
-                    assert!(is_established(&r), "threads={t}");
+                    assert!(established(&r), "threads={t}");
                 }
                 assert_eq!(r.report.as_ref(), Some(&plain), "threads={t}");
             }
@@ -1198,11 +1176,11 @@ mod tests {
         for t in [1usize, 2, 4, 8] {
             let cfg = EvalConfig::with_threads(t).seq_threshold(0);
             let ctl = CancelToken::new().with_index_limit(limit);
-            let r = try_check_soundness_classes_with(&m, &policy, &g, false, &cfg, &ctl)
+            let r = try_check_soundness_with(&m, &policy, &g, false, &cfg, &ctl)
                 .expect("no faults injected");
             assert_eq!(r.verdict, Verdict::Unknown, "threads={t}");
             assert_eq!(r.checked, limit, "threads={t}");
-            assert!(!is_established(&r));
+            assert!(!established(&r));
         }
     }
 
@@ -1217,15 +1195,33 @@ mod tests {
         );
         for t in [1usize, 2, 4] {
             let cfg = EvalConfig::with_threads(t).seq_threshold(0);
-            let r = try_check_soundness_classes_with(
-                &m,
-                &Allow::all(1),
-                &g,
-                false,
-                &cfg,
-                &CancelToken::new(),
-            );
+            let r =
+                try_check_soundness_with(&m, &Allow::all(1), &g, false, &cfg, &CancelToken::new());
             match r {
+                Err(EnfError::SubjectPanicked { input_index, .. }) => {
+                    assert_eq!(input_index, 5, "threads={t}")
+                }
+                other => panic!("expected quarantine, got {other:?} (threads={t})"),
+            }
+        }
+    }
+
+    #[test]
+    fn try_sweep_quarantines_panicking_policy() {
+        crate::chaos::silence_chaos_panics();
+        // A content-dependent policy is swept by view; its filter is part
+        // of the subject and fails closed like the mechanism does.
+        let policy = FnPolicy::new(1, |a: &[V]| {
+            if a[0] == 5 {
+                panic!("{}: policy fault", crate::chaos::CHAOS_MARKER);
+            }
+            a[0] % 2
+        });
+        let m = FnMechanism::new(1, |a: &[V]| MechOutput::Value(a[0] % 2));
+        let g = Grid::hypercube(1, 0..=9);
+        for t in [1usize, 2, 4] {
+            let cfg = EvalConfig::with_threads(t).seq_threshold(0);
+            match try_check_soundness_with(&m, &policy, &g, false, &cfg, &CancelToken::new()) {
                 Err(EnfError::SubjectPanicked { input_index, .. }) => {
                     assert_eq!(input_index, 5, "threads={t}")
                 }
@@ -1248,16 +1244,11 @@ mod tests {
         );
         for t in [1usize, 2, 4] {
             let cfg = EvalConfig::with_threads(t).seq_threshold(0);
-            let r = try_check_soundness_classes_with(
-                &m,
-                &Allow::none(1),
-                &g,
-                false,
-                &cfg,
-                &CancelToken::new(),
-            )
-            .expect("conflict precedes the fault");
+            let r =
+                try_check_soundness_with(&m, &Allow::none(1), &g, false, &cfg, &CancelToken::new())
+                    .expect("conflict precedes the fault");
             assert_eq!(r.verdict, Verdict::Refuted, "threads={t}");
+            assert_eq!(r.checked, 2, "threads={t}");
             let Some(SoundnessReport::Unsound(w)) = r.report else {
                 panic!("refuted without witness");
             };

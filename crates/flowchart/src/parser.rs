@@ -31,6 +31,10 @@
 //! ```
 //!
 //! Line comments start with `//`.
+//!
+//! `.fc` text is untrusted (serve requests carry it), so nesting is
+//! bounded by [`MAX_DEPTH`]: deeper text is a [`ParseError`], not a stack
+//! overflow.
 
 use crate::ast::{CmpOp, Expr, Pred, Var};
 use crate::graph::{Flowchart, PolicySpec};
@@ -56,6 +60,17 @@ pub struct LabeledProgram {
     /// Sanctioned release edges from the `flow` declarations.
     pub flow: IntransitiveFlow<Level>,
 }
+
+/// The deepest nesting [`parse`] accepts. One counter covers blocks,
+/// expressions and predicates: every nested block adds a level, and
+/// inside one expression or predicate every parenthesis, unary operator,
+/// `ite`, `!`, comparison and binary operator adds another. Within an
+/// expression the count never falls — `a + b + c` nests to the left, so
+/// counting operators bounds the height of the tree the parser builds —
+/// and the expression's levels end with its statement. Every program the
+/// parser accepts is then shallow enough for the recursive passes over
+/// it (lowering, analyses, interpreters) on a server worker's stack.
+pub const MAX_DEPTH: usize = 256;
 
 /// A parse error with position information.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -264,6 +279,8 @@ struct Parser {
     toks: Vec<(usize, Tok)>,
     at: usize,
     src_len: usize,
+    /// Current nesting level, against [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -283,6 +300,27 @@ impl Parser {
             offset: self.offset(),
             message: message.into(),
         }
+    }
+
+    /// Enters one more level of nesting, failing past [`MAX_DEPTH`].
+    fn deeper(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
+    /// Parses an expression or predicate in statement position: its
+    /// levels count from the enclosing block's and end with it.
+    fn scoped<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let level = self.depth;
+        let parsed = parse(self);
+        self.depth = level;
+        parsed
     }
 
     fn bump(&mut self) -> Option<Tok> {
@@ -410,6 +448,7 @@ impl Parser {
 
     fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
         self.expect_sym("{")?;
+        self.deeper()?;
         let mut stmts = Vec::new();
         while !self.eat_sym("}") {
             if self.peek().is_none() {
@@ -417,6 +456,7 @@ impl Parser {
             }
             stmts.push(self.stmt()?);
         }
+        self.depth -= 1;
         Ok(stmts)
     }
 
@@ -424,7 +464,7 @@ impl Parser {
         match self.peek() {
             Some(Tok::Ident(s)) if s == "if" => {
                 self.at += 1;
-                let pred = self.pred()?;
+                let pred = self.scoped(Self::pred)?;
                 let then_ = self.block()?;
                 let else_ = if matches!(self.peek(), Some(Tok::Ident(s)) if s == "else") {
                     self.at += 1;
@@ -436,7 +476,7 @@ impl Parser {
             }
             Some(Tok::Ident(s)) if s == "while" => {
                 self.at += 1;
-                let pred = self.pred()?;
+                let pred = self.scoped(Self::pred)?;
                 let body = self.block()?;
                 Ok(Stmt::While(pred, body))
             }
@@ -480,7 +520,7 @@ impl Parser {
                     .ok_or_else(|| self.error(format!("unknown variable `{s}`")))?;
                 self.at += 1;
                 self.expect_sym(":=")?;
-                let e = self.expr()?;
+                let e = self.scoped(Self::expr)?;
                 self.expect_sym(";")?;
                 Ok(Stmt::Assign(var, e))
             }
@@ -541,6 +581,7 @@ impl Parser {
     fn expr(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.band_expr()?;
         while self.eat_sym("|") {
+            self.deeper()?;
             e = Expr::BOr(Box::new(e), Box::new(self.band_expr()?));
         }
         Ok(e)
@@ -549,6 +590,7 @@ impl Parser {
     fn band_expr(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.sum()?;
         while self.eat_sym("&") {
+            self.deeper()?;
             e = Expr::BAnd(Box::new(e), Box::new(self.sum()?));
         }
         Ok(e)
@@ -557,36 +599,42 @@ impl Parser {
     fn sum(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.term()?;
         loop {
-            if self.eat_sym("+") {
-                e = Expr::Add(Box::new(e), Box::new(self.term()?));
+            let op = if self.eat_sym("+") {
+                Expr::Add
             } else if self.eat_sym("-") {
-                e = Expr::Sub(Box::new(e), Box::new(self.term()?));
+                Expr::Sub
             } else {
                 return Ok(e);
-            }
+            };
+            self.deeper()?;
+            e = op(Box::new(e), Box::new(self.term()?));
         }
     }
 
     fn term(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.factor()?;
         loop {
-            if self.eat_sym("*") {
-                e = Expr::Mul(Box::new(e), Box::new(self.factor()?));
+            let op = if self.eat_sym("*") {
+                Expr::Mul
             } else if self.eat_sym("/") {
-                e = Expr::Div(Box::new(e), Box::new(self.factor()?));
+                Expr::Div
             } else if self.eat_sym("%") {
-                e = Expr::Mod(Box::new(e), Box::new(self.factor()?));
+                Expr::Mod
             } else {
                 return Ok(e);
-            }
+            };
+            self.deeper()?;
+            e = op(Box::new(e), Box::new(self.factor()?));
         }
     }
 
     fn factor(&mut self) -> Result<Expr, ParseError> {
         if self.eat_sym("-") {
+            self.deeper()?;
             return Ok(Expr::Neg(Box::new(self.factor()?)));
         }
         if self.eat_sym("(") {
+            self.deeper()?;
             let e = self.expr()?;
             self.expect_sym(")")?;
             return Ok(e);
@@ -594,6 +642,7 @@ impl Parser {
         match self.bump() {
             Some(Tok::Int(n)) => Ok(Expr::Const(n)),
             Some(Tok::Ident(s)) if s == "ite" => {
+                self.deeper()?;
                 self.expect_sym("(")?;
                 let p = self.pred()?;
                 self.expect_sym(",")?;
@@ -614,6 +663,7 @@ impl Parser {
     fn pred(&mut self) -> Result<Pred, ParseError> {
         let mut p = self.conj()?;
         while self.eat_sym("||") {
+            self.deeper()?;
             p = Pred::Or(Box::new(p), Box::new(self.conj()?));
         }
         Ok(p)
@@ -622,6 +672,7 @@ impl Parser {
     fn conj(&mut self) -> Result<Pred, ParseError> {
         let mut p = self.atom()?;
         while self.eat_sym("&&") {
+            self.deeper()?;
             p = Pred::And(Box::new(p), Box::new(self.atom()?));
         }
         Ok(p)
@@ -629,6 +680,7 @@ impl Parser {
 
     fn atom(&mut self) -> Result<Pred, ParseError> {
         if self.eat_sym("!") {
+            self.deeper()?;
             return Ok(Pred::Not(Box::new(self.atom()?)));
         }
         if matches!(self.peek(), Some(Tok::Ident(s)) if s == "true") {
@@ -642,9 +694,9 @@ impl Parser {
         // `(` may open a parenthesized predicate or a parenthesized
         // expression; try the predicate reading first and fall back.
         if matches!(self.peek(), Some(Tok::Sym("("))) {
-            let save = self.at;
+            let (save, level) = (self.at, self.depth);
             self.at += 1;
-            if let Ok(p) = self.pred() {
+            if let Ok(p) = self.deeper().and_then(|()| self.pred()) {
                 if self.eat_sym(")") {
                     // Could still be `(expr) < expr` if p parsed as a
                     // comparison already consuming the operator; a full
@@ -672,8 +724,10 @@ impl Parser {
                 }
             }
             self.at = save;
+            self.depth = level;
         }
         let a = self.expr()?;
+        self.deeper()?;
         let op = match self.bump() {
             Some(Tok::Sym("==")) => CmpOp::Eq,
             Some(Tok::Sym("!=")) => CmpOp::Ne,
@@ -704,6 +758,7 @@ fn parse_full(src: &str) -> Result<(StructuredProgram, ParsedLabels), ParseError
         toks,
         at: 0,
         src_len: src.len(),
+        depth: 0,
     };
     p.program()
 }
@@ -945,6 +1000,66 @@ mod tests {
     #[test]
     fn errors_literal_overflow() {
         assert!(parse("program(0) { y := 99999999999999999999; }").is_err());
+    }
+
+    /// `y := ((…(x1)…));` with `n` parentheses: the block's level plus
+    /// one per parenthesis.
+    fn parens(n: usize) -> String {
+        format!(
+            "program(1) {{ y := {}x1{}; }}",
+            "(".repeat(n),
+            ")".repeat(n)
+        )
+    }
+
+    /// `y := --…-x1;` with `n` unary minus signs.
+    fn negations(n: usize) -> String {
+        format!("program(1) {{ y := {}x1; }}", "-".repeat(n))
+    }
+
+    /// `n` nested `if x1 == 0 { … }`: the innermost block and the
+    /// innermost comparison both sit at level `n + 1`.
+    fn nested_ifs(n: usize) -> String {
+        format!(
+            "program(1) {{ {} y := x1; {} }}",
+            "if x1 == 0 { ".repeat(n),
+            "} ".repeat(n)
+        )
+    }
+
+    /// `y := x1 + x1 + …;` with `n` operators, a left-nested chain.
+    fn chain(n: usize) -> String {
+        format!("program(1) {{ y := x1{}; }}", " + x1".repeat(n))
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        for shape in [parens, negations, nested_ifs, chain] {
+            let at_bound = shape(MAX_DEPTH - 1);
+            assert!(parse(&at_bound).is_ok(), "{at_bound}");
+            let err = parse(&shape(MAX_DEPTH)).expect_err("one level too deep");
+            assert!(
+                err.message.contains("nesting deeper than 256 levels"),
+                "{err}"
+            );
+            // Far past the bound: an error, not a stack overflow.
+            assert!(parse(&shape(100_000)).is_err());
+        }
+        // Predicates share the counter: `!` and parenthesized predicates.
+        let nots = |n: usize| format!("program(1) {{ if {}x1 == 0 {{ y := 1; }} }}", "!".repeat(n));
+        assert!(parse(&nots(MAX_DEPTH - 2)).is_ok());
+        assert!(parse(&nots(MAX_DEPTH - 1)).is_err());
+        assert!(parse(&nots(100_000)).is_err());
+    }
+
+    #[test]
+    fn expression_levels_end_with_their_statement() {
+        // Many shallow statements and sibling blocks never add up.
+        let wide = format!(
+            "program(1) {{ {} }}",
+            format!("if x1 == 0 {{ {} }} ", "y := -(x1 + 1);".repeat(50)).repeat(50)
+        );
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

@@ -754,53 +754,7 @@ impl Enforcer {
         ctl: &CancelToken,
         log: &mut AuditLog,
     ) -> Result<SweepOutcome<'_>, PolicyError> {
-        let grid = self.grid(span);
-        let policy = self.policy();
-        let coverage = match self.discipline {
-            Discipline::Timed => {
-                let m = TimedMechanism::new(self.fc.clone(), self.allow).with_fuel(self.fuel);
-                coverage_of(&Identity::new(&m), &policy, &grid, eval, ctl)?
-            }
-            Discipline::HighWater => match self.engine {
-                Engine::Vm => coverage_of(
-                    &VmSurveillance::highwater(self.program(), self.allow),
-                    &policy,
-                    &grid,
-                    eval,
-                    ctl,
-                )?,
-                Engine::Ast => coverage_of(
-                    &HighWater::new(self.program(), self.allow),
-                    &policy,
-                    &grid,
-                    eval,
-                    ctl,
-                )?,
-            },
-            Discipline::Surveillance => match self.engine {
-                Engine::Vm => coverage_of(
-                    &VmSurveillance::new(self.program(), self.allow),
-                    &policy,
-                    &grid,
-                    eval,
-                    ctl,
-                )?,
-                Engine::Ast => coverage_of(
-                    &Surveillance::new(self.program(), self.allow),
-                    &policy,
-                    &grid,
-                    eval,
-                    ctl,
-                )?,
-            },
-        };
-        self.append_sweep(
-            log,
-            "fixed",
-            span,
-            sweep_fields(coverage.checked, coverage.total, coverage.verdict),
-        )?;
-        Ok(self.sweep_outcome(coverage))
+        self.sweep_with(span, eval, ctl, None, log)
     }
 
     /// The exhaustive path with fault tolerance: persists progress every
@@ -818,67 +772,65 @@ impl Enforcer {
         checkpoint_path: Option<&Path>,
         log: &mut AuditLog,
     ) -> Result<SweepOutcome<'_>, PolicyError> {
+        let persist = Persist {
+            salt,
+            block,
+            resume_path,
+            checkpoint_path,
+        };
+        self.sweep_with(span, eval, ctl, Some(persist), log)
+    }
+
+    /// The one body of [`Enforcer::sweep`] and
+    /// [`Enforcer::sweep_checkpointed`]: picks the mechanism, sweeps, and
+    /// audits the outcome.
+    fn sweep_with(
+        &self,
+        span: i64,
+        eval: &EvalConfig,
+        ctl: &CancelToken,
+        persist: Option<Persist<'_>>,
+        log: &mut AuditLog,
+    ) -> Result<SweepOutcome<'_>, PolicyError> {
+        let mode = if persist.is_some() {
+            "checkpointed"
+        } else {
+            "fixed"
+        };
         let grid = self.grid(span);
         let policy = self.policy();
-        let coverage = match self.discipline {
-            Discipline::Timed => {
-                return Err(PolicyError::Usage(
-                    "timed sweeps cannot be checkpointed (their output shape has no codec)"
-                        .to_string(),
-                ))
+        let allow = self.allow;
+        let coverage = match (self.discipline, self.engine) {
+            (Discipline::Timed, _) => {
+                if persist.is_some() {
+                    return Err(PolicyError::Usage(
+                        "timed sweeps cannot be checkpointed (their output shape has no codec)"
+                            .to_string(),
+                    ));
+                }
+                let m = TimedMechanism::new(self.fc.clone(), allow).with_fuel(self.fuel);
+                coverage_of(&Identity::new(&m), &policy, &grid, eval, ctl)?
             }
-            Discipline::HighWater => match self.engine {
-                Engine::Vm => checkpointed_coverage(
-                    &VmSurveillance::highwater(self.program(), self.allow),
-                    &policy,
-                    &grid,
-                    eval,
-                    ctl,
-                    salt,
-                    block,
-                    resume_path,
-                    checkpoint_path,
-                )?,
-                Engine::Ast => checkpointed_coverage(
-                    &HighWater::new(self.program(), self.allow),
-                    &policy,
-                    &grid,
-                    eval,
-                    ctl,
-                    salt,
-                    block,
-                    resume_path,
-                    checkpoint_path,
-                )?,
-            },
-            Discipline::Surveillance => match self.engine {
-                Engine::Vm => checkpointed_coverage(
-                    &VmSurveillance::new(self.program(), self.allow),
-                    &policy,
-                    &grid,
-                    eval,
-                    ctl,
-                    salt,
-                    block,
-                    resume_path,
-                    checkpoint_path,
-                )?,
-                Engine::Ast => checkpointed_coverage(
-                    &Surveillance::new(self.program(), self.allow),
-                    &policy,
-                    &grid,
-                    eval,
-                    ctl,
-                    salt,
-                    block,
-                    resume_path,
-                    checkpoint_path,
-                )?,
-            },
+            (Discipline::HighWater, Engine::Vm) => {
+                let m = VmSurveillance::highwater(self.program(), allow);
+                exec_coverage(&m, &policy, &grid, eval, ctl, persist)?
+            }
+            (Discipline::HighWater, Engine::Ast) => {
+                let m = HighWater::new(self.program(), allow);
+                exec_coverage(&m, &policy, &grid, eval, ctl, persist)?
+            }
+            (Discipline::Surveillance, Engine::Vm) => {
+                let m = VmSurveillance::new(self.program(), allow);
+                exec_coverage(&m, &policy, &grid, eval, ctl, persist)?
+            }
+            (Discipline::Surveillance, Engine::Ast) => {
+                let m = Surveillance::new(self.program(), allow);
+                exec_coverage(&m, &policy, &grid, eval, ctl, persist)?
+            }
         };
         self.append_sweep(
             log,
-            "checkpointed",
+            mode,
             span,
             sweep_fields(coverage.checked, coverage.total, coverage.verdict),
         )?;
@@ -942,31 +894,38 @@ where
     Ok(try_check_soundness_with(mechanism, policy, grid, false, eval, ctl)?.map(|_| ()))
 }
 
-/// Runs the checkpointed soundness sweep, resuming and persisting through
-/// the atomic checkpoint files.
-#[allow(clippy::too_many_arguments)]
-fn checkpointed_coverage<M>(
+/// Where a checkpointed sweep persists its progress.
+struct Persist<'p> {
+    salt: u64,
+    block: usize,
+    resume_path: Option<&'p Path>,
+    checkpoint_path: Option<&'p Path>,
+}
+
+/// Sweeps a dynamic mechanism, checkpointed through the atomic checkpoint
+/// files when `persist` is given.
+fn exec_coverage<M>(
     mechanism: &M,
     policy: &Allow,
     grid: &Grid,
     eval: &EvalConfig,
     ctl: &CancelToken,
-    salt: u64,
-    block: usize,
-    resume_path: Option<&Path>,
-    checkpoint_path: Option<&Path>,
+    persist: Option<Persist<'_>>,
 ) -> Result<Coverage<()>, EnfError>
 where
     M: Mechanism<Out = ExecValue> + Sync,
 {
-    let resume = match resume_path {
+    let Some(persist) = persist else {
+        return coverage_of(mechanism, policy, grid, eval, ctl);
+    };
+    let resume = match persist.resume_path {
         Some(p) => {
             let doc = read_checkpoint_file(p)?;
             Some(SoundnessCheckpoint::from_json(&ExecCodec, &doc)?)
         }
         None => None,
     };
-    let mut sink = |ckpt: &SoundnessCheckpoint<ExecValue, Vec<V>>| match checkpoint_path {
+    let mut sink = |ckpt: &SoundnessCheckpoint<ExecValue, Vec<V>>| match persist.checkpoint_path {
         Some(p) => write_checkpoint_file(p, &ckpt.to_json(&ExecCodec)),
         None => Ok(()),
     };
@@ -977,8 +936,8 @@ where
         false,
         eval,
         ctl,
-        salt,
-        block,
+        persist.salt,
+        persist.block,
         resume.as_ref(),
         &mut sink,
     )?;

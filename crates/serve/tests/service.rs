@@ -362,6 +362,56 @@ fn interrupted_check_resumes_bit_identically() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
+/// The `.fc` shapes that nest: parentheses, unary minus, nested `if`
+/// blocks and a left-nested operator chain, each `n` levels below the
+/// top-level block.
+fn nested_programs(n: usize) -> [String; 4] {
+    [
+        format!(
+            "program(2) {{ y := {}x1{}; }}",
+            "(".repeat(n),
+            ")".repeat(n)
+        ),
+        format!("program(2) {{ y := {}x1; }}", "-".repeat(n)),
+        format!(
+            "program(2) {{ {} y := x1; {} }}",
+            "if x1 == 0 { ".repeat(n),
+            "} ".repeat(n)
+        ),
+        format!("program(2) {{ y := x1{}; }}", " + x1".repeat(n)),
+    ]
+}
+
+#[test]
+fn deeply_nested_program_is_a_usage_error_not_a_dead_worker() {
+    let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    // The deepest programs the parser accepts run every op on a worker's
+    // stack.
+    for program in nested_programs(enf_flowchart::parser::MAX_DEPTH - 1) {
+        for op in [Op::Surveil, Op::Certify, Op::Check] {
+            let mut req = base_request(op, &program);
+            req.input = vec![0, 0];
+            let reply = raw_exchange(&addr, &req);
+            assert!(enf_serve::reply_is_ok(&reply), "{}", reply.render());
+        }
+    }
+    // 6 000 nested parentheses (12 KB) once overflowed a worker's stack
+    // and took the daemon down; past the bound, every shape is a usage
+    // error and the server keeps answering.
+    for program in nested_programs(6_000) {
+        let mut req = base_request(Op::Surveil, &program);
+        req.input = vec![0, 0];
+        let reply = raw_exchange(&addr, &req);
+        assert_eq!(str_field(&reply, "error"), "usage", "{}", reply.render());
+        assert!(str_field(&reply, "detail").contains("nesting deeper than"));
+        let pong = raw_exchange(&addr, &base_request(Op::Ping, ""));
+        assert!(enf_serve::reply_is_ok(&pong), "{}", pong.render());
+    }
+    let stats = server.stop();
+    assert!(!stats.degraded(), "{stats:?}");
+}
+
 #[test]
 fn deeply_nested_frame_severs_only_its_connection() {
     use std::io::Write as _;

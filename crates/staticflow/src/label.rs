@@ -22,7 +22,7 @@
 //!   mediating box on every path that could carry it.
 //!
 //! The certifier is **strictly stricter** than the exhaustive lattice
-//! oracle [`enf_core::check_soundness_lattice`], whose induced set
+//! oracle [`enf_core::check_soundness_lattice_with`], whose induced set
 //! `J_c = { i : label(i) ⇝* c }` charges no mediation: a sink index
 //! survives certification only if its label flows to the clearance
 //! directly, and a sanctioned removal at label `l` with target `t ⊑ c`

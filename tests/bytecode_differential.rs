@@ -2,17 +2,18 @@
 //!
 //! Two independent reimplementations of existing semantics landed for
 //! speed — the register-bytecode VM (`enf_flowchart::bytecode` plus the
-//! fused surveillance VM in `enf_surveillance::vm`) and the
-//! equivalence-class soundness evaluator
-//! (`enf_core::check_soundness_classes`). Their only correctness
-//! argument is agreement with the originals, so this suite pins both
-//! **bit-identical** against the stepper and the generic sweep: outcomes,
+//! fused surveillance VM in `enf_surveillance::vm`) and the soundness
+//! sweep's class partition, which `enf_core::check_soundness_with` takes
+//! for an `Allow` policy over a grid. Their only correctness argument is
+//! agreement with the originals, so this suite pins both
+//! **bit-identical** against the stepper and the view partition (the same
+//! policy wrapped in an `FnPolicy`, which hides its projection): outcomes,
 //! step counts, violation sites, taint sets, trace event streams, full
 //! soundness reports including the least-conflict witness, at every
 //! thread count from 1 to 8.
 
 use enforcement::core::{
-    check_soundness_classes_with, check_soundness_with, Allow, EvalConfig, Grid, IndexSet,
+    check_soundness_with, Allow, EvalConfig, FnPolicy, Grid, IndexSet, Policy, V,
 };
 use enforcement::flowchart::bytecode::Compiled;
 use enforcement::flowchart::corpus;
@@ -129,6 +130,13 @@ fn vm_violation_sites_and_steps_match_exactly() {
     assert_eq!(steps, 4);
 }
 
+/// The view-partition reference for `policy`: the same views, with the
+/// projection hidden behind a closure.
+fn views(policy: &Allow) -> FnPolicy<Vec<V>> {
+    let policy = policy.clone();
+    FnPolicy::new(policy.arity(), move |a: &[V]| policy.filter(a))
+}
+
 /// Asserts the class evaluator's full report — verdict, class count,
 /// witness tuples and outputs — equals the generic sweep's on a
 /// surveillance-protected program, for thread counts 1 through 8.
@@ -137,23 +145,24 @@ fn assert_class_eval_matches(fc: &Flowchart, policy: &Allow, grid: &Grid) {
     let surv = Surveillance::new(program.clone(), policy.allowed());
     let vm = VmSurveillance::new(program.clone(), policy.allowed());
     let high = HighWater::new(program, policy.allowed());
+    let reference = views(policy);
     for threads in 1..=8 {
         let cfg = EvalConfig::with_threads(threads).seq_threshold(0);
-        let generic = check_soundness_with(&surv, policy, grid, false, &cfg);
+        let generic = check_soundness_with(&surv, &reference, grid, false, &cfg);
         assert_eq!(
-            check_soundness_classes_with(&surv, policy, grid, false, &cfg),
+            check_soundness_with(&surv, policy, grid, false, &cfg),
             generic,
             "class evaluator diverges at {threads} threads"
         );
         // The VM mechanism slots into both checkers with the same report.
         assert_eq!(
-            check_soundness_classes_with(&vm, policy, grid, false, &cfg),
+            check_soundness_with(&vm, policy, grid, false, &cfg),
             generic,
             "VM mechanism diverges at {threads} threads"
         );
         assert_eq!(
-            check_soundness_classes_with(&high, policy, grid, false, &cfg),
             check_soundness_with(&high, policy, grid, false, &cfg),
+            check_soundness_with(&high, &reference, grid, false, &cfg),
             "high-water class evaluator diverges at {threads} threads"
         );
     }

@@ -625,6 +625,61 @@ fn compile_dump_is_a_stable_listing() {
 }
 
 #[test]
+fn compile_rejects_nesting_past_the_bound_with_2() {
+    // Each of these aborted `enforce` with a stack overflow (exit 134)
+    // before nesting was bounded.
+    for program in [
+        format!(
+            "program(1) {{ y := {}x1{}; }}",
+            "(".repeat(10_000),
+            ")".repeat(10_000)
+        ),
+        format!("program(1) {{ y := {}x1; }}", "-".repeat(100_000)),
+        format!(
+            "program(1) {{ {} y := x1; {} }}",
+            "if x1 == 0 { ".repeat(100_000),
+            "} ".repeat(100_000)
+        ),
+        format!("program(1) {{ y := x1{}; }}", " + x1".repeat(100_000)),
+    ] {
+        let (code, out, err) = enforce(&["compile", "-"], &program);
+        assert_eq!(code, 2, "{out}{err}");
+        assert!(err.contains("nesting deeper than 256 levels"), "{err}");
+    }
+}
+
+/// Checkpoints written by an earlier build's `check --checkpoint F
+/// --budget N` (`tests/fixtures/*.v1.json`, with the `.fc` program next to
+/// each) resume to exactly the output of an uncut run.
+#[test]
+fn checkpoints_from_an_earlier_build_resume_to_the_uncut_output() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for (name, flags) in [
+        ("ckpt_forgetting", &["--allow", "2", "--span", "7"][..]),
+        (
+            "ckpt_fuel_leak",
+            &["--allow", "2", "--span", "10", "--fuel", "20"][..],
+        ),
+        (
+            "ckpt_two_coords",
+            &["--allow", "1,3", "--span", "3", "--highwater"][..],
+        ),
+    ] {
+        let program = fixtures.join(format!("{name}.fc"));
+        let ckpt = fixtures.join(format!("{name}.v1.json"));
+        let mut uncut_args = vec!["check", program.to_str().expect("utf8 path")];
+        uncut_args.extend_from_slice(flags);
+        let uncut = enforce(&uncut_args, "");
+        for threads in ["1", "2", "8"] {
+            let mut args = uncut_args.clone();
+            args.extend_from_slice(&["--resume", ckpt.to_str().expect("utf8 path")]);
+            args.extend_from_slice(&["--threads", threads]);
+            assert_eq!(enforce(&args, ""), uncut, "{name} at {threads} threads");
+        }
+    }
+}
+
+#[test]
 fn trace_engines_are_bit_identical() {
     for extra in [&[][..], &["--json"][..], &["--highwater"][..]] {
         let mut vm_args = vec!["trace", "-", "--allow", "2", "--input", "7,5"];

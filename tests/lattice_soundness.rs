@@ -8,8 +8,8 @@
 //!    exhaustive [`check_soundness_lattice_with`] sweep.
 //! 2. **Shared sweep pinning** — the one-pass multi-clearance sweep is
 //!    bit-identical (verdict, class counts, witness tuples and outputs)
-//!    to running the per-clearance class evaluator once per clearance, at
-//!    threads 1 through 8.
+//!    to running `check_soundness_with` once per clearance, at threads 1
+//!    through 8.
 //! 3. **Fleet differential** — the MLS monitor fleet judging all
 //!    clearances in one execution agrees with a solo monitor per
 //!    clearance under the same intransitive reduction.
@@ -17,8 +17,8 @@
 //!    certification.
 
 use enforcement::core::{
-    check_soundness_classes_with, check_soundness_lattice_with, Allow, Classification, EvalConfig,
-    Grid, Identity, InputDomain, IntransitiveFlow, Level,
+    check_soundness_lattice_with, check_soundness_with, Allow, Classification, EvalConfig, Grid,
+    Identity, InputDomain, IntransitiveFlow, Level,
 };
 use enforcement::flowchart::generate::{random_flowchart, GenConfig};
 use enforcement::flowchart::{corpus, Flowchart, FlowchartProgram};
@@ -74,7 +74,7 @@ fn assert_lattice_oracle(
         let shared =
             check_soundness_lattice_with(&mech, labeling, flow, &Level::ALL, grid, false, &cfg);
         for (c, report) in Level::ALL.iter().zip(&shared) {
-            let solo = check_soundness_classes_with(
+            let solo = check_soundness_with(
                 &mech,
                 &Allow::from_set(labeling.arity(), labeling.readable_allow(flow, c)),
                 grid,

@@ -7,6 +7,10 @@
 //!
 //! (Parsers, dataflow fixpoints, Minsky machines etc. keep their loops;
 //! they are not flowchart executors.)
+//!
+//! The soundness sweeps get the same guard: every `check_soundness*`
+//! entry point runs the one sweep in `enf_core::soundness`, so exactly
+//! one per-input `visit_range(` loop may exist across the sweep modules.
 
 use std::path::{Path, PathBuf};
 
@@ -54,5 +58,35 @@ fn executors_share_the_single_stepper_loop() {
         ],
         "executor modules may contain exactly two step loops: the Stepper \
          engine and the pinned run_reference oracle"
+    );
+}
+
+/// The modules behind every `check_soundness*` entry point.
+const SWEEP_SOURCES: &[&str] = &[
+    "crates/core/src/soundness.rs",
+    "crates/core/src/checkpoint.rs",
+    "crates/core/src/label.rs",
+];
+
+#[test]
+fn soundness_sweeps_share_one_loop() {
+    let mut loops = Vec::new();
+    for rel in SWEEP_SOURCES {
+        let path = repo_root().join(rel);
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        // Unit tests may drive the domain directly; only the library counts.
+        let library = text.split("#[cfg(test)]").next().unwrap_or_default();
+        let n = library.matches("visit_range(").count();
+        if n > 0 {
+            loops.push((*rel, n));
+        }
+    }
+    assert_eq!(
+        loops,
+        vec![("crates/core/src/soundness.rs", 1)],
+        "the soundness sweeps share one per-input loop, the sweep in \
+         soundness.rs; give a new sweep a partition or a policy list there \
+         instead of a loop of its own"
     );
 }
