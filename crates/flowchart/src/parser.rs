@@ -13,7 +13,7 @@
 //!             | "if" pred block ("else" block)?
 //!             | "while" pred block
 //!             | "setpolicy" policy ";"
-//!             | "declassify" "(" var ":" ints "~>" ints? ")" ";"
+//!             | "declassify" "(" var ":" ints? "~>" ints? ")" ";"
 //!             | "halt" ";"
 //!             | "skip" ";"
 //! policy    ::= "allow" "(" ints? ")" | "p" INT
@@ -496,7 +496,7 @@ impl Parser {
                     other => return Err(self.error(format!("expected variable, found {other:?}"))),
                 };
                 self.expect_sym(":")?;
-                let from = self.index_list(false)?;
+                let from = self.index_list(true)?;
                 self.expect_sym("~>")?;
                 let to = self.index_list(true)?;
                 self.expect_sym(")")?;
@@ -854,6 +854,32 @@ mod tests {
         let src = "program(1) { y := ite(x1 == 1, 1, 2); }";
         assert_eq!(eval(src, &[1]), 1);
         assert_eq!(eval(src, &[5]), 2);
+    }
+
+    /// The one `declassify` box of a parsed program.
+    fn declassify_of(src: &str) -> (Var, IndexSet, IndexSet) {
+        let fc = parse(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+        let decl = fc.iter().find_map(|(_, node, _)| match node {
+            crate::graph::Node::Declassify { var, from, to } => Some((*var, *from, *to)),
+            _ => None,
+        });
+        decl.expect("a declassify box")
+    }
+
+    #[test]
+    fn declassify_with_empty_source_list() {
+        assert_eq!(
+            declassify_of("program(2) { declassify(r1: ~> 2); }"),
+            (Var::Reg(1), IndexSet::empty(), IndexSet::single(2))
+        );
+    }
+
+    #[test]
+    fn declassify_with_both_lists_empty() {
+        assert_eq!(
+            declassify_of("program(2) { declassify(r1: ~>); }"),
+            (Var::Reg(1), IndexSet::empty(), IndexSet::empty())
+        );
     }
 
     #[test]

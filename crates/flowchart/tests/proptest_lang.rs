@@ -2,7 +2,7 @@
 //! parsing, lowering, and interpreter invariants.
 
 use enf_flowchart::ast::{CmpOp, Expr, Pred, Var};
-use enf_flowchart::generate::{random_structured, GenConfig};
+use enf_flowchart::generate::{random_policy_structured, random_structured, GenConfig};
 use enf_flowchart::interp::{run, ExecConfig};
 use enf_flowchart::parser::parse_structured;
 use enf_flowchart::pretty::{expr_to_string, pred_to_string, structured_to_string};
@@ -150,23 +150,42 @@ proptest! {
     }
 
     /// Generated programs print, re-parse and lower to graphs with
-    /// identical behaviour (full pipeline round trip).
+    /// identical behaviour (full pipeline round trip). The policy boxes of
+    /// policy programs must also reprint to the same text: runs alone
+    /// cannot see a `declassify` box that came back with the wrong index
+    /// sets.
     #[test]
     fn full_pipeline_roundtrip(seed in 0u64..20_000) {
-        let p = random_structured(seed, &GenConfig::default());
-        let printed = structured_to_string(&p);
-        let back = parse_structured(&printed)
-            .map_err(|err| TestCaseError::fail(format!("seed {seed}: {err}")))?;
-        let fa = lower(&p).unwrap();
-        let fb = lower(&back).unwrap();
-        let cfg = ExecConfig::with_fuel(200_000);
-        for x1 in -1..=1 {
-            for x2 in -1..=1 {
-                prop_assert_eq!(
-                    run(&fa, &[x1, x2], &cfg).value(),
-                    run(&fb, &[x1, x2], &cfg).value(),
-                    "seed {} at ({}, {})", seed, x1, x2
-                );
+        let cfg = GenConfig::default();
+        for (p, policy) in [
+            (random_structured(seed, &cfg), false),
+            (random_policy_structured(seed, &cfg), true),
+        ] {
+            let printed = structured_to_string(&p);
+            let back = parse_structured(&printed)
+                .map_err(|err| TestCaseError::fail(format!("seed {seed}: {err}")))?;
+            if policy {
+                // Expressions need not reprint verbatim (`(-3)` comes back
+                // as `-3`), so compare the policy statements' lines.
+                let boxes = |text: &str| -> Vec<String> {
+                    text.lines()
+                        .filter(|l| l.contains("setpolicy") || l.contains("declassify"))
+                        .map(str::to_owned)
+                        .collect()
+                };
+                prop_assert_eq!(boxes(&structured_to_string(&back)), boxes(&printed), "seed {}", seed);
+            }
+            let fa = lower(&p).unwrap();
+            let fb = lower(&back).unwrap();
+            let cfg = ExecConfig::with_fuel(200_000);
+            for x1 in -1..=1 {
+                for x2 in -1..=1 {
+                    prop_assert_eq!(
+                        run(&fa, &[x1, x2], &cfg).value(),
+                        run(&fb, &[x1, x2], &cfg).value(),
+                        "seed {} at ({}, {})", seed, x1, x2
+                    );
+                }
             }
         }
     }

@@ -16,9 +16,12 @@
 //! `nodes × lattice height` transfer applications.
 //!
 //! Adding a new analysis means implementing [`DataflowProblem`] — see
-//! DESIGN.md §"The monotone framework" for a walkthrough, and
-//! [`crate::dataflow`], [`crate::value`] and [`mod@crate::lint`] for the five
-//! in-tree instances (may-taint ×2, values, must-taint, liveness).
+//! DESIGN.md §"The monotone framework" for a walkthrough. The five in-tree
+//! instances are the one may-taint problem every taint certifier solves
+//! ([`crate::dataflow`]), the values ([`crate::value`]), relational
+//! agreement ([`crate::relational`]), and must-taint and liveness
+//! ([`mod@crate::lint`]). A new taint certifier passes its refinement to
+//! the may-taint problem rather than adding a sixth.
 //!
 //! [`IndexSet`]: enf_core::IndexSet
 

@@ -9,11 +9,13 @@
 //! * [`framework`] — the generic monotone-framework solver (lattice +
 //!   transfer functions in, least fixed point out) every analysis in this
 //!   crate runs on;
-//! * [`dataflow`] — two may-taint analyses over the flowchart CFG:
-//!   a *faithful* abstraction of the dynamic surveillance mechanism
-//!   (program-counter taint monotone along paths, as the paper's `C̄` is)
-//!   and a *scoped* analysis in the style of Denning & Denning where a
-//!   branch's implicit flow ends at its immediate postdominator;
+//! * [`dataflow`] — the one may-taint problem over the flowchart CFG that
+//!   every taint certifier solves: a *faithful* abstraction of the
+//!   dynamic surveillance mechanism (program-counter taint monotone along
+//!   paths, as the paper's `C̄` is) or a *scoped* analysis in the style of
+//!   Denning & Denning where a branch's implicit flow ends at its
+//!   immediate postdominator, optionally refined by value facts, a
+//!   sanction map and an initial policy;
 //! * [`value`] — a constant-propagation/interval value analysis whose
 //!   reachability and branch-feasibility facts refine the taint analysis
 //!   ([`dataflow::analyze_refined`]) into the strictly more permissive —
@@ -21,16 +23,16 @@
 //! * [`mod@lint`] — the `flowlint` diagnostics pass: structured lints with
 //!   node locations and carrier chains, rendered human-readably or as
 //!   JSON by `enforce lint`;
-//! * [`mod@label`] — the lattice generalization: a label-join dataflow
-//!   over any [`enf_core::label::Label`] lattice (the taint analyses are
-//!   its two-point instance) and the unwinding-style
-//!   [`label::certify_lattice`] pass, under which a high value reaches a
-//!   lower sink only through a sanctioned `declassify` box on every
-//!   carrying path (`certify::Analysis::LatticeCertified`);
+//! * [`mod@label`] — the unwinding-style [`label::certify_lattice`] pass
+//!   over any [`enf_core::label::Label`] lattice: it supplies the taint
+//!   problem a per-box sanction map, so a high value reaches a lower sink
+//!   only through a sanctioned `declassify` box on every carrying path
+//!   (`certify::Analysis::LatticeCertified`);
 //! * [`mod@certify`] — compile-time certification and the zero-overhead
 //!   [`certify::CertifiedMechanism`];
-//! * [`mod@schedule`] — the policy-schedule certifier: taint facts paired
-//!   with the set of reachable policy states, sound for every `setpolicy`
+//! * [`mod@schedule`] — the policy-schedule certifier: it supplies the
+//!   taint problem an initial policy and the [`schedule::PolicySet`]
+//!   lattice of reachable policy states, sound for every `setpolicy`
 //!   schedule and honoring `declassify` relabels
 //!   (`certify::Analysis::DynamicPolicy`);
 //! * [`transform`] — functionally-equivalent rewrites (if-then-else →
@@ -59,10 +61,10 @@ pub mod transform;
 pub mod value;
 
 pub use certify::{certify, Analysis, Certification, CertifiedMechanism};
-pub use dataflow::{analyze, analyze_reference, analyze_refined, FlowFacts};
+pub use dataflow::{analyze, analyze_refined, FlowFacts};
 pub use equiv::equivalent_on;
 pub use framework::{solve, DataflowProblem, Direction, Solution};
-pub use label::{analyze_labels, certify_lattice, LabelEnv, LabelFacts};
+pub use label::certify_lattice;
 pub use lint::{lint, lint_labeled, Lint, LintKind, LintReport};
 pub use refute::{refute, verify, LeakWitness, PairDomain, RelationalVerdict};
 pub use relational::{analyze_relational, analyze_relational_with, RelFacts};

@@ -35,8 +35,9 @@
 //! pass against a label policy at a clearance, rendering label names into
 //! every taint finding and its carrier chain.
 
-use crate::dataflow::{analyze_refined, TaintEnv};
+use crate::dataflow::TaintEnv;
 use crate::framework::{reverse_postorder, solve, DataflowProblem, Direction};
+use crate::schedule::{schedule_facts, ScheduleFacts};
 use crate::value::{analyze_values, AbsBool, ValueFacts};
 use enf_core::label::{Classification, IntransitiveFlow, Level};
 use enf_core::IndexSet;
@@ -330,25 +331,10 @@ impl DataflowProblem for MustTaint<'_> {
         if !self.values.reachable(n) || !self.values.edge_feasible(fc, n, edge) {
             return None;
         }
+        // The relabel is deterministic, so the may-taint transfer is the
+        // dynamic one exactly, and the meet makes it a must-taint.
         let mut env = env.clone();
-        match fc.node(n) {
-            Node::Start | Node::Halt => {}
-            Node::Assign { var, expr } => {
-                let t = env.taint_of_vars(&expr.vars()).union(&env.pc);
-                env.set(*var, t);
-            }
-            Node::Decision { pred } => {
-                let t = env.taint_of_vars(&pred.vars());
-                env.pc.union_with(&t);
-            }
-            Node::SetPolicy { .. } => {}
-            Node::Declassify { var, from, to } => {
-                // The relabel is deterministic, so the must-taint transfer
-                // mirrors the dynamic one exactly.
-                let t = env.get(*var);
-                env.set(*var, t.difference(from).union(to));
-            }
-        }
+        env.transfer(fc.node(n), None, true);
         Some(Some(env))
     }
 }
@@ -357,10 +343,11 @@ impl DataflowProblem for MustTaint<'_> {
 /// postorder over reachable nodes) whose result taint carries at least one
 /// offending index — the static analogue of
 /// [`enf_surveillance::explain::Explanation::carrier_chain`], with the RPO
-/// position standing in for the execution step.
+/// position standing in for the execution step. The before and after
+/// taints are the entry fact and the shared transfer's result.
 fn static_chain(
     fc: &Flowchart,
-    facts: &crate::dataflow::FlowFacts,
+    facts: &ScheduleFacts,
     values: &ValueFacts,
     offending: &IndexSet,
 ) -> Vec<FlowEvent> {
@@ -370,19 +357,20 @@ fn static_chain(
         if !values.reachable(n) {
             continue;
         }
-        let env = &facts.at_entry[n.0];
-        let (what, before, after) = match fc.node(n) {
+        let node = fc.node(n);
+        let (what, carrier) = match node {
             Node::Assign { var, expr } => {
-                let before = env.get(*var);
-                let after = env.taint_of_vars(&expr.vars()).union(&env.pc);
-                (format!("{var} := {}", expr_to_string(expr)), before, after)
+                (format!("{var} := {}", expr_to_string(expr)), Some(*var))
             }
-            Node::Decision { pred } => {
-                let before = env.pc;
-                let after = env.pc.union(&env.taint_of_vars(&pred.vars()));
-                (format!("branch on {}", pred_to_string(pred)), before, after)
-            }
+            Node::Decision { pred } => (format!("branch on {}", pred_to_string(pred)), None),
             _ => continue,
+        };
+        let env = &facts.at_entry[n.0].env;
+        let mut out = env.clone();
+        out.transfer(node, None, true);
+        let (before, after) = match carrier {
+            Some(var) => (env.get(var), out.get(var)),
+            None => (env.pc, out.pc),
         };
         if after != before && !after.intersection(offending).is_empty() {
             events.push(FlowEvent {
@@ -400,16 +388,16 @@ fn static_chain(
 /// Runs every lint over the program under an `allow(J)` policy.
 pub fn lint(fc: &Flowchart, allowed: &IndexSet) -> LintReport {
     let values = analyze_values(fc);
-    let refined = analyze_refined(fc, &values);
+    // One may-taint solve feeds every taint lint. Dynamic-policy programs
+    // are judged against the set of policy states reachable from
+    // `allow(J)`, not `allow(J)` alone, so there the solve tracks them;
+    // that also keeps a reached node with all-untainted variables live,
+    // so a `declassify` box there adds its target set as the run does.
+    let dynamic = fc.has_policy_nodes();
+    let taint = schedule_facts(fc, dynamic.then_some(*allowed), &values);
     let graph_reach = reachable(fc);
     let liveness = solve(fc, &Liveness);
     let must = solve(fc, &MustTaint { values: &values });
-    // Dynamic-policy programs are judged against the set of reachable
-    // policy states, not the initial policy, so HALT leak lints come from
-    // the schedule analysis instead of the fixed-policy facts.
-    let sched = fc
-        .has_policy_nodes()
-        .then(|| crate::schedule::analyze_schedules_with(fc, *allowed, &values));
 
     let mut lints: Vec<Lint> = Vec::new();
 
@@ -475,15 +463,14 @@ pub fn lint(fc: &Flowchart, allowed: &IndexSet) -> LintReport {
                     });
                 }
             }
-            Node::Halt if sched.is_some() => {
+            Node::Halt if dynamic => {
                 // Dynamic policies: a release leaks when some reachable
                 // policy state at this HALT denies part of its taint.
-                let sf = sched.as_ref().expect("guarded by is_some");
-                let t = sf.halt_taint(n);
-                let policies = sf.policies_at(n);
+                let t = taint.halt_taint(n);
+                let policies = taint.policies_at(n);
                 if !policies.admits(&t) {
                     let offending = policies.excess(&t);
-                    let chain = static_chain(fc, &refined, &values, &offending);
+                    let chain = static_chain(fc, &taint, &values, &offending);
                     lints.push(Lint {
                         kind: LintKind::TaintLeak,
                         site: n,
@@ -517,10 +504,10 @@ pub fn lint(fc: &Flowchart, allowed: &IndexSet) -> LintReport {
                     }
                 }
                 // taint-leak: the may-taint at this HALT exceeds the policy.
-                let t = refined.halt_taint(n);
+                let t = taint.halt_taint(n);
                 let offending = t.difference(allowed);
                 if !offending.is_empty() {
-                    let chain = static_chain(fc, &refined, &values, &offending);
+                    let chain = static_chain(fc, &taint, &values, &offending);
                     lints.push(Lint {
                         kind: LintKind::TaintLeak,
                         site: n,
@@ -537,7 +524,7 @@ pub fn lint(fc: &Flowchart, allowed: &IndexSet) -> LintReport {
             // `from` index here (the may-taint over-approximates every
             // run's taint), so the relabel launders nothing.
             Node::Declassify { var, from, .. } => {
-                let t = refined.at_entry[n.0].get(*var);
+                let t = taint.at_entry[n.0].env.get(*var);
                 if t.intersection(from).is_empty() {
                     lints.push(Lint {
                         kind: LintKind::UnusedDeclassify,
@@ -558,8 +545,8 @@ pub fn lint(fc: &Flowchart, allowed: &IndexSet) -> LintReport {
         }
     }
 
-    if let Some(sf) = &sched {
-        lints.extend(redundant_policy_changes(fc, sf, &values));
+    if dynamic {
+        lints.extend(redundant_policy_changes(fc, &taint, &values));
     } else if let Some(l) = provable_leak(fc, allowed) {
         // The relational refuter's observation model is fixed-policy, so
         // the provable-leak lint only applies to policy-free programs.
@@ -618,7 +605,7 @@ pub fn lint_labeled(
 /// them matches.
 fn redundant_policy_changes(
     fc: &Flowchart,
-    facts: &crate::schedule::ScheduleFacts,
+    facts: &ScheduleFacts,
     values: &ValueFacts,
 ) -> Vec<Lint> {
     use crate::schedule::PolicySet;
@@ -1031,6 +1018,25 @@ mod tests {
             IndexSet::full(2),
         );
         assert!(kinds(&r).contains(&LintKind::UnusedDeclassify), "{r:?}");
+    }
+
+    #[test]
+    fn dynamic_leak_chain_comes_from_the_same_solve() {
+        // After `x1 := 0` no variable is tainted, yet the declassify box
+        // adds {1} to r1 on every run. The chain is drawn from the solve
+        // that finds the leak, so it names the carrier.
+        let r = lints_of(
+            "program(1) { x1 := 0; declassify(r1: 1 ~> 1); y := r1; }",
+            IndexSet::empty(),
+        );
+        let leak = r
+            .lints
+            .iter()
+            .find(|l| l.kind == LintKind::TaintLeak)
+            .expect("taint leak");
+        assert_eq!(leak.offending, IndexSet::single(1));
+        let whats: Vec<&str> = leak.chain.iter().map(|e| e.what.as_str()).collect();
+        assert_eq!(whats, vec!["y := r1"]);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! schedule at once** by pairing the may-taint environment with the set of
 //! policy states that may be active at each program point:
 //!
-//! * the abstract state is `(TaintEnv, PolicySet)` — the usual monotone-`C̄`
-//!   taint facts (refined by the value analysis exactly as
-//!   [`crate::dataflow::analyze_refined`]) together with the set of
-//!   `allow(J)` points reachable at the node;
+//! * the abstract state is `(TaintEnv, PolicySet)` — the may-taint problem
+//!   of [`crate::dataflow`] (monotone `C̄`, refined by the value analysis
+//!   exactly as [`crate::dataflow::analyze_refined`]) seeded with an
+//!   initial policy, whose policy component is the set of `allow(J)`
+//!   points reachable at the node;
 //! * a concrete `setpolicy allow(…)` collapses the policy set to a
 //!   singleton; a *slot* box (`setpolicy p1`) collapses it to
 //!   [`PolicySet::Any`], because the analysis must certify for every
@@ -28,11 +29,11 @@
 //! the bounded-schedule oracle [`enf_core::check_soundness_scheduled`],
 //! which quantifies over every slot binding.
 
-use crate::dataflow::TaintEnv;
-use crate::framework::{solve, DataflowProblem, Solution};
+use crate::dataflow::{MayTaint, TaintEnv};
+use crate::framework::solve;
 use crate::value::{analyze_values, ValueFacts};
 use enf_core::IndexSet;
-use enf_flowchart::graph::{Flowchart, Node, NodeId, PolicySpec};
+use enf_flowchart::graph::{Flowchart, NodeId};
 use std::fmt;
 
 /// The set of policy states that may be active at a program point.
@@ -71,7 +72,7 @@ impl PolicySet {
     }
 
     /// Joins `from` into `self`, returning whether `self` grew.
-    fn join_from(&mut self, from: &PolicySet) -> bool {
+    pub(crate) fn join_from(&mut self, from: &PolicySet) -> bool {
         match (&mut *self, from) {
             (PolicySet::Any, _) => false,
             (_, PolicySet::Any) => {
@@ -135,80 +136,15 @@ impl fmt::Display for PolicySet {
 }
 
 /// The abstract state at one program point: may-taint facts paired with the
-/// reachable policy states.
+/// reachable policy states. This is the fact of the one may-taint problem
+/// in [`crate::dataflow`]; analyses under a fixed policy keep the policy
+/// component at [`PolicySet::none`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SchedFact {
     /// The taint environment (monotone `C̄` discipline).
     pub env: TaintEnv,
     /// The policy states that may be active on entry.
     pub policies: PolicySet,
-}
-
-/// The schedule analysis as a framework problem: the product of the
-/// value-refined may-taint transfer and the policy-state transfer.
-struct ScheduleProblem<'a> {
-    initial: IndexSet,
-    values: &'a ValueFacts,
-}
-
-impl DataflowProblem for ScheduleProblem<'_> {
-    type Fact = SchedFact;
-
-    fn bottom(&self, fc: &Flowchart) -> SchedFact {
-        SchedFact {
-            env: TaintEnv::bottom(fc.arity(), fc.max_reg()),
-            policies: PolicySet::none(),
-        }
-    }
-
-    fn boundary(&self, fc: &Flowchart, n: NodeId) -> Option<SchedFact> {
-        (n == fc.start()).then(|| SchedFact {
-            env: TaintEnv::init(fc.arity(), fc.max_reg()),
-            policies: PolicySet::just(self.initial),
-        })
-    }
-
-    fn join(&self, into: &mut SchedFact, from: &SchedFact) -> bool {
-        let e = into.env.join_from(&from.env);
-        let p = into.policies.join_from(&from.policies);
-        e || p
-    }
-
-    fn flow(
-        &self,
-        fc: &Flowchart,
-        n: NodeId,
-        edge: usize,
-        _to: NodeId,
-        fact: &SchedFact,
-    ) -> Option<SchedFact> {
-        if !self.values.reachable(n) || !self.values.edge_feasible(fc, n, edge) {
-            return None;
-        }
-        let mut out = fact.clone();
-        match fc.node(n) {
-            Node::Start | Node::Halt => {}
-            Node::Assign { var, expr } => {
-                let t = out.env.taint_of_vars(&expr.vars()).union(&out.env.pc);
-                out.env.set(*var, t);
-            }
-            Node::Decision { pred } => {
-                let t = out.env.taint_of_vars(&pred.vars());
-                out.env.pc.union_with(&t);
-            }
-            Node::SetPolicy { spec } => {
-                out.policies = match spec {
-                    PolicySpec::Concrete(s) => PolicySet::just(*s),
-                    PolicySpec::Slot(_) => PolicySet::Any,
-                };
-            }
-            Node::Declassify { var, from, to } => {
-                let t = out.env.get(*var);
-                out.env.set(*var, t.difference(from).union(to));
-            }
-        }
-        Some(out)
-    }
 }
 
 /// The fixed point of the schedule analysis.
@@ -245,7 +181,27 @@ pub fn analyze_schedules_with(
     initial: IndexSet,
     values: &ValueFacts,
 ) -> ScheduleFacts {
-    let sol: Solution<SchedFact> = solve(fc, &ScheduleProblem { initial, values });
+    schedule_facts(fc, Some(initial), values)
+}
+
+/// The value-refined may-taint facts, tracking the policy states reachable
+/// from `allow(initial)` when `initial` is given. Without it every policy
+/// component stays [`PolicySet::none`] and the environments are exactly
+/// [`crate::dataflow::analyze_refined`]'s.
+pub(crate) fn schedule_facts(
+    fc: &Flowchart,
+    initial: Option<IndexSet>,
+    values: &ValueFacts,
+) -> ScheduleFacts {
+    let sol = solve(
+        fc,
+        &MayTaint {
+            scoped_pc: None,
+            values: Some(values),
+            sanctioned: None,
+            initial,
+        },
+    );
     ScheduleFacts {
         at_entry: sol.facts,
         iterations: sol.iterations,

@@ -1,11 +1,11 @@
-//! Regression harness for the monotone-framework migration: the ported
-//! analyses agree *exactly* with the pre-port worklist on randomized
-//! flowcharts, and the solver's fixed point is independent of the
-//! iteration order it is given.
+//! Properties of the monotone-framework solver on randomized flowcharts:
+//! its fixed point is independent of the iteration order it is given, and
+//! it converges well inside the `nodes × height` bound. (The taint problem
+//! is pinned against the pre-framework worklist by the differential in
+//! `enf_static::dataflow`'s unit tests.)
 
 use enf_flowchart::generate::{random_flowchart, GenConfig, SplitMix};
 use enf_flowchart::graph::{Flowchart, Node, NodeId};
-use enf_static::dataflow::{analyze, analyze_reference, PcDiscipline};
 use enf_static::framework::{reverse_postorder, solve, solve_in_order, DataflowProblem};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -71,22 +71,6 @@ fn shuffled_order(fc: &Flowchart, seed: u64) -> Vec<NodeId> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The ported taint analyses agree exactly — entry environments and
-    /// scoped PC included — with the pre-port hand-rolled worklist.
-    #[test]
-    fn port_matches_reference(seed in 0u64..10_000) {
-        let fc = random_flowchart(seed, &GenConfig::default());
-        for d in [PcDiscipline::Monotone, PcDiscipline::Scoped] {
-            let new = analyze(&fc, d);
-            let old = analyze_reference(&fc, d);
-            prop_assert_eq!(&new.at_entry, &old.at_entry, "seed {} {:?}", seed, d);
-            prop_assert_eq!(&new.scoped_pc, &old.scoped_pc, "seed {} {:?}", seed, d);
-            for h in fc.halts() {
-                prop_assert_eq!(new.halt_taint(h), old.halt_taint(h));
-            }
-        }
-    }
 
     /// The least fixed point is iteration-order independent: random
     /// permutations of the worklist priority yield identical facts.

@@ -48,7 +48,7 @@ pub mod state;
 pub mod timed;
 pub mod vm;
 
-pub use dynamic::{run_reference, run_surveillance, CheckAt, Style, SurvConfig, SurvOutcome};
+pub use dynamic::{run_surveillance, CheckAt, Style, SurvConfig, SurvOutcome};
 pub use explain::{explain, Explanation, FlowEvent};
 pub use instrument::{instrument, Instrumented};
 pub use mechanism::{HighWater, Surveillance};

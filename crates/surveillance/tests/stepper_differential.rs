@@ -16,9 +16,7 @@ use enf_flowchart::graph::PolicySpec;
 use enf_flowchart::graph::{Flowchart, Node, Succ};
 use enf_flowchart::interp::Store;
 use enf_flowchart::pretty::{declassify_to_string, expr_to_string, pred_to_string};
-use enf_surveillance::dynamic::{
-    run_reference, run_surveillance, CheckAt, Style, SurvConfig, SurvOutcome,
-};
+use enf_surveillance::dynamic::{run_surveillance, CheckAt, Style, SurvConfig, SurvOutcome};
 use enf_surveillance::explain::{explain, Explanation, FlowEvent};
 use enf_surveillance::monitor::run_trace;
 use enf_surveillance::TaintState;
@@ -53,6 +51,110 @@ fn policy_from_mask(mask: u8) -> IndexSet {
 /// Forced-parallel configuration with exactly `t` workers.
 fn par(t: usize) -> EvalConfig {
     EvalConfig::with_threads(t).seq_threshold(0)
+}
+
+/// The seed's hand-rolled surveillance loop, kept verbatim as the
+/// differential oracle for the stepper-based engine.
+///
+/// [`run_surveillance`] is the supported entry point; this one exists so
+/// the properties below can pin the refactor bit-for-bit — outcome, step
+/// count and violation site must match on every run. Do not "improve"
+/// this function: its value is that it does not change.
+fn run_reference(fc: &Flowchart, inputs: &[V], cfg: &SurvConfig) -> SurvOutcome {
+    let mut store = Store::init(fc, inputs);
+    let mut taints = TaintState::init(fc.arity(), fc.max_reg());
+    let mut allowed = cfg.allowed;
+    let mut at = fc.start();
+    let mut steps: u64 = 0;
+    loop {
+        if steps >= cfg.fuel {
+            return SurvOutcome::OutOfFuel;
+        }
+        steps += 1;
+        match fc.node(at) {
+            Node::Start => {
+                at = match fc.succ(at) {
+                    Succ::One(n) => n,
+                    _ => unreachable!("validated START"),
+                };
+            }
+            Node::Assign { var, expr } => {
+                // Transformation (2): v̄ ← w̄1 ∪ … ∪ w̄s ∪ C̄ (∪ v̄ for
+                // the high-water discipline), then the value update.
+                let mut t = taints.expr_taint(expr).union(&taints.pc);
+                if cfg.style == Style::Accumulate {
+                    t.union_with(&taints.get(*var));
+                }
+                taints.set(*var, t);
+                let v = expr.eval(&|w| store.get(w));
+                store.set(*var, v);
+                at = match fc.succ(at) {
+                    Succ::One(n) => n,
+                    _ => unreachable!("validated assignment"),
+                };
+            }
+            Node::Decision { pred } => {
+                // Transformation (3): C̄ ← C̄ ∪ w̄1 ∪ … ∪ w̄s.
+                let t = taints.pred_taint(pred);
+                taints.pc.union_with(&t);
+                if cfg.check == CheckAt::EveryDecision && !taints.pc.is_subset(&allowed) {
+                    // Theorem 3′: abort before the disallowed test is taken.
+                    return SurvOutcome::Violation {
+                        site: at,
+                        taint: taints.pc,
+                        steps,
+                    };
+                }
+                let taken = pred.eval(&|w| store.get(w));
+                at = match fc.succ(at) {
+                    Succ::Cond { then_, else_ } => {
+                        if taken {
+                            then_
+                        } else {
+                            else_
+                        }
+                    }
+                    _ => unreachable!("validated decision"),
+                };
+            }
+            Node::SetPolicy { spec } => {
+                // The active allowed set is replaced; slot boxes resolve to
+                // allow() here (this reference loop has no schedule).
+                allowed = match spec {
+                    PolicySpec::Concrete(s) => *s,
+                    PolicySpec::Slot(_) => IndexSet::empty(),
+                };
+                at = match fc.succ(at) {
+                    Succ::One(n) => n,
+                    _ => unreachable!("validated setpolicy"),
+                };
+            }
+            Node::Declassify { var, from, to } => {
+                // Relabel v̄ ← (v̄ \ A) ∪ B; the store is untouched.
+                let t = taints.get(*var);
+                taints.set(*var, t.difference(from).union(to));
+                at = match fc.succ(at) {
+                    Succ::One(n) => n,
+                    _ => unreachable!("validated declassify"),
+                };
+            }
+            Node::Halt => {
+                // Transformation (4): release y only if ȳ ∪ C̄ ⊆ J.
+                let t = taints.halt_taint();
+                if t.is_subset(&allowed) {
+                    return SurvOutcome::Accepted {
+                        y: store.output(),
+                        steps,
+                    };
+                }
+                return SurvOutcome::Violation {
+                    site: at,
+                    taint: t,
+                    steps,
+                };
+            }
+        }
+    }
 }
 
 /// A verbatim copy of the seed's two-pass `explain` loop, the oracle for

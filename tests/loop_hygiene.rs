@@ -1,9 +1,10 @@
 //! Engine-hygiene check for the monitor refactor: every executor drives a
 //! flowchart through the one generic [`Stepper`] loop. The only `loop {`
-//! allowed in executor-layer sources are the stepper engine itself and
-//! `run_reference`, the seed surveillance loop kept verbatim as the
-//! differential oracle. A third loop appearing here means someone forked
-//! the step semantics again — port it to a `Monitor` instead.
+//! allowed in executor-layer sources is the stepper engine itself (the
+//! seed surveillance loop it replaced lives on as a differential oracle in
+//! `crates/surveillance/tests/stepper_differential.rs`). A second loop
+//! appearing here means someone forked the step semantics again — port it
+//! to a `Monitor` instead.
 //!
 //! (Parsers, dataflow fixpoints, Minsky machines etc. keep their loops;
 //! they are not flowchart executors.)
@@ -11,6 +12,10 @@
 //! The soundness sweeps get the same guard: every `check_soundness*`
 //! entry point runs the one sweep in `enf_core::soundness`, so exactly
 //! one per-input `visit_range(` loop may exist across the sweep modules.
+//!
+//! And the static analyses: every taint certifier in `enf_static` solves
+//! the one may-taint problem in `dataflow.rs`, so the library declares
+//! exactly five dataflow problems.
 
 use std::path::{Path, PathBuf};
 
@@ -52,13 +57,14 @@ fn executors_share_the_single_stepper_loop() {
     }
     assert_eq!(
         with_loops,
-        vec![
-            ("crates/flowchart/src/stepper.rs", 1),
-            ("crates/surveillance/src/dynamic.rs", 1),
-        ],
-        "executor modules may contain exactly two step loops: the Stepper \
-         engine and the pinned run_reference oracle"
+        vec![("crates/flowchart/src/stepper.rs", 1)],
+        "executor modules may contain exactly one step loop: the Stepper engine"
     );
+}
+
+/// A source file's library part: everything before its first test module.
+fn library_part(text: &str) -> &str {
+    text.split("#[cfg(test)]").next().unwrap_or_default()
 }
 
 /// The modules behind every `check_soundness*` entry point.
@@ -76,8 +82,7 @@ fn soundness_sweeps_share_one_loop() {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
         // Unit tests may drive the domain directly; only the library counts.
-        let library = text.split("#[cfg(test)]").next().unwrap_or_default();
-        let n = library.matches("visit_range(").count();
+        let n = library_part(&text).matches("visit_range(").count();
         if n > 0 {
             loops.push((*rel, n));
         }
@@ -88,5 +93,46 @@ fn soundness_sweeps_share_one_loop() {
         "the soundness sweeps share one per-input loop, the sweep in \
          soundness.rs; give a new sweep a partition or a policy list there \
          instead of a loop of its own"
+    );
+}
+
+/// Every `.rs` file under `dir`, sorted.
+fn rust_sources(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            out.extend(rust_sources(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    out.sort();
+    out
+}
+
+#[test]
+fn static_analyses_share_one_taint_problem() {
+    let src = repo_root().join("crates/staticflow/src");
+    let mut problems = Vec::new();
+    for path in rust_sources(&src) {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        for line in library_part(&text).lines() {
+            let line = line.trim_start();
+            if line.starts_with("impl") && line.contains("DataflowProblem for ") {
+                let rel = path.strip_prefix(&src).expect("under src");
+                problems.push(format!("{}: {line}", rel.display()));
+            }
+        }
+    }
+    assert_eq!(
+        problems.len(),
+        5,
+        "enf_static's library declares five dataflow problems: the one \
+         may-taint problem, must-taint, liveness, relational agreement and \
+         values. A taint certifier passes its refinement to the may-taint \
+         problem instead of forking the transfer. Found:\n{}",
+        problems.join("\n")
     );
 }
