@@ -2,26 +2,56 @@
 //!
 //! Two small, load-bearing maps:
 //!
-//! * [`VerdictCache`] — decisive sweep verdicts keyed by the FNV
-//!   fingerprint of (program, policy, span, fuel). A cache hit is always
-//!   sound because the key covers every input the sweep depends on; a
-//!   miss merely recomputes. Eviction at capacity is deliberately crude
-//!   (drop an arbitrary entry): correctness never depends on what the
-//!   cache remembers.
+//! * [`VerdictCache`] — decisive sweep verdicts keyed by their key
+//!   material, a [`VerdictKey`]: (op, program text, policy, span, fuel).
+//!   The map compares keys in full, never a fingerprint of them, so a
+//!   cache hit is always sound because the key covers every input the
+//!   sweep depends on; a miss merely recomputes. Eviction at capacity is
+//!   deliberately crude (drop an arbitrary entry): correctness never
+//!   depends on what the cache remembers.
 //! * [`JobTable`] — the idempotency ledger. A job key is claimed before a
 //!   request is queued; a retry of a *running* job gets a retryable
 //!   `in_progress` frame instead of a second execution, and a retry of a
 //!   *completed* job replays the recorded reply byte-for-byte.
 
-use enf_core::Json;
+use crate::protocol::{Op, Request};
+use enf_core::{IndexSet, Json};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 use crate::tenant::lock;
 
-/// Decisive verdicts by content fingerprint.
+/// Everything a decisive sweep verdict depends on.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct VerdictKey {
+    /// `check` or `refute`: the two sweep different mechanisms.
+    pub op: Op,
+    /// The program text.
+    pub program: String,
+    /// The `allow` policy.
+    pub allow: IndexSet,
+    /// The sweep half-width.
+    pub span: i64,
+    /// The fuel bound in force.
+    pub fuel: u64,
+}
+
+impl VerdictKey {
+    /// The key of `req` swept under `fuel`.
+    pub fn of(req: &Request, fuel: u64) -> VerdictKey {
+        VerdictKey {
+            op: req.op,
+            program: req.program.clone(),
+            allow: req.allow,
+            span: req.span,
+            fuel,
+        }
+    }
+}
+
+/// Decisive verdicts by their key material.
 pub struct VerdictCache {
-    map: Mutex<HashMap<u64, Json>>,
+    map: Mutex<HashMap<VerdictKey, Json>>,
     capacity: usize,
 }
 
@@ -35,19 +65,19 @@ impl VerdictCache {
     }
 
     /// The cached verdict document for `key`, if any.
-    pub fn lookup(&self, key: u64) -> Option<Json> {
-        lock(&self.map).get(&key).cloned()
+    pub fn lookup(&self, key: &VerdictKey) -> Option<Json> {
+        lock(&self.map).get(key).cloned()
     }
 
     /// Records a decisive verdict. At capacity an arbitrary entry is
     /// evicted first — recomputation is always sound.
-    pub fn insert(&self, key: u64, verdict: Json) {
+    pub fn insert(&self, key: VerdictKey, verdict: Json) {
         if self.capacity == 0 {
             return;
         }
         let mut map = lock(&self.map);
         if map.len() >= self.capacity && !map.contains_key(&key) {
-            if let Some(&evict) = map.keys().next() {
+            if let Some(evict) = map.keys().next().cloned() {
                 map.remove(&evict);
             }
         }
@@ -136,21 +166,35 @@ impl Default for JobTable {
 mod tests {
     use super::*;
 
+    fn key(span: i64) -> VerdictKey {
+        VerdictKey {
+            op: Op::Check,
+            program: "program(1) { y := x1; }".to_string(),
+            allow: IndexSet::full(1),
+            span,
+            fuel: 100,
+        }
+    }
+
     #[test]
     fn cache_hits_after_insert_and_respects_capacity() {
         let cache = VerdictCache::new(2);
-        assert_eq!(cache.lookup(1), None);
-        cache.insert(1, Json::Int(10));
-        cache.insert(2, Json::Int(20));
-        cache.insert(3, Json::Int(30));
+        assert_eq!(cache.lookup(&key(1)), None);
+        cache.insert(key(1), Json::Int(10));
+        cache.insert(key(2), Json::Int(20));
+        cache.insert(key(3), Json::Int(30));
         assert_eq!(cache.len(), 2, "eviction holds the bound");
-        assert_eq!(cache.lookup(3), Some(Json::Int(30)), "newest survives");
+        assert_eq!(
+            cache.lookup(&key(3)),
+            Some(Json::Int(30)),
+            "newest survives"
+        );
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = VerdictCache::new(0);
-        cache.insert(1, Json::Int(10));
+        cache.insert(key(1), Json::Int(10));
         assert!(cache.is_empty());
     }
 

@@ -14,6 +14,8 @@
 //! |---------------------------|-----------------------------------------------------|
 //! | worker panic mid-job      | quarantined + replaced; client gets a typed frame   |
 //! | queue full / tenant quota | shed with `Retry-After`; never silently dropped     |
+//! | connection flood          | past 256 open: one `overloaded` frame, then closed  |
+//! | idle connection           | closed after 60 s without a frame                   |
 //! | server killed mid-sweep   | checkpoint on disk; resumed run is bit-identical    |
 //! | torn / truncated frame    | length prefix detects it; connection closed         |
 //! | duplicate client retry    | idempotency key replays the recorded reply          |
@@ -47,12 +49,12 @@ pub mod proxy;
 pub mod server;
 pub mod tenant;
 
-pub use cache::{JobClaim, JobTable, VerdictCache};
+pub use cache::{JobClaim, JobTable, VerdictCache, VerdictKey};
 pub use client::{Client, ClientConfig, ClientError};
 pub use protocol::{
     parse_allow, read_frame, reply_err, reply_is_ok, reply_ok, reply_retry_after, write_frame,
     ErrorKind, FrameError, Op, Request, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 pub use proxy::ProxyHandle;
-pub use server::{serve, Conn, Listener, ServerConfig, ServerHandle, ServerStats};
+pub use server::{serve, Conn, Listener, ServerConfig, ServerHandle, ServerStats, MAX_CONNS};
 pub use tenant::TenantStore;

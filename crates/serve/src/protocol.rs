@@ -126,7 +126,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, FrameError> {
 }
 
 /// The operations the server executes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Liveness probe; costs nothing, never queued.
     Ping,

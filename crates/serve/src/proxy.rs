@@ -17,16 +17,14 @@
 //! each connection is handled in lockstep by one thread.
 
 use crate::protocol::{FrameError, MAX_FRAME_BYTES};
-use crate::server::{read_framed_bytes, Conn};
+use crate::server::{accept_until_shutdown, read_framed_bytes, wake_tcp, Conn};
 use enf_core::chaos::{FaultPlan, FrameFault};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-
-use crate::tenant::lock;
 
 /// A running proxy; drop-in stand-in for the server's address.
 pub struct ProxyHandle {
@@ -41,45 +39,26 @@ impl ProxyHandle {
     pub fn spawn(upstream: SocketAddr, plan: FaultPlan) -> io::Result<ProxyHandle> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
         let thread = thread::Builder::new()
             .name("enf-chaos-proxy".to_string())
             .spawn(move || {
-                let conns: Arc<Mutex<Vec<thread::JoinHandle<()>>>> =
-                    Arc::new(Mutex::new(Vec::new()));
                 let mut conn_index: u64 = 0;
-                while !flag.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let id = conn_index;
-                            conn_index += 1;
-                            let flag = Arc::clone(&flag);
-                            let spawned = thread::Builder::new()
-                                .name(format!("enf-chaos-proxy-conn-{id}"))
-                                .spawn(move || {
-                                    let _ = relay(stream, upstream, plan, id, &flag);
-                                });
-                            if let Ok(h) = spawned {
-                                lock(&conns).push(h);
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => thread::sleep(Duration::from_millis(5)),
+                let accept = || listener.accept().map(|(stream, _)| stream);
+                accept_until_shutdown(accept, &flag, |stream, threads| {
+                    let id = conn_index;
+                    conn_index += 1;
+                    let flag = Arc::clone(&flag);
+                    let spawned = thread::Builder::new()
+                        .name(format!("enf-chaos-proxy-conn-{id}"))
+                        .spawn(move || {
+                            let _ = relay(stream, upstream, plan, id, &flag);
+                        });
+                    if let Ok(h) = spawned {
+                        threads.push(h);
                     }
-                }
-                loop {
-                    let h = lock(&conns).pop();
-                    match h {
-                        Some(h) => {
-                            let _ = h.join();
-                        }
-                        None => break,
-                    }
-                }
+                });
             })?;
         Ok(ProxyHandle {
             addr,
@@ -93,9 +72,10 @@ impl ProxyHandle {
         self.addr
     }
 
-    /// Stops accepting and joins the relay threads.
+    /// Stops accepting, wakes the acceptor and joins the relay threads.
     pub fn stop(self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        wake_tcp(self.addr);
         let _ = self.thread.join();
     }
 }

@@ -13,6 +13,12 @@
 //!    └── supervisor loop: respawns dead workers until drain
 //! ```
 //!
+//! **The accept path.** The acceptor blocks in `accept`; at drain the
+//! supervisor wakes it with one connection to the listener's own address.
+//! It keeps no handle of a connection thread that has finished, answers a
+//! connection past [`MAX_CONNS`] with one `overloaded` frame, and a
+//! connection that sends no byte of a frame for 60 s is closed.
+//!
 //! **Admission control.** A request is shed — with a retryable,
 //! `Retry-After`-carrying frame — when the job queue is full or its
 //! tenant is at quota. Shedding happens *before* any work; an admitted
@@ -31,7 +37,7 @@
 //! a drain that replaced workers or hit internal faults exits 1, a clean
 //! drain exits 0.
 
-use crate::cache::{JobClaim, JobTable, VerdictCache};
+use crate::cache::{JobClaim, JobTable, VerdictCache, VerdictKey};
 use crate::protocol::{
     read_frame, reply_err, reply_ok, write_frame, ErrorKind, FrameError, Op, Request,
 };
@@ -47,7 +53,7 @@ use enf_policy::{
 };
 use enf_static::certify::Analysis;
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -64,6 +70,23 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 /// Polls a mid-frame stall this many times before declaring the frame
 /// torn (≈5 s at [`POLL_TIMEOUT`]).
 const STALL_LIMIT: u32 = 200;
+
+/// Polls an idle connection (no byte of its next frame yet) this many
+/// times before closing it (60 s at [`POLL_TIMEOUT`]). A connection
+/// waiting for its own job's reply is not reading, so a long sweep is
+/// never cut off.
+const IDLE_LIMIT: u32 = 2_400;
+
+/// Connections the server keeps open at once. A connection past the cap
+/// gets one `overloaded` frame and is closed.
+pub const MAX_CONNS: usize = 256;
+
+/// The pause after a failed `accept` (EMFILE, ECONNABORTED, …), so a
+/// blocking acceptor never spins.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// The connect timeout of the connection that wakes a blocked acceptor.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -107,7 +130,8 @@ impl Default for ServerConfig {
 pub struct ServerStats {
     /// Successful replies sent (including replays and cache hits).
     pub served: u64,
-    /// Requests shed by admission control (queue full or tenant quota).
+    /// Requests shed by admission control (queue full or tenant quota),
+    /// and connections refused at [`MAX_CONNS`].
     pub shed: u64,
     /// Malformed requests rejected with usage frames.
     pub usage_errors: u64,
@@ -204,11 +228,17 @@ impl Counters {
 pub trait Conn: Read + io::Write + Send {
     /// Sets the read timeout used by the polling frame reader.
     fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
+    /// Sets the write timeout, which bounds a write to a peer that never
+    /// reads.
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
 }
 
 impl Conn for TcpStream {
     fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         TcpStream::set_read_timeout(self, timeout)
+    }
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        TcpStream::set_write_timeout(self, timeout)
     }
 }
 
@@ -216,6 +246,9 @@ impl Conn for TcpStream {
 impl Conn for UnixStream {
     fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         UnixStream::set_read_timeout(self, timeout)
+    }
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        UnixStream::set_write_timeout(self, timeout)
     }
 }
 
@@ -258,11 +291,21 @@ impl Listener {
         }
     }
 
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
+    /// Wakes an acceptor blocked on this listener with one connection to
+    /// its own address, dropped at once.
+    fn wake(&self) {
         match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
+            Listener::Tcp(l) => {
+                if let Ok(addr) = l.local_addr() {
+                    wake_tcp(addr);
+                }
+            }
             #[cfg(unix)]
-            Listener::Unix(l) => l.set_nonblocking(nb),
+            Listener::Unix(l) => {
+                if let Some(path) = l.local_addr().ok().as_ref().and_then(|a| a.as_pathname()) {
+                    let _ = UnixStream::connect(path);
+                }
+            }
         }
     }
 
@@ -279,6 +322,61 @@ impl Listener {
                 Ok(Box::new(s))
             }
         }
+    }
+}
+
+/// Wakes an acceptor blocked on `addr` with one connection, dropped at
+/// once. A listener bound to every interface is reached through loopback.
+pub(crate) fn wake_tcp(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+}
+
+/// Blocks in `accept` until `shutdown` is raised, handing each connection
+/// to `serve_conn` with the threads serving the earlier ones, less those
+/// that have finished. A connection accepted after shutdown (the wake, or
+/// a late client) is dropped. A failed accept backs off for
+/// [`ACCEPT_BACKOFF`]. Returns once every connection thread has been
+/// joined.
+pub(crate) fn accept_until_shutdown<S>(
+    mut accept: impl FnMut() -> io::Result<S>,
+    shutdown: &AtomicBool,
+    mut serve_conn: impl FnMut(S, &mut Vec<thread::JoinHandle<()>>),
+) {
+    let mut threads: Vec<thread::JoinHandle<()>> = Vec::new();
+    while !shutdown.load(Ordering::SeqCst) {
+        match accept() {
+            Ok(_) if shutdown.load(Ordering::SeqCst) => break,
+            Ok(conn) => {
+                threads.retain(|h| !h.is_finished());
+                serve_conn(conn, &mut threads);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
+        }
+    }
+    for h in threads {
+        let _ = h.join();
+    }
+}
+
+/// Answers a connection past [`MAX_CONNS`] with one `overloaded` frame and
+/// closes it. The write times out after [`POLL_TIMEOUT`], so a peer that
+/// never reads cannot stall the acceptor.
+fn refuse(mut conn: Box<dyn Conn>, retry_after_ms: u64) {
+    let reply = reply_err(
+        "",
+        ErrorKind::Overloaded,
+        "server is at its connection cap",
+        Some(retry_after_ms),
+    );
+    if conn.set_write_timeout(Some(POLL_TIMEOUT)).is_ok() {
+        let _ = write_frame(&mut conn, &reply);
     }
 }
 
@@ -324,37 +422,31 @@ pub fn serve(listener: Listener, cfg: ServerConfig, shutdown: Arc<AtomicBool>) -
         }
     }
 
-    // Accept loop: nonblocking polls so the shutdown flag is honored.
-    let conn_threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+    // Accept loop: blocks in `accept` until the drain wakes it.
+    let listener = Arc::new(listener);
     let acceptor = {
         let shared = Arc::clone(&shared);
-        let conn_threads = Arc::clone(&conn_threads);
+        let listener = Arc::clone(&listener);
         thread::Builder::new()
             .name("enf-serve-accept".to_string())
             .spawn(move || {
-                if listener.set_nonblocking(true).is_err() {
-                    Counters::bump(&shared.counters.internal_errors);
-                    return;
-                }
-                while !shared.shutdown.load(Ordering::SeqCst) {
-                    match listener.accept_conn() {
-                        Ok(conn) => {
-                            let conn_shared = Arc::clone(&shared);
-                            let job_tx = job_tx.clone();
-                            let spawned = thread::Builder::new()
-                                .name("enf-serve-conn".to_string())
-                                .spawn(move || handle_conn(conn, &conn_shared, &job_tx));
-                            match spawned {
-                                Ok(h) => lock(&conn_threads).push(h),
-                                Err(_) => Counters::bump(&shared.counters.internal_errors),
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => thread::sleep(Duration::from_millis(5)),
+                let accept = || listener.accept_conn();
+                accept_until_shutdown(accept, &shared.shutdown, |conn, threads| {
+                    if threads.len() >= MAX_CONNS {
+                        Counters::bump(&shared.counters.shed);
+                        refuse(conn, shared.cfg.retry_after_ms);
+                        return;
                     }
-                }
+                    let conn_shared = Arc::clone(&shared);
+                    let job_tx = job_tx.clone();
+                    let spawned = thread::Builder::new()
+                        .name("enf-serve-conn".to_string())
+                        .spawn(move || handle_conn(conn, &conn_shared, &job_tx));
+                    match spawned {
+                        Ok(h) => threads.push(h),
+                        Err(_) => Counters::bump(&shared.counters.internal_errors),
+                    }
+                });
                 // job_tx (the last non-connection sender) drops here.
             })
             .ok()
@@ -377,20 +469,13 @@ pub fn serve(listener: Listener, cfg: ServerConfig, shutdown: Arc<AtomicBool>) -
         }
     }
 
-    // Drain: acceptor exits (dropping its job_tx), connections finish and
-    // drop theirs, the closed channel retires the workers.
+    // Drain: the woken acceptor exits once its connections have finished
+    // (dropping every job_tx), and the closed channel retires the workers.
     if let Some(h) = acceptor {
+        listener.wake();
         let _ = h.join();
     }
-    loop {
-        let h = lock(&conn_threads).pop();
-        match h {
-            Some(h) => {
-                let _ = h.join();
-            }
-            None => break,
-        }
-    }
+    drop(listener); // refuse new connections while the workers finish
     for h in workers {
         let _ = h.join();
     }
@@ -783,11 +868,12 @@ fn run_certify(shared: &Shared, req: &Request, key: &str, enforcer: &Enforcer) -
 /// An exhaustive sweep: cache-checked, checkpoint-recoverable, and
 /// audit-exact — the tenant trail records only decisive verdicts.
 fn run_sweep(shared: &Shared, req: &Request, key: &str, enforcer: &Enforcer, fuel: u64) -> Json {
-    let salt = check_salt(&req.program, req.allow, req.span, fuel, false);
-    if let Some(cached) = shared.cache.lookup(salt) {
+    let cache_key = VerdictKey::of(req, fuel);
+    if let Some(cached) = shared.cache.lookup(&cache_key) {
         Counters::bump(&shared.counters.cache_hits);
         return cached_reply(key, &cached);
     }
+    let salt = check_salt(&req.program, req.allow, req.span, fuel, false);
     // Touch the namespace first so the tenant directory exists for
     // checkpoints, and so a fresh tenant's trail starts at its genesis.
     let tenant = match shared.tenants.get(&req.tenant) {
@@ -846,7 +932,7 @@ fn run_sweep(shared: &Shared, req: &Request, key: &str, enforcer: &Enforcer, fue
             return reply_err(key, ErrorKind::Internal, &e.to_string(), None);
         }
         shared.cache.insert(
-            salt,
+            cache_key,
             Json::Obj(vec![
                 ("verdict".to_string(), Json::Str(tag.clone())),
                 ("checked".to_string(), Json::Int(checked as i128)),
@@ -876,10 +962,8 @@ fn run_sweep(shared: &Shared, req: &Request, key: &str, enforcer: &Enforcer, fue
 /// unsoundness witness — two inputs the policy view cannot distinguish
 /// whose outputs differ — which is reported back to the caller.
 fn run_refute(shared: &Shared, req: &Request, key: &str, fc: Flowchart, fuel: u64) -> Json {
-    // Distinct cache domain from `check`: the two ops sweep different
-    // mechanisms over the same (program, allow, span, fuel) tuple.
-    let salt = check_salt(&req.program, req.allow, req.span, fuel, false) ^ 0x7265_6675_7465_7221; // "refute!"
-    if let Some(cached) = shared.cache.lookup(salt) {
+    let cache_key = VerdictKey::of(req, fuel);
+    if let Some(cached) = shared.cache.lookup(&cache_key) {
         Counters::bump(&shared.counters.cache_hits);
         return cached_reply(key, &cached);
     }
@@ -938,6 +1022,10 @@ fn run_refute(shared: &Shared, req: &Request, key: &str, fc: Flowchart, fuel: u6
         fields.push(("out_b".to_string(), Json::Str(mech_out_str(&w.out_b))));
     }
     if matches!(cov.verdict, Verdict::Confirmed | Verdict::Refuted) {
+        // The note's salt is distinct from `check`'s: the two ops sweep
+        // different mechanisms over the same (program, allow, span, fuel).
+        let salt =
+            check_salt(&req.program, req.allow, req.span, fuel, false) ^ 0x7265_6675_7465_7221; // "refute!"
         let note = format!(
             "serve refute salt={salt:016x} span={} verdict={tag} total={}",
             req.span, cov.total
@@ -947,7 +1035,7 @@ fn run_refute(shared: &Shared, req: &Request, key: &str, fc: Flowchart, fuel: u6
             Counters::bump(&shared.counters.internal_errors);
             return reply_err(key, ErrorKind::Internal, &e.to_string(), None);
         }
-        shared.cache.insert(salt, Json::Obj(fields.clone()));
+        shared.cache.insert(cache_key, Json::Obj(fields.clone()));
     }
     fields.push(("cached".to_string(), Json::Bool(false)));
     fields.push(("resumed".to_string(), Json::Bool(false)));
@@ -978,8 +1066,9 @@ fn cached_reply(key: &str, cached: &Json) -> Json {
 }
 
 /// [`read_frame`] over a polling socket: idle timeouts are polls (so the
-/// shutdown flag is honored between frames), but a frame, once begun, is
-/// given [`STALL_LIMIT`] polls to arrive whole before being declared torn.
+/// shutdown flag is honored between frames, and an idle connection closes
+/// after [`IDLE_LIMIT`] of them), but a frame, once begun, is given
+/// [`STALL_LIMIT`] polls to arrive whole before being declared torn.
 fn read_frame_polled(
     conn: &mut dyn Conn,
     shutdown: &AtomicBool,
@@ -1000,7 +1089,7 @@ pub fn read_framed_bytes(
     let mut buffered: Vec<u8> = Vec::new();
     let mut len_buf = [0u8; 4];
     // Phase 1: the length prefix. Zero bytes so far means an idle
-    // connection; shutdown aborts it cleanly.
+    // connection; shutdown or the idle bound closes it cleanly.
     let mut filled = 0usize;
     let mut stalls = 0u32;
     while filled < 4 {
@@ -1019,15 +1108,13 @@ pub fn read_framed_bytes(
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
+                stalls += 1;
                 if filled == 0 {
-                    if shutdown.load(Ordering::SeqCst) {
+                    if shutdown.load(Ordering::SeqCst) || stalls > IDLE_LIMIT {
                         return Ok(None);
                     }
-                } else {
-                    stalls += 1;
-                    if stalls > STALL_LIMIT {
-                        return Err(FrameError::Truncated);
-                    }
+                } else if stalls > STALL_LIMIT {
+                    return Err(FrameError::Truncated);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -1112,5 +1199,54 @@ impl ServerHandle {
                 ..ServerStats::default()
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connection whose peer never sends: every read would block, and
+    /// returns at once instead of after a read timeout.
+    struct Silent {
+        reads: u32,
+    }
+
+    impl Read for Silent {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            Err(io::ErrorKind::WouldBlock.into())
+        }
+    }
+
+    impl io::Write for Silent {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Conn for Silent {
+        fn set_read_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+        fn set_write_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn an_idle_connection_closes_after_the_idle_bound() {
+        let mut conn = Silent { reads: 0 };
+        let shutdown = AtomicBool::new(false);
+        assert!(matches!(read_framed_bytes(&mut conn, &shutdown), Ok(None)));
+        assert_eq!(conn.reads, IDLE_LIMIT + 1, "one read per poll, then close");
+        assert_eq!(
+            POLL_TIMEOUT * IDLE_LIMIT,
+            Duration::from_secs(60),
+            "the bound DESIGN.md §12 states"
+        );
     }
 }

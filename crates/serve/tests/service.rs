@@ -151,6 +151,41 @@ fn check_and_refute_report_verdicts_and_cache() {
     assert!(!stats.degraded());
 }
 
+/// Two programs whose `check_salt` fingerprints collide under allow {1},
+/// span 2 and the default fuel: the first is sound, the second leaks x2.
+const COLLIDING_SOUND: &str = "program(2) { r1 := 7475292257068709919; y := x1; }";
+const COLLIDING_LEAKY: &str = "program(2) { r1 := 2780062302222203760; y := x2; }";
+
+#[test]
+fn colliding_fingerprints_never_share_a_cached_verdict() {
+    let fuel = ServerConfig::default().default_fuel;
+    let allow = parse_allow("1").unwrap();
+    assert_eq!(
+        enf_policy::check_salt(COLLIDING_SOUND, allow, 2, fuel, false),
+        enf_policy::check_salt(COLLIDING_LEAKY, allow, 2, fuel, false),
+        "the pair's fingerprints collide"
+    );
+    // Across two tenants, then within one.
+    for (first_tenant, second_tenant) in [("tenant-b", "tenant-a"), ("default", "default")] {
+        let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
+        let client = quick_client(&server.addr().to_string());
+        let mut sound = base_request(Op::Refute, COLLIDING_SOUND);
+        sound.tenant = first_tenant.to_string();
+        let reply = client.request(&sound).unwrap();
+        assert_eq!(reply.get("leak"), Some(&Json::Bool(false)), "{reply:?}");
+
+        let mut leaky = base_request(Op::Refute, COLLIDING_LEAKY);
+        leaky.tenant = second_tenant.to_string();
+        let reply = client.request(&leaky).unwrap();
+        assert_eq!(str_field(&reply, "verdict"), "refuted", "{reply:?}");
+        assert_eq!(reply.get("leak"), Some(&Json::Bool(true)), "{reply:?}");
+        assert_eq!(reply.get("cached"), Some(&Json::Bool(false)), "{reply:?}");
+
+        let stats = server.stop();
+        assert_eq!(stats.cache_hits, 0);
+    }
+}
+
 #[test]
 fn idempotent_retry_replays_without_rerunning() {
     let state = temp_dir("replay");
@@ -522,4 +557,32 @@ fn unix_socket_roundtrip() {
     let stats = server.join().unwrap();
     assert!(!stats.degraded());
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_server_on_every_interface_answers_loopback_and_drains() {
+    use enf_serve::Listener;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let listener = Listener::bind_tcp("0.0.0.0:0").unwrap();
+    let bound: std::net::SocketAddr = listener.local_addr_string().parse().unwrap();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&shutdown);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(enf_serve::serve(listener, ServerConfig::default(), flag));
+    });
+
+    let client = quick_client(&format!("127.0.0.1:{}", bound.port()));
+    let pong = client.request(&base_request(Op::Ping, "")).unwrap();
+    assert_eq!(pong.get("pong"), Some(&Json::Bool(true)));
+
+    // The drain wakes the blocked acceptor through loopback.
+    shutdown.store(true, Ordering::SeqCst);
+    let stats = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("drain hung");
+    assert_eq!(stats.served, 1);
+    assert!(!stats.degraded());
 }

@@ -932,20 +932,34 @@ fn spawn_server(
     (server, addr, lines)
 }
 
+/// Sends SIGTERM and waits up to 10 s for the drain; a daemon still
+/// running then is killed and the test fails with "drain hung".
 #[cfg(unix)]
 fn sigterm_drain(
     mut server: std::process::Child,
     mut lines: std::io::BufReader<std::process::ChildStdout>,
 ) -> (i32, String) {
     use std::io::Read as _;
+    use std::time::{Duration, Instant};
     let sent = Command::new("kill")
         .args(["-TERM", &server.id().to_string()])
         .status()
         .expect("send SIGTERM");
     assert!(sent.success());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = server.try_wait().expect("poll server") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = server.kill();
+            let _ = server.wait();
+            panic!("drain hung");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
     let mut rest = String::new();
     lines.read_to_string(&mut rest).expect("read drain report");
-    let status = server.wait().expect("wait server");
     (status.code().unwrap_or(-1), rest)
 }
 
@@ -1068,6 +1082,53 @@ fn serve_exits_1_after_a_quarantine() {
     assert_eq!(code, 1, "degraded lives exit 1\n{report}");
     assert!(report.contains("\"quarantined\":1"), "{report}");
     assert!(report.contains("\"workers_replaced\":1"), "{report}");
+}
+
+#[cfg(unix)]
+#[test]
+fn serve_caps_open_connections_and_drains_with_idle_ones_open() {
+    use enforcement::core::Json;
+    use enforcement::serve::{read_frame, reply_retry_after, MAX_CONNS};
+    use std::io::Read as _;
+    use std::net::TcpStream;
+    let (server, addr, lines) = spawn_server(&[]);
+
+    // Fill the cap with connections that never send a frame.
+    let mut idle: Vec<TcpStream> = (0..MAX_CONNS)
+        .map(|_| TcpStream::connect(&addr).expect("connect idle"))
+        .collect();
+
+    // The next connection gets one `overloaded` frame with a retry hint,
+    // then EOF.
+    let mut extra = TcpStream::connect(&addr).expect("connect past the cap");
+    extra
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    let reply = read_frame(&mut extra)
+        .expect("refusal frame")
+        .expect("a frame before EOF");
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("overloaded"),
+        "{}",
+        reply.render()
+    );
+    assert!(reply_retry_after(&reply).is_some(), "{}", reply.render());
+    let mut rest = Vec::new();
+    assert_eq!(extra.read_to_end(&mut rest).expect("EOF"), 0);
+
+    // Closing one idle connection makes room for a ping.
+    drop(idle.pop());
+    let (code, out, err) = enforce(&["client", "ping", "--addr", &addr], "");
+    assert_eq!(code, 0, "{out}{err}");
+    assert!(out.contains("pong"), "{out}");
+
+    // The drain does not wait for the idle connections' peers.
+    let (code, report) = sigterm_drain(server, lines);
+    assert_eq!(code, 0, "{report}");
+    assert!(!report.contains("\"shed\":0"), "{report}");
+    assert!(report.contains("\"shed\":"), "{report}");
+    drop(idle);
 }
 
 #[test]
