@@ -322,7 +322,7 @@ impl DataflowProblem for MayTaint<'_> {
         fact: &SchedFact,
     ) -> Option<SchedFact> {
         if let Some(vf) = self.values {
-            if !vf.reachable(n) || !vf.edge_feasible(fc, n, edge) {
+            if !vf.edge_feasible(n, edge) {
                 return None;
             }
         }
@@ -548,7 +548,7 @@ mod oracles {
             _to: NodeId,
             fact: &Self::Fact,
         ) -> Option<Self::Fact> {
-            if !self.values.reachable(n) || !self.values.edge_feasible(fc, n, edge) {
+            if !self.values.reachable(n) || !self.values.edge_feasible(n, edge) {
                 return None;
             }
             let mut env = fact.clone();
@@ -614,7 +614,7 @@ mod oracles {
             _to: NodeId,
             fact: &SchedFact,
         ) -> Option<SchedFact> {
-            if !self.values.reachable(n) || !self.values.edge_feasible(fc, n, edge) {
+            if !self.values.reachable(n) || !self.values.edge_feasible(n, edge) {
                 return None;
             }
             let mut out = fact.clone();

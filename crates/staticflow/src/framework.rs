@@ -5,15 +5,22 @@
 //! facts (given by [`DataflowProblem::bottom`] and the join operation), a
 //! direction, boundary facts, and an *edge-sensitive* transfer function
 //! [`DataflowProblem::flow`]. The solver ([`solve`]) runs a worklist in
-//! reverse-postorder priority to the least fixed point.
+//! reverse-postorder priority to a fixed point. The worklist is a bitset
+//! over iteration ranks, so the next node popped is always the least dirty
+//! one in the order.
 //!
-//! Termination follows from the standard monotone-framework argument: every
-//! node's fact only ever moves up its lattice (joins never shrink a fact),
-//! and every lattice used here has finite height — [`IndexSet`]-based taint
-//! environments are finite powersets, and the interval domain in
-//! [`crate::value`] clamps its bounds to a finite menu. A node is re-queued
-//! only when its fact strictly grew, so the solver performs at most
-//! `nodes × lattice height` transfer applications.
+//! Termination: every node's fact only ever moves up its lattice (joins
+//! never shrink a fact), and a node is re-queued only when its fact
+//! strictly grew. Where an edge *retreats* in the iteration order — at a
+//! loop head, for reverse postorder — the solver combines with
+//! [`DataflowProblem::widen`] instead of the join. The default widening is
+//! the join, which is enough for the finite powersets of the taint
+//! problems ([`IndexSet`]-based environments): they perform at most
+//! `nodes × lattice height` transfer applications. The interval domain in
+//! [`crate::value`] widens each growing bound to the next of a few
+//! thresholds, so a loop counter takes a bounded number of passes however
+//! far it counts; [`narrow`] then runs one descending pass to win back
+//! precision.
 //!
 //! Adding a new analysis means implementing [`DataflowProblem`] — see
 //! DESIGN.md §"The monotone framework" for a walkthrough. The five in-tree
@@ -26,8 +33,7 @@
 //! [`IndexSet`]: enf_core::IndexSet
 
 use enf_flowchart::analysis::predecessors;
-use enf_flowchart::graph::{Flowchart, NodeId};
-use std::collections::BTreeSet;
+use enf_flowchart::graph::{Flowchart, NodeId, Succ};
 
 /// Direction facts propagate in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -50,12 +56,13 @@ pub enum Direction {
 ///   *predecessor* edge; the implementation applies the predecessor's
 ///   transfer to `n`'s fact.
 ///
-/// Requirements for the fixed point to exist and be reached:
+/// Requirements for a fixed point to exist and be reached:
 ///
 /// * `join` must be a semilattice join (idempotent, commutative,
 ///   associative) and return `true` iff the target strictly grew;
 /// * `flow` must be monotone in `fact`;
-/// * the lattice must have finite height.
+/// * the lattice must have finite height, or [`widen`](Self::widen) must
+///   make every ascending chain through it finite.
 pub trait DataflowProblem {
     /// The lattice of per-node facts.
     type Fact: Clone;
@@ -76,6 +83,15 @@ pub trait DataflowProblem {
     /// Joins `from` into `into`, returning whether `into` changed.
     fn join(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool;
 
+    /// Combines `from` into `into` across an edge that retreats in the
+    /// iteration order (into a loop head, for reverse postorder), returning
+    /// whether `into` changed. The result must contain the join. The
+    /// default is the join itself, under which the solution is the least
+    /// fixed point whatever the order.
+    fn widen(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool {
+        self.join(into, from)
+    }
+
     /// Transfers `fact` (the solver's fact at `n`) along the `edge`-th
     /// outgoing edge to `to` — the `edge`-th successor for forward
     /// problems, the `edge`-th predecessor for backward ones. Returning
@@ -91,7 +107,7 @@ pub trait DataflowProblem {
     ) -> Option<Self::Fact>;
 }
 
-/// The least fixed point of a [`DataflowProblem`].
+/// The fixed point of a [`DataflowProblem`].
 #[derive(Clone, Debug)]
 pub struct Solution<F> {
     /// The fact per node (index = node id).
@@ -119,8 +135,9 @@ pub fn reverse_postorder(fc: &Flowchart) -> Vec<NodeId> {
     // Iterative DFS keeping an explicit edge cursor per frame.
     let mut stack: Vec<(NodeId, usize)> = vec![(fc.start(), 0)];
     seen[fc.start().0] = true;
+    let mut buf = [NodeId(0); 2];
     while let Some((node, cursor)) = stack.pop() {
-        let succs = fc.succ_list(node);
+        let succs = successors(fc, node, &mut buf);
         if cursor < succs.len() {
             stack.push((node, cursor + 1));
             let next = succs[cursor];
@@ -144,75 +161,212 @@ pub fn reverse_postorder(fc: &Flowchart) -> Vec<NodeId> {
 /// Solves the problem with the default iteration order: reverse postorder
 /// for forward problems, its reverse for backward ones.
 pub fn solve<P: DataflowProblem>(fc: &Flowchart, problem: &P) -> Solution<P::Fact> {
+    solve_in_order(fc, problem, &default_order(fc, problem))
+}
+
+/// The order [`solve`] iterates in.
+fn default_order<P: DataflowProblem>(fc: &Flowchart, problem: &P) -> Vec<NodeId> {
     let mut order = reverse_postorder(fc);
     if problem.direction() == Direction::Backward {
         order.reverse();
     }
-    solve_in_order(fc, problem, &order)
+    order
+}
+
+/// `n`'s successors in [`Flowchart::succ_list`] order, copied into `buf`.
+fn successors<'a>(fc: &Flowchart, n: NodeId, buf: &'a mut [NodeId; 2]) -> &'a [NodeId] {
+    match fc.succ(n) {
+        Succ::None => &buf[..0],
+        Succ::One(to) => {
+            buf[0] = to;
+            &buf[..1]
+        }
+        Succ::Cond { then_, else_ } => {
+            *buf = [then_, else_];
+            &buf[..]
+        }
+    }
+}
+
+/// The edges a problem's facts propagate along, with every node's rank in
+/// the iteration order.
+struct Edges {
+    backward: bool,
+    preds: Vec<Vec<NodeId>>,
+    rank: Vec<usize>,
+}
+
+impl Edges {
+    fn new<P: DataflowProblem>(fc: &Flowchart, problem: &P, order: &[NodeId]) -> Edges {
+        let n = fc.len();
+        assert_eq!(order.len(), n, "iteration order must cover every node");
+        let mut rank = vec![usize::MAX; n];
+        for (r, id) in order.iter().enumerate() {
+            assert_eq!(rank[id.0], usize::MAX, "duplicate node in iteration order");
+            rank[id.0] = r;
+        }
+        let backward = problem.direction() == Direction::Backward;
+        Edges {
+            backward,
+            preds: if backward {
+                predecessors(fc)
+            } else {
+                Vec::new()
+            },
+            rank,
+        }
+    }
+
+    /// The nodes `n`'s facts flow to, in edge order.
+    fn targets<'a>(&'a self, fc: &Flowchart, n: NodeId, buf: &'a mut [NodeId; 2]) -> &'a [NodeId] {
+        if self.backward {
+            &self.preds[n.0]
+        } else {
+            successors(fc, n, buf)
+        }
+    }
+
+    /// Whether the edge `from → to` retreats in the iteration order.
+    fn retreats(&self, from: NodeId, to: NodeId) -> bool {
+        self.rank[to.0] <= self.rank[from.0]
+    }
+}
+
+/// The dirty set: a bitset over iteration ranks whose [`pop`](Self::pop)
+/// takes the least rank.
+struct Worklist {
+    words: Vec<u64>,
+    /// No word below this index has a bit set.
+    low: usize,
+}
+
+impl Worklist {
+    fn new(ranks: usize) -> Worklist {
+        Worklist {
+            words: vec![0; ranks.div_ceil(64)],
+            low: 0,
+        }
+    }
+
+    fn insert(&mut self, rank: usize) {
+        self.words[rank / 64] |= 1 << (rank % 64);
+        self.low = self.low.min(rank / 64);
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        while let Some(word) = self.words.get_mut(self.low) {
+            if *word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                return Some(self.low * 64 + bit);
+            }
+            self.low += 1;
+        }
+        None
+    }
 }
 
 /// Solves the problem processing dirty nodes in the priority given by
 /// `order` (which must mention every node exactly once).
 ///
-/// The fixed point of a monotone problem is the *least* one and therefore
-/// independent of `order`; only the iteration count varies. The framework
-/// proptests exercise exactly this invariant with randomly permuted orders.
+/// For a problem that keeps the default [`DataflowProblem::widen`] the
+/// result is the *least* fixed point and therefore independent of `order`;
+/// only the iteration count varies. The framework proptests exercise
+/// exactly this invariant with randomly permuted orders. A problem that
+/// widens gets a post-fixpoint that depends on the order, since the order
+/// decides which edges retreat.
 pub fn solve_in_order<P: DataflowProblem>(
     fc: &Flowchart,
     problem: &P,
     order: &[NodeId],
 ) -> Solution<P::Fact> {
     let n = fc.len();
-    assert_eq!(order.len(), n, "iteration order must cover every node");
-    let mut rank = vec![usize::MAX; n];
-    for (r, id) in order.iter().enumerate() {
-        assert_eq!(rank[id.0], usize::MAX, "duplicate node in iteration order");
-        rank[id.0] = r;
-    }
-
-    let backward = problem.direction() == Direction::Backward;
-    let preds = if backward {
-        predecessors(fc)
-    } else {
-        Vec::new()
-    };
-    let edges = |id: NodeId| -> Vec<NodeId> {
-        if backward {
-            preds[id.0].clone()
-        } else {
-            fc.succ_list(id)
-        }
-    };
-
+    let edges = Edges::new(fc, problem, order);
     let mut facts: Vec<P::Fact> = (0..n).map(|_| problem.bottom(fc)).collect();
-    // Dirty set keyed by rank so the lowest-priority-number node pops first.
-    let mut dirty: BTreeSet<usize> = BTreeSet::new();
-    for id in 0..n {
+    let mut dirty = Worklist::new(n);
+    for (id, fact) in facts.iter_mut().enumerate() {
         if let Some(seed) = problem.boundary(fc, NodeId(id)) {
-            if problem.join(&mut facts[id], &seed) {
-                dirty.insert(rank[id]);
+            if problem.join(fact, &seed) {
+                dirty.insert(edges.rank[id]);
             }
         }
     }
 
     let mut iterations = 0usize;
-    while let Some(&r) = dirty.iter().next() {
-        dirty.remove(&r);
+    let mut buf = [NodeId(0); 2];
+    while let Some(r) = dirty.pop() {
         let id = order[r];
-        for (edge, to) in edges(id).into_iter().enumerate() {
+        for (edge, &to) in edges.targets(fc, id, &mut buf).iter().enumerate() {
             iterations += 1;
-            // Clone the source fact out so the (disjoint) target slot can
-            // be borrowed mutably; facts are small (bitsets / interval
-            // vectors) and self-loops alias otherwise.
-            let fact = facts[id.0].clone();
-            if let Some(out) = problem.flow(fc, id, edge, to, &fact) {
-                if problem.join(&mut facts[to.0], &out) {
-                    dirty.insert(rank[to.0]);
-                }
+            // `flow` returns an owned fact, so the source is only borrowed
+            // for the call; on a self-loop the next edge sees the update,
+            // as it would after a clone.
+            let Some(out) = problem.flow(fc, id, edge, to, &facts[id.0]) else {
+                continue;
+            };
+            let grew = if edges.retreats(id, to) {
+                problem.widen(&mut facts[to.0], &out)
+            } else {
+                problem.join(&mut facts[to.0], &out)
+            };
+            if grew {
+                dirty.insert(edges.rank[to.0]);
             }
         }
     }
 
+    Solution { facts, iterations }
+}
+
+/// One descending (narrowing) pass over a post-fixpoint `post` of
+/// `problem`, such as a widening [`solve`] returns. Every node gets its
+/// boundary fact joined with the flow of each edge into it: along an edge
+/// that retreats in [`solve`]'s order, flowed from `post`; along any other
+/// edge, from the fact this pass already recomputed at its source, which
+/// the order visits first. Each transfer thus reads a fact that covers the
+/// runs reaching its node, so the result does too, and it lies pointwise
+/// below `post` when `flow` is monotone. Without a retreating edge nothing
+/// was widened and `post` is returned as it is. `iterations` adds the
+/// pass's transfers to `post`'s.
+pub fn narrow<P: DataflowProblem>(
+    fc: &Flowchart,
+    problem: &P,
+    post: Solution<P::Fact>,
+) -> Solution<P::Fact> {
+    let n = fc.len();
+    let order = default_order(fc, problem);
+    let edges = Edges::new(fc, problem, &order);
+    let mut buf = [NodeId(0); 2];
+    let loops = order.iter().any(|&id| {
+        edges
+            .targets(fc, id, &mut buf)
+            .iter()
+            .any(|&to| edges.retreats(id, to))
+    });
+    if !loops {
+        return post;
+    }
+    let mut facts: Vec<P::Fact> = (0..n).map(|_| problem.bottom(fc)).collect();
+    for (id, fact) in facts.iter_mut().enumerate() {
+        if let Some(seed) = problem.boundary(fc, NodeId(id)) {
+            problem.join(fact, &seed);
+        }
+    }
+    let mut iterations = post.iterations;
+    for retreating in [true, false] {
+        for &id in &order {
+            for (edge, &to) in edges.targets(fc, id, &mut buf).iter().enumerate() {
+                if edges.retreats(id, to) != retreating {
+                    continue;
+                }
+                iterations += 1;
+                let source = if retreating { &post.facts } else { &facts };
+                if let Some(out) = problem.flow(fc, id, edge, to, &source[id.0]) {
+                    problem.join(&mut facts[to.0], &out);
+                }
+            }
+        }
+    }
     Solution { facts, iterations }
 }
 
@@ -333,6 +487,30 @@ mod tests {
         let rev: Vec<NodeId> = ids.iter().rev().copied().collect();
         assert_eq!(solve_in_order(&fc, &Reach, &ids).facts, baseline.facts);
         assert_eq!(solve_in_order(&fc, &Reach, &rev).facts, baseline.facts);
+    }
+
+    #[test]
+    fn worklist_pops_like_an_ordered_set() {
+        // The bitset must pop exactly as the ordered set it replaced, so
+        // that every default-widening problem keeps its iteration count.
+        let mut rng = enf_flowchart::generate::SplitMix::new(7);
+        for size in [1usize, 63, 64, 65, 200] {
+            let mut bits = Worklist::new(size);
+            let mut model = std::collections::BTreeSet::new();
+            for _ in 0..2_000 {
+                if rng.below(3) == 0 {
+                    assert_eq!(bits.pop(), model.pop_first(), "size {size}");
+                } else {
+                    let r = rng.below(size as u64) as usize;
+                    bits.insert(r);
+                    model.insert(r);
+                }
+            }
+            while let Some(r) = model.pop_first() {
+                assert_eq!(bits.pop(), Some(r));
+            }
+            assert_eq!(bits.pop(), None);
+        }
     }
 
     #[test]

@@ -328,7 +328,7 @@ impl DataflowProblem for MustTaint<'_> {
         fact: &Self::Fact,
     ) -> Option<Self::Fact> {
         let env = fact.as_ref()?;
-        if !self.values.reachable(n) || !self.values.edge_feasible(fc, n, edge) {
+        if !self.values.edge_feasible(n, edge) {
             return None;
         }
         // The relabel is deterministic, so the may-taint transfer is the

@@ -251,7 +251,7 @@ impl DataflowProblem for RelAgree<'_> {
         _to: NodeId,
         fact: &TaintEnv,
     ) -> Option<TaintEnv> {
-        if !self.values.reachable(n) || !self.values.edge_feasible(fc, n, edge) {
+        if !self.values.edge_feasible(n, edge) {
             return None;
         }
         let venv = self.values.env_at[n.0].as_ref();

@@ -18,19 +18,25 @@
 //! `Analysis::ValueRefined` discard dead arms without ever certifying a
 //! program the dynamic mechanism would abort.
 //!
-//! Termination: interval bounds are clamped to the finite menu
-//! `{V::MIN} ∪ [-CLAMP, CLAMP] ∪ {V::MAX}` after every transfer, so the
-//! per-variable lattice has finite height and the framework argument
-//! applies.
+//! Termination comes from widening. At a loop head — the target of an
+//! edge that retreats in reverse postorder — each bound that grew jumps to
+//! the next *threshold*: a constant some decision compares against, one
+//! either side of it, or `±CLAMP`; past the last threshold it jumps to
+//! `V::MIN` / `V::MAX`. A bound can thus grow only a few times per loop
+//! head, so a counter that runs to 5 000 costs the same passes as one that
+//! runs to 3. One narrowing pass ([`crate::framework::narrow`]) then wins
+//! back what the jumps overshot. Arithmetic still clamps bounds to the
+//! menu `{V::MIN} ∪ [-CLAMP, CLAMP] ∪ {V::MAX}`.
 
-use crate::framework::{solve, DataflowProblem, Solution};
+use crate::framework::{narrow, solve, DataflowProblem};
 use enf_core::V;
 use enf_flowchart::ast::{CmpOp, Expr, Pred, Var};
 use enf_flowchart::graph::{Flowchart, Node, NodeId, Succ};
 
-/// Bounds with magnitude above this widen to `V::MIN` / `V::MAX`,
-/// keeping the interval lattice finite (the termination requirement of
-/// the framework).
+/// Transfers push a bound with magnitude above this to `V::MIN` /
+/// `V::MAX`. Widening is what bounds the passes; the clamp keeps the
+/// exact, non-widening fixed point finite too, which the unit tests hold
+/// the widened facts to.
 pub const CLAMP: V = 4096;
 
 /// An interval abstract value `[lo, hi]`. `lo > hi` never occurs in stored
@@ -92,7 +98,7 @@ impl AbsVal {
         (lo <= hi).then_some(AbsVal { lo, hi })
     }
 
-    /// Widens out-of-menu bounds so the lattice stays finite.
+    /// Pushes out-of-menu bounds to `V::MIN` / `V::MAX`.
     fn clamp(self) -> AbsVal {
         let lo = if self.lo < -CLAMP { V::MIN } else { self.lo };
         let hi = if self.hi > CLAMP { V::MAX } else { self.hi };
@@ -261,9 +267,19 @@ impl ValueEnv {
     }
 
     fn join_from(&mut self, other: &ValueEnv) -> bool {
+        self.update_from(other, |a, b| a.join(&b))
+    }
+
+    /// Replaces each variable's value `a` by `combine(a, b)`, `b` its value
+    /// in `other`; returns whether any changed.
+    fn update_from(
+        &mut self,
+        other: &ValueEnv,
+        combine: impl Fn(AbsVal, AbsVal) -> AbsVal,
+    ) -> bool {
         let mut changed = false;
         let mut up = |a: &mut AbsVal, b: &AbsVal| {
-            let j = a.join(b);
+            let j = combine(*a, *b);
             if j != *a {
                 *a = j;
                 changed = true;
@@ -447,7 +463,74 @@ fn refine_var(v: AbsVal, op: CmpOp, b: &AbsVal) -> Option<AbsVal> {
 
 /// The value analysis as a framework problem. Facts are `Option<ValueEnv>`,
 /// with `None` as ⊥ meaning "no execution reaches this node".
-struct ValueProblem;
+struct ValueProblem {
+    /// Widening thresholds, sorted ascending ([`thresholds`]).
+    thresholds: Vec<V>,
+}
+
+/// The widening thresholds of a flowchart: `c - 1`, `c` and `c + 1` for
+/// every constant operand `c` of a decision's comparisons, and `±CLAMP`,
+/// the widest bounds transfers keep, on each side where no constant lies
+/// further out. An operand without variables is folded first, so the
+/// parser's `Neg(Const 3)` and the `Const(-3)` a structured program lowers
+/// to give the same thresholds, and with them the same facts.
+fn thresholds(fc: &Flowchart) -> Vec<V> {
+    fn collect(p: &Pred, out: &mut Vec<V>) {
+        match p {
+            Pred::True | Pred::False => {}
+            Pred::Cmp(_, a, b) => {
+                for e in [a, b] {
+                    if e.vars().is_empty() {
+                        let c = e.eval(&|_| 0);
+                        out.extend([c.saturating_sub(1), c, c.saturating_add(1)]);
+                    }
+                }
+            }
+            Pred::Not(p) => collect(p, out),
+            Pred::And(a, b) | Pred::Or(a, b) => {
+                collect(a, out);
+                collect(b, out);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (_, node, _) in fc.iter() {
+        if let Node::Decision { pred } = node {
+            collect(pred, &mut out);
+        }
+    }
+    // Past the constants a bound stops once more at ±CLAMP. Where a
+    // constant lies beyond it that stop is left out: a counter running to
+    // the constant passes ±CLAMP on its next transfer, which clamps it to
+    // V::MIN / V::MAX, so the stop would only cost its loop another pass.
+    let lo = out.iter().min().map_or(-CLAMP, |&t| t.min(-CLAMP));
+    let hi = out.iter().max().map_or(CLAMP, |&t| t.max(CLAMP));
+    out.extend([lo, hi]);
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+impl ValueProblem {
+    /// `old` joined with `new`, each bound that grew pushed out to the next
+    /// threshold beyond it, or to `V::MIN` / `V::MAX`.
+    fn widen_val(&self, old: AbsVal, new: AbsVal) -> AbsVal {
+        let j = old.join(&new);
+        let lo = if j.lo < old.lo {
+            let below = self.thresholds.partition_point(|&t| t <= j.lo);
+            below.checked_sub(1).map_or(V::MIN, |i| self.thresholds[i])
+        } else {
+            j.lo
+        };
+        let hi = if j.hi > old.hi {
+            let below = self.thresholds.partition_point(|&t| t < j.hi);
+            self.thresholds.get(below).copied().unwrap_or(V::MAX)
+        } else {
+            j.hi
+        };
+        AbsVal { lo, hi }
+    }
+}
 
 impl DataflowProblem for ValueProblem {
     type Fact = Option<ValueEnv>;
@@ -468,6 +551,13 @@ impl DataflowProblem for ValueProblem {
                 true
             }
             (Some(i), Some(f)) => i.join_from(f),
+        }
+    }
+
+    fn widen(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool {
+        match (into.as_mut(), from) {
+            (Some(i), Some(f)) => i.update_from(f, |a, b| self.widen_val(a, b)),
+            _ => self.join(into, from),
         }
     }
 
@@ -500,16 +590,40 @@ impl DataflowProblem for ValueProblem {
     }
 }
 
-/// The fixed point of the value analysis.
+/// The facts of the value analysis.
 #[derive(Clone, Debug)]
 pub struct ValueFacts {
     /// Entry environment per node; `None` = provably unreachable.
     pub env_at: Vec<Option<ValueEnv>>,
-    /// Solver work, for the benches.
+    /// Solver work, for the benches: transfers applied while widening to a
+    /// post-fixpoint, plus those of the narrowing pass.
     pub iterations: usize,
+    /// Per node, bit `e` set iff its `e`-th outgoing edge may be taken.
+    feasible: Vec<u8>,
 }
 
 impl ValueFacts {
+    /// Wraps per-node entry environments, working out once which edges
+    /// each node may take.
+    fn new(fc: &Flowchart, env_at: Vec<Option<ValueEnv>>, iterations: usize) -> ValueFacts {
+        let feasible = fc
+            .iter()
+            .map(|(n, node, succ)| match (&env_at[n.0], node, succ) {
+                (None, _, _) => 0,
+                (Some(env), Node::Decision { pred }, Succ::Cond { .. }) => {
+                    u8::from(env.refine(pred, true).is_some())
+                        | u8::from(env.refine(pred, false).is_some()) << 1
+                }
+                (Some(_), _, _) => 1,
+            })
+            .collect();
+        ValueFacts {
+            env_at,
+            iterations,
+            feasible,
+        }
+    }
+
     /// Whether any execution may reach the node.
     pub fn reachable(&self, n: NodeId) -> bool {
         self.env_at[n.0].is_some()
@@ -526,25 +640,20 @@ impl ValueFacts {
     }
 
     /// Whether the `edge`-th outgoing edge of `n` (0 = true branch) may be
-    /// taken by some execution.
-    pub fn edge_feasible(&self, fc: &Flowchart, n: NodeId, edge: usize) -> bool {
-        let Some(env) = self.env_at[n.0].as_ref() else {
-            return false;
-        };
-        match (fc.node(n), fc.succ(n)) {
-            (Node::Decision { pred }, Succ::Cond { .. }) => env.refine(pred, edge == 0).is_some(),
-            _ => true,
-        }
+    /// taken by some execution; never for an unreachable node.
+    pub fn edge_feasible(&self, n: NodeId, edge: usize) -> bool {
+        self.feasible[n.0] >> edge & 1 == 1
     }
 }
 
-/// Runs the value analysis to its fixed point.
+/// Runs the value analysis: a widening solve to a post-fixpoint, then one
+/// narrowing pass.
 pub fn analyze_values(fc: &Flowchart) -> ValueFacts {
-    let sol: Solution<Option<ValueEnv>> = solve(fc, &ValueProblem);
-    ValueFacts {
-        env_at: sol.facts,
-        iterations: sol.iterations,
-    }
+    let problem = ValueProblem {
+        thresholds: thresholds(fc),
+    };
+    let sol = narrow(fc, &problem, solve(fc, &problem));
+    ValueFacts::new(fc, sol.facts, sol.iterations)
 }
 
 #[cfg(test)]
@@ -578,8 +687,8 @@ mod tests {
         let (fc, vf) = facts("program(2) { r1 := 0; if r1 == 0 { y := x2; } else { y := x1; } }");
         let d = decision(&fc);
         assert_eq!(vf.decision_outcome(&fc, d), Some(AbsBool::True));
-        assert!(vf.edge_feasible(&fc, d, 0));
-        assert!(!vf.edge_feasible(&fc, d, 1));
+        assert!(vf.edge_feasible(d, 0));
+        assert!(!vf.edge_feasible(d, 1));
         // The else arm (`y := x1`) is unreachable.
         let dead = fc
             .iter()
@@ -594,8 +703,8 @@ mod tests {
         let (fc, vf) = facts("program(1) { if x1 == 0 { y := 1; } else { y := 2; } }");
         let d = decision(&fc);
         assert_eq!(vf.decision_outcome(&fc, d), Some(AbsBool::Maybe));
-        assert!(vf.edge_feasible(&fc, d, 0));
-        assert!(vf.edge_feasible(&fc, d, 1));
+        assert!(vf.edge_feasible(d, 0));
+        assert!(vf.edge_feasible(d, 1));
         let halt = fc.halts()[0];
         let env = vf.env_at[halt.0].as_ref().unwrap();
         assert_eq!(env.get(Var::Out), AbsVal::range(1, 2));
@@ -657,26 +766,143 @@ mod tests {
     #[test]
     fn abstract_values_cover_concrete_runs() {
         // Soundness probe: on random programs, every concrete halt value
-        // lies in the abstract interval at the halt.
+        // lies in the abstract interval at the halt. Loops counting to 50
+        // make the widening and narrowing passes do real work.
         use enf_core::{Grid, InputDomain};
         use enf_flowchart::generate::{random_flowchart, GenConfig};
         use enf_flowchart::interp::{run, ExecConfig, Outcome};
-        let cfg = GenConfig::default();
-        for seed in 900..960u64 {
-            let fc = random_flowchart(seed, &cfg);
-            let vf = analyze_values(&fc);
-            for a in Grid::hypercube(2, -2..=2).iter_inputs() {
-                if let Outcome::Halted(h) = run(&fc, &a, &ExecConfig::default()) {
-                    let env = vf.env_at[h.halt.0]
-                        .as_ref()
-                        .unwrap_or_else(|| panic!("seed {seed}: reached 'unreachable' halt"));
-                    assert!(
-                        env.get(Var::Out).contains(h.y),
-                        "seed {seed}: y = {} outside {:?} at {:?}",
-                        h.y,
-                        env.get(Var::Out),
-                        a
-                    );
+        let long_loops = GenConfig {
+            loop_bound: 50,
+            ..GenConfig::default()
+        };
+        for cfg in [GenConfig::default(), long_loops] {
+            for seed in 900..960u64 {
+                let fc = random_flowchart(seed, &cfg);
+                let vf = analyze_values(&fc);
+                for a in Grid::hypercube(2, -2..=2).iter_inputs() {
+                    if let Outcome::Halted(h) = run(&fc, &a, &ExecConfig::default()) {
+                        let env = vf.env_at[h.halt.0]
+                            .as_ref()
+                            .unwrap_or_else(|| panic!("seed {seed}: reached 'unreachable' halt"));
+                        assert!(
+                            env.get(Var::Out).contains(h.y),
+                            "seed {seed} {cfg:?}: y = {} outside {:?} at {:?}",
+                            h.y,
+                            env.get(Var::Out),
+                            a
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn loop_nest_iterations_do_not_depend_on_the_bound() {
+        // Without widening each counter climbed one value per pass: the
+        // solve took 55, 4 510, 45 010 and 61 469 transfers at these bounds.
+        let iterations = |n: V| {
+            let fc = parse(&format!(
+                "program(1) {{ r1 := 0; while r1 < {n} {{ r2 := 0; while r2 < {n} {{ \
+                 r3 := 0; while r3 < {n} {{ r3 := r3 + 1; }} r2 := r2 + 1; }} \
+                 r1 := r1 + 1; }} y := r3; }}"
+            ))
+            .unwrap();
+            assert_eq!(fc.len(), 12);
+            analyze_values(&fc).iterations
+        };
+        let at_3 = iterations(3);
+        for n in [300, 3_000, 5_000] {
+            assert_eq!(iterations(n), at_3, "loop bound {n}");
+        }
+    }
+
+    #[test]
+    fn thresholds_fold_constants_and_stop_at_the_clamp_edge() {
+        // The parser reads `-3` as `Neg(Const 3)`; lowering a structured
+        // program keeps `Const(-3)`. Both must widen alike.
+        let parsed = parse("program(1) { while r1 > -3 { r1 := r1 - 1; } y := r1; }").unwrap();
+        let Node::Decision { pred } = parsed.node(decision(&parsed)) else {
+            unreachable!()
+        };
+        assert!(matches!(pred, Pred::Cmp(_, _, b) if matches!(**b, Expr::Neg(_))));
+        assert_eq!(thresholds(&parsed), vec![-CLAMP, -4, -3, -2, CLAMP]);
+        // A constant past CLAMP replaces the stop at the edge.
+        let far = parse("program(1) { while r1 < 5000 { r1 := r1 + 1; } y := r1; }").unwrap();
+        assert_eq!(thresholds(&far), vec![-CLAMP, 4999, 5000, 5001]);
+    }
+
+    /// The value problem without widening: its solution is the least
+    /// fixed point, which the widened and narrowed facts must contain.
+    struct Exact(ValueProblem);
+
+    impl DataflowProblem for Exact {
+        type Fact = Option<ValueEnv>;
+
+        fn bottom(&self, fc: &Flowchart) -> Self::Fact {
+            self.0.bottom(fc)
+        }
+
+        fn boundary(&self, fc: &Flowchart, n: NodeId) -> Option<Self::Fact> {
+            self.0.boundary(fc, n)
+        }
+
+        fn join(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool {
+            self.0.join(into, from)
+        }
+
+        fn flow(
+            &self,
+            fc: &Flowchart,
+            n: NodeId,
+            edge: usize,
+            to: NodeId,
+            fact: &Self::Fact,
+        ) -> Option<Self::Fact> {
+            self.0.flow(fc, n, edge, to, fact)
+        }
+    }
+
+    /// Whether every variable's interval in `wide` contains its interval in
+    /// `exact`: joining the one into the other changes nothing.
+    fn contains_env(wide: &ValueEnv, exact: &ValueEnv) -> bool {
+        !wide.clone().join_from(exact)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Widening may lose precision but never soundness: at every node
+        /// the widened facts contain the exact least fixed point, and every
+        /// node and edge the exact facts reach, they reach too.
+        #[test]
+        fn widened_values_contain_the_exact_fixed_point(seed in 0u64..1 << 32) {
+            use enf_flowchart::generate::{random_flowchart, random_policy_flowchart, GenConfig};
+            let long_loops = GenConfig { loop_bound: 50, stmts: 16, ..GenConfig::default() };
+            for cfg in [GenConfig::default(), long_loops] {
+                for fc in [random_flowchart(seed, &cfg), random_policy_flowchart(seed, &cfg)] {
+                    let wide = analyze_values(&fc);
+                    let exact = solve(&fc, &Exact(ValueProblem { thresholds: thresholds(&fc) }));
+                    let exact = ValueFacts::new(&fc, exact.facts, exact.iterations);
+                    for (n, _, succ) in fc.iter() {
+                        let Some(e) = &exact.env_at[n.0] else { continue };
+                        let w = wide.env_at[n.0].as_ref();
+                        proptest::prop_assert!(
+                            w.is_some_and(|w| contains_env(w, e)),
+                            "seed {} {:?} at {}: widened {:?} misses exact {:?}", seed, cfg, n, w, e
+                        );
+                        let edges = match succ {
+                            Succ::None => 0,
+                            Succ::One(_) => 1,
+                            Succ::Cond { .. } => 2,
+                        };
+                        for edge in 0..edges {
+                            proptest::prop_assert!(
+                                !exact.edge_feasible(n, edge) || wide.edge_feasible(n, edge),
+                                "seed {} at {}: edge {} lost", seed, n, edge
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -1039,6 +1039,39 @@ fn serve_and_client_honor_the_exit_code_contract() {
     assert!(report.contains("\"quarantined\":0"), "{report}");
 }
 
+/// Two programs whose 64-bit request fingerprints collide under allow
+/// {1}, span 2 and the daemon's default fuel: the first is sound, the
+/// second leaks x2. The verdict cache compares full keys, so the second
+/// must be swept, not answered from the first's entry.
+#[cfg(unix)]
+#[test]
+fn client_refute_of_colliding_programs_reports_the_leak() {
+    const SOUND: &str = "program(2) { r1 := 7475292257068709919; y := x1; }";
+    const LEAKY: &str = "program(2) { r1 := 2780062302222203760; y := x2; }";
+    let (server, addr, lines) = spawn_server(&[]);
+    let refute = |tenant: &str, program: &str| {
+        enforce(
+            &[
+                "client", "refute", "-", "--addr", &addr, "--tenant", tenant, "--allow", "1",
+                "--span", "2",
+            ],
+            program,
+        )
+    };
+
+    let (code, out, err) = refute("tenant-b", SOUND);
+    assert_eq!(code, 0, "{out}{err}");
+    assert!(out.contains("\"leak\":false"), "{out}");
+
+    let (code, out, err) = refute("tenant-a", LEAKY);
+    assert_eq!(code, 1, "{out}{err}");
+    assert!(out.contains("\"leak\":true"), "{out}");
+    assert!(out.contains("\"cached\":false"), "{out}");
+
+    let (code, report) = sigterm_drain(server, lines);
+    assert_eq!(code, 0, "{report}");
+}
+
 #[cfg(unix)]
 #[test]
 fn serve_exits_1_after_a_quarantine() {
