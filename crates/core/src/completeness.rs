@@ -14,7 +14,7 @@
 use crate::domain::InputDomain;
 use crate::error::{Coverage, EnfError};
 use crate::mechanism::Mechanism;
-use crate::par::{partition_fold, try_partition_fold, CancelToken, EvalConfig};
+use crate::par::{fold, CancelToken, EvalConfig, FoldPartials, Guard, Guarded, Plain};
 use crate::value::V;
 
 /// How two mechanisms' acceptance sets relate over a domain.
@@ -137,6 +137,45 @@ where
     M1: Mechanism + Sync,
     M2: Mechanism + Sync,
 {
+    reduce_compare(compare_fold::<Plain, _, _>(m1, m2, domain, config, &CancelToken::new()).parts)
+}
+
+/// Fault-tolerant [`compare`]: a panicking mechanism is quarantined
+/// instead of unwinding, and the sweep honors the cancellation token.
+///
+/// The ordering is a statement about the *whole* domain, so there is no
+/// refuting witness to salvage from a partial sweep: the result is
+/// `Confirmed` with the full report on complete coverage, `Unknown` with
+/// no report when cancelled, and `Err(SubjectPanicked)` on any quarantine
+/// (with the least offending index, deterministic for every thread count).
+pub fn try_compare_with<M1, M2>(
+    m1: &M1,
+    m2: &M2,
+    domain: &dyn InputDomain,
+    config: &EvalConfig,
+    ctl: &CancelToken,
+) -> Result<Coverage<CompletenessReport>, EnfError>
+where
+    M1: Mechanism + Sync,
+    M2: Mechanism + Sync,
+{
+    compare_fold::<Guarded, _, _>(m1, m2, domain, config, ctl).whole(domain.len(), reduce_compare)
+}
+
+/// The body of both forms of [`compare_with`]: per range, the acceptance
+/// counts and the first input each mechanism alone accepts.
+fn compare_fold<G, M1, M2>(
+    m1: &M1,
+    m2: &M2,
+    domain: &dyn InputDomain,
+    config: &EvalConfig,
+    ctl: &CancelToken,
+) -> FoldPartials<ComparePartial>
+where
+    G: Guard,
+    M1: Mechanism + Sync,
+    M2: Mechanism + Sync,
+{
     assert_eq!(
         m1.arity(),
         m2.arity(),
@@ -151,34 +190,27 @@ where
         domain.arity(),
         m1.arity()
     );
-    let partials = partition_fold(domain, config, |range, _| {
-        let mut p = ComparePartial::default();
-        domain.visit_range(range, &mut |idx, a| {
+    fold::<G, _>(
+        domain,
+        0..domain.len(),
+        config,
+        ctl,
+        ComparePartial::default,
+        |p, idx, a| {
+            let (ok1, ok2) = (m1.run(a).is_value(), m2.run(a).is_value());
             p.inputs += 1;
-            let ok1 = m1.run(a).is_value();
-            let ok2 = m2.run(a).is_value();
-            if ok1 {
-                p.accepted_first += 1;
-            }
-            if ok2 {
-                p.accepted_second += 1;
-            }
+            p.accepted_first += usize::from(ok1);
+            p.accepted_second += usize::from(ok2);
             if ok1 && !ok2 {
                 p.only_first += 1;
-                if p.witness_first.is_none() {
-                    p.witness_first = Some((idx, a.to_vec()));
-                }
+                p.witness_first.get_or_insert_with(|| (idx, a.to_vec()));
             } else if ok2 && !ok1 {
                 p.only_second += 1;
-                if p.witness_second.is_none() {
-                    p.witness_second = Some((idx, a.to_vec()));
-                }
+                p.witness_second.get_or_insert_with(|| (idx, a.to_vec()));
             }
-            true
-        });
-        p
-    });
-    reduce_compare(partials)
+            false
+        },
+    )
 }
 
 /// Merges compare partials in range order into a report.
@@ -213,83 +245,6 @@ fn reduce_compare(partials: Vec<ComparePartial>) -> CompletenessReport {
     }
 }
 
-/// Fault-tolerant [`compare`]: a panicking mechanism is quarantined
-/// instead of unwinding, and the sweep honors the cancellation token.
-///
-/// The ordering is a statement about the *whole* domain, so there is no
-/// refuting witness to salvage from a partial sweep: the result is
-/// `Confirmed` with the full report on complete coverage, `Unknown` with
-/// no report when cancelled, and `Err(SubjectPanicked)` on any quarantine
-/// (with the least offending index, deterministic for every thread count).
-pub fn try_compare_with<M1, M2>(
-    m1: &M1,
-    m2: &M2,
-    domain: &dyn InputDomain,
-    config: &EvalConfig,
-    ctl: &CancelToken,
-) -> Result<Coverage<CompletenessReport>, EnfError>
-where
-    M1: Mechanism + Sync,
-    M2: Mechanism + Sync,
-{
-    assert_eq!(
-        m1.arity(),
-        m2.arity(),
-        "mechanisms have different arities ({} vs {})",
-        m1.arity(),
-        m2.arity()
-    );
-    assert_eq!(
-        domain.arity(),
-        m1.arity(),
-        "domain arity {} does not match mechanism arity {}",
-        domain.arity(),
-        m1.arity()
-    );
-    let total = domain.len();
-    let partials = try_partition_fold(domain, config, ctl, |range, ctx| {
-        let mut p = ComparePartial::default();
-        domain.visit_range(range, &mut |idx, a| {
-            // The cutoff is only ever proposed by a quarantine here: keep
-            // scanning below the least faulty index so the reported error
-            // is deterministic, stop above it.
-            if ctx.cutoff().passed(idx) || ctx.stop_requested(idx) {
-                return false;
-            }
-            let Some((ok1, ok2)) = ctx.guard(idx, || (m1.run(a).is_value(), m2.run(a).is_value()))
-            else {
-                return false;
-            };
-            p.inputs += 1;
-            if ok1 {
-                p.accepted_first += 1;
-            }
-            if ok2 {
-                p.accepted_second += 1;
-            }
-            if ok1 && !ok2 {
-                p.only_first += 1;
-                if p.witness_first.is_none() {
-                    p.witness_first = Some((idx, a.to_vec()));
-                }
-            } else if ok2 && !ok1 {
-                p.only_second += 1;
-                if p.witness_second.is_none() {
-                    p.witness_second = Some((idx, a.to_vec()));
-                }
-            }
-            true
-        });
-        p
-    });
-    partials.resolve_quarantine(None)?;
-    if partials.complete {
-        Ok(Coverage::confirmed(total, reduce_compare(partials.parts)))
-    } else {
-        Ok(Coverage::unknown(partials.checked, total))
-    }
-}
-
 /// Computes the acceptance set of a mechanism over a domain: the inputs on
 /// which it returns a program output.
 pub fn acceptance_set<M: Mechanism + Sync>(m: &M, domain: &dyn InputDomain) -> Vec<Vec<V>> {
@@ -305,17 +260,8 @@ pub fn acceptance_set_with<M: Mechanism + Sync>(
     domain: &dyn InputDomain,
     config: &EvalConfig,
 ) -> Vec<Vec<V>> {
-    let partials = partition_fold(domain, config, |range, _| {
-        let mut accepted = Vec::new();
-        domain.visit_range(range, &mut |_, a| {
-            if m.run(a).is_value() {
-                accepted.push(a.to_vec());
-            }
-            true
-        });
-        accepted
-    });
-    partials.into_iter().flatten().collect()
+    let accepted = accepted::<Plain, _>(m, domain, config, &CancelToken::new());
+    accepted.parts.into_iter().flatten().collect()
 }
 
 /// Fault-tolerant [`acceptance_set`]: quarantines panics and honors the
@@ -331,32 +277,31 @@ pub fn try_acceptance_set_with<M: Mechanism + Sync>(
     config: &EvalConfig,
     ctl: &CancelToken,
 ) -> Result<Coverage<Vec<Vec<V>>>, EnfError> {
-    let total = domain.len();
-    let partials = try_partition_fold(domain, config, ctl, |range, ctx| {
-        let mut accepted = Vec::new();
-        domain.visit_range(range, &mut |idx, a| {
-            if ctx.cutoff().passed(idx) || ctx.stop_requested(idx) {
-                return false;
-            }
-            let Some(ok) = ctx.guard(idx, || m.run(a).is_value()) else {
-                return false;
-            };
-            if ok {
+    accepted::<Guarded, _>(m, domain, config, ctl)
+        .whole(domain.len(), |parts| parts.into_iter().flatten().collect())
+}
+
+/// The body of both forms of [`acceptance_set_with`]: per range, the
+/// accepted tuples in enumeration order.
+fn accepted<G: Guard, M: Mechanism + Sync>(
+    m: &M,
+    domain: &dyn InputDomain,
+    config: &EvalConfig,
+    ctl: &CancelToken,
+) -> FoldPartials<Vec<Vec<V>>> {
+    fold::<G, _>(
+        domain,
+        0..domain.len(),
+        config,
+        ctl,
+        Vec::new,
+        |accepted, _, a| {
+            if m.run(a).is_value() {
                 accepted.push(a.to_vec());
             }
-            true
-        });
-        accepted
-    });
-    partials.resolve_quarantine(None)?;
-    if partials.complete {
-        Ok(Coverage::confirmed(
-            total,
-            partials.parts.into_iter().flatten().collect(),
-        ))
-    } else {
-        Ok(Coverage::unknown(partials.checked, total))
-    }
+            false
+        },
+    )
 }
 
 #[cfg(test)]

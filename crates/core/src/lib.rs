@@ -93,6 +93,6 @@ pub use schedule::{
 };
 pub use soundness::{
     check_protection, check_protection_with, check_soundness, check_soundness_with,
-    try_check_protection, try_check_protection_with, try_check_soundness_with, SoundnessReport,
+    try_check_protection_with, try_check_soundness_with, SoundnessReport,
 };
 pub use value::V;

@@ -20,7 +20,7 @@ use crate::domain::InputDomain;
 use crate::error::{Coverage, EnfError};
 use crate::mechanism::{MechOutput, Mechanism};
 use crate::notice::Notice;
-use crate::par::{partition_fold, try_partition_fold, CancelToken, EvalConfig};
+use crate::par::{fold, CancelToken, EvalConfig, FoldPartials, Guard, Guarded, Plain};
 use crate::policy::Policy;
 use crate::program::Program;
 use crate::value::{BoxedFn, V};
@@ -101,63 +101,9 @@ where
         W: Send,
         O: Send,
     {
-        assert_eq!(
-            program.arity(),
-            policy.arity(),
-            "program/policy arity mismatch"
-        );
-        assert_eq!(
-            domain.arity(),
-            policy.arity(),
-            "domain/policy arity mismatch"
-        );
-        let partials = partition_fold(domain, config, |range, _| {
-            let mut classes: HashMap<W, Option<O>> = HashMap::new();
-            domain.visit_range(range, &mut |_, a| {
-                let view = policy.filter(a);
-                let out = program.eval(a);
-                match classes.entry(view) {
-                    Entry::Vacant(e) => {
-                        e.insert(Some(out));
-                    }
-                    Entry::Occupied(mut e) => {
-                        if matches!(e.get(), Some(prev) if *prev != out) {
-                            e.insert(None);
-                        }
-                    }
-                }
-                true
-            });
-            classes
-        });
-        let mut classes: HashMap<W, Option<O>> = HashMap::new();
-        for partial in partials {
-            for (view, value) in partial {
-                match classes.entry(view) {
-                    Entry::Vacant(e) => {
-                        e.insert(value);
-                    }
-                    Entry::Occupied(mut e) => {
-                        if *e.get() != value {
-                            // Constant in both ranges but with different
-                            // values, or varying in at least one: varies.
-                            e.insert(None);
-                        }
-                    }
-                }
-            }
-        }
-        let p = policy.clone();
-        MaximalMechanism {
-            arity: program.arity(),
-            classes,
-            filter: Box::new(move |a| p.filter(a)),
-            violation: Notice::new(Self::VIOLATION_CODE, "policy violation"),
-            out_of_domain: Notice::new(
-                Self::OUT_OF_DOMAIN_CODE,
-                "input outside construction domain",
-            ),
-        }
+        let scanned =
+            Self::scan::<Plain, _, _>(program, policy, domain, config, &CancelToken::new());
+        Self::from_classes(program.arity(), policy, scanned.parts)
     }
 
     /// Fault-tolerant [`build`](MaximalMechanism::build): a panicking
@@ -183,6 +129,28 @@ where
         W: Send,
         O: Send,
     {
+        Self::scan::<Guarded, _, _>(program, policy, domain, config, ctl)
+            .whole(domain.len(), |parts| {
+                Self::from_classes(program.arity(), policy, parts)
+            })
+    }
+
+    /// The body of both forms of [`build_with`](MaximalMechanism::build_with):
+    /// per range, each class's `Q` value, or `None` where `Q` varies on it.
+    fn scan<G, Q, P>(
+        program: &Q,
+        policy: &P,
+        domain: &dyn InputDomain,
+        config: &EvalConfig,
+        ctl: &CancelToken,
+    ) -> FoldPartials<HashMap<W, Option<O>>>
+    where
+        G: Guard,
+        Q: Program<Out = O> + Sync,
+        P: Policy<View = W> + Sync,
+        W: Send,
+        O: Send,
+    {
         assert_eq!(
             program.arity(),
             policy.arity(),
@@ -193,66 +161,44 @@ where
             policy.arity(),
             "domain/policy arity mismatch"
         );
-        let total = domain.len();
-        let partials = try_partition_fold(domain, config, ctl, |range, ctx| {
-            let mut classes: HashMap<W, Option<O>> = HashMap::new();
-            domain.visit_range(range, &mut |idx, a| {
-                // The cutoff is only proposed by quarantines here: scan
-                // below the least faulty index, stop above it.
-                if ctx.cutoff().passed(idx) || ctx.stop_requested(idx) {
-                    return false;
-                }
-                let Some((view, out)) = ctx.guard(idx, || (policy.filter(a), program.eval(a)))
-                else {
-                    return false;
-                };
-                match classes.entry(view) {
-                    Entry::Vacant(e) => {
-                        e.insert(Some(out));
-                    }
-                    Entry::Occupied(mut e) => {
-                        if matches!(e.get(), Some(prev) if *prev != out) {
-                            e.insert(None);
-                        }
-                    }
-                }
-                true
-            });
-            classes
-        });
-        partials.resolve_quarantine(None)?;
-        if !partials.complete {
-            return Ok(Coverage::unknown(partials.checked, total));
-        }
-        let mut classes: HashMap<W, Option<O>> = HashMap::new();
-        for partial in partials.parts {
-            for (view, value) in partial {
-                match classes.entry(view) {
-                    Entry::Vacant(e) => {
-                        e.insert(value);
-                    }
-                    Entry::Occupied(mut e) => {
-                        if *e.get() != value {
-                            e.insert(None);
-                        }
-                    }
-                }
+        fold::<G, _>(
+            domain,
+            0..domain.len(),
+            config,
+            ctl,
+            HashMap::new,
+            |classes, _, a| {
+                let view = policy.filter(a);
+                absorb(classes, view, Some(program.eval(a)));
+                false
+            },
+        )
+    }
+
+    /// Merges the per-range class maps into the mechanism: a class is
+    /// constant iff it is constant in every range *and* the constants
+    /// agree.
+    fn from_classes<P>(arity: usize, policy: &P, parts: Vec<HashMap<W, Option<O>>>) -> Self
+    where
+        P: Policy<View = W> + Clone + Send + Sync + 'static,
+    {
+        let mut classes = HashMap::new();
+        for part in parts {
+            for (view, value) in part {
+                absorb(&mut classes, view, value);
             }
         }
         let p = policy.clone();
-        Ok(Coverage::confirmed(
-            total,
-            MaximalMechanism {
-                arity: program.arity(),
-                classes,
-                filter: Box::new(move |a| p.filter(a)),
-                violation: Notice::new(Self::VIOLATION_CODE, "policy violation"),
-                out_of_domain: Notice::new(
-                    Self::OUT_OF_DOMAIN_CODE,
-                    "input outside construction domain",
-                ),
-            },
-        ))
+        MaximalMechanism {
+            arity,
+            classes,
+            filter: Box::new(move |a| p.filter(a)),
+            violation: Notice::new(Self::VIOLATION_CODE, "policy violation"),
+            out_of_domain: Notice::new(
+                Self::OUT_OF_DOMAIN_CODE,
+                "input outside construction domain",
+            ),
+        }
     }
 
     /// Number of `I`-equivalence classes discovered.
@@ -264,6 +210,25 @@ where
     /// constant).
     pub fn accepting_class_count(&self) -> usize {
         self.classes.values().filter(|v| v.is_some()).count()
+    }
+}
+
+/// Records `value` for the class `view`: the class keeps its first value,
+/// and becomes `None` (varies) once a different one arrives.
+fn absorb<W: Eq + Hash, O: PartialEq>(
+    classes: &mut HashMap<W, Option<O>>,
+    view: W,
+    value: Option<O>,
+) {
+    match classes.entry(view) {
+        Entry::Vacant(e) => {
+            e.insert(value);
+        }
+        Entry::Occupied(mut e) => {
+            if *e.get() != value {
+                e.insert(None);
+            }
+        }
     }
 }
 

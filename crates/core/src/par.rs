@@ -2,33 +2,42 @@
 //!
 //! Every exhaustive checker in this crate is a fold over the tuple index
 //! space `0..domain.len()`: evaluate something at each tuple, accumulate
-//! per-class or first-witness state, and reduce. Because
-//! [`InputDomain`] gives random access by index ([`InputDomain::nth_input`])
-//! and in-order range visits ([`InputDomain::visit_range`]), that index
-//! space can be partitioned into contiguous per-worker ranges with zero
-//! coordination and zero per-tuple allocation; each worker folds its range
-//! into a partial state and the partials are merged **in range order**, so
-//! the reduction is deterministic: the result is bit-for-bit identical for
+//! per-class or first-witness state, and reduce. This module's fold is the
+//! one per-input loop behind all of them. Because [`InputDomain`] gives
+//! random access by index ([`InputDomain::nth_input`]) and in-order range
+//! visits ([`InputDomain::visit_range`]), the index space can be
+//! partitioned into contiguous per-worker ranges with zero coordination
+//! and zero per-tuple allocation; each worker folds its range into a
+//! partial state and the partials are merged **in range order**, so the
+//! reduction is deterministic: the result is bit-for-bit identical for
 //! every thread count, including 1.
+//!
+//! A checker says only what it records per input: an initial state and a
+//! step. The fold owns the rest: the cancellation check, the panic guard,
+//! early exit and the coverage count. How it calls the step is a type
+//! parameter, so each checker keeps one body for both of its forms: the
+//! fail-closed `try_` forms poll a [`CancelToken`] and quarantine a
+//! panicking subject, while the infallible forms call the subject directly
+//! and let a panic unwind to their caller with its own payload.
 //!
 //! The engine is std-only: workers are scoped threads
 //! (`std::thread::scope`), so borrowed mechanisms, policies, and domains
 //! cross into workers without `'static` bounds or reference counting.
 //!
-//! Early exit is cooperative. Checkers that stop at the first witness (in
-//! enumeration order) share a [`Cutoff`] — an atomic upper bound on the
-//! index of the best witness found so far. Any *locally discovered* witness
-//! is a valid global witness, so its index bounds the final answer; workers
-//! abandon their range once their ascending cursor passes the bound. The
-//! merge still selects the minimal index, so early exit never changes the
-//! reported witness, only the work done.
+//! Early exit is cooperative. A step that decides the fold (a witness, or
+//! the last class table taking a conflict) and a quarantined panic both
+//! publish their index to a shared atomic upper bound. Any locally found
+//! event is a valid global one, so its index bounds the final answer;
+//! workers abandon their range once their ascending cursor passes the
+//! bound. The merge still selects the minimal index, so early exit never
+//! changes a report, only the work done.
 
 use crate::domain::InputDomain;
 use crate::error::{Coverage, EnfError, Verdict};
 use crate::value::V;
-use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -109,31 +118,25 @@ impl EvalConfig {
     }
 }
 
-/// Shared upper bound on the index of the best (least-index) witness found
-/// so far, for cooperative early exit.
-pub struct Cutoff(AtomicUsize);
+/// Shared upper bound on the least index at which a worker decided the
+/// fold or quarantined a panic, for cooperative early exit.
+struct Cutoff(AtomicUsize);
 
 impl Cutoff {
-    /// A cutoff with no witness yet (bound = `usize::MAX`).
-    pub fn new() -> Self {
+    /// A cutoff with no event yet (bound = `usize::MAX`).
+    fn new() -> Self {
         Cutoff(AtomicUsize::new(usize::MAX))
     }
 
-    /// Records a witness at `idx`, tightening the bound.
-    pub fn propose(&self, idx: usize) {
+    /// Records an event at `idx`, tightening the bound.
+    fn propose(&self, idx: usize) {
         self.0.fetch_min(idx, Ordering::Relaxed);
     }
 
     /// Whether a worker whose ascending cursor reached `idx` can stop:
-    /// every index it would still visit exceeds the best witness bound.
-    pub fn passed(&self, idx: usize) -> bool {
+    /// every index it would still visit exceeds the bound.
+    fn passed(&self, idx: usize) -> bool {
         idx > self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for Cutoff {
-    fn default() -> Self {
-        Cutoff::new()
     }
 }
 
@@ -150,100 +153,6 @@ fn split_ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
         start += size;
     }
     ranges
-}
-
-/// Folds each partition of the domain's index space into a partial state.
-///
-/// `worker` is called once per partition with its index range and the shared
-/// [`Cutoff`]; partials are returned **in range order**, ready for a
-/// deterministic left-to-right merge. With one worker the fold runs on the
-/// calling thread — the sequential path is the parallel path with a single
-/// partition, not separate code.
-///
-/// Worker panics (e.g. a failed arity assertion inside a mechanism)
-/// propagate to the caller.
-pub fn partition_fold<T, F>(domain: &dyn InputDomain, config: &EvalConfig, worker: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>, &Cutoff) -> T + Sync,
-{
-    let len = domain.len();
-    let workers = config.workers_for(len);
-    let cutoff = Cutoff::new();
-    if workers <= 1 {
-        return vec![worker(0..len, &cutoff)];
-    }
-    let ranges = split_ranges(len, workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let worker = &worker;
-                let cutoff = &cutoff;
-                scope.spawn(move || worker(range, cutoff))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(partial) => partial,
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
-    })
-}
-
-/// Finds the least-index tuple on which `test` returns a payload.
-///
-/// The shared witness-first pattern of `check_protection` and the static
-/// equivalence checker: scan for the first offending tuple, in enumeration
-/// order, with cooperative early exit across workers.
-///
-/// With a single worker (one thread, or a domain under the sequential
-/// threshold) the scan takes a dedicated fast path: an in-order visit that
-/// stops at the first hit, with no shared [`Cutoff`] and no atomic
-/// operations on the per-tuple path.
-pub fn find_first<T, F>(
-    domain: &dyn InputDomain,
-    config: &EvalConfig,
-    test: F,
-) -> Option<(usize, T)>
-where
-    T: Send,
-    F: Fn(usize, &[V]) -> Option<T> + Sync,
-{
-    let len = domain.len();
-    if config.workers_for(len) <= 1 {
-        let mut found: Option<(usize, T)> = None;
-        domain.visit_range(0..len, &mut |idx, a| match test(idx, a) {
-            Some(payload) => {
-                found = Some((idx, payload));
-                false
-            }
-            None => true,
-        });
-        return found;
-    }
-    partition_fold(domain, config, |range, cutoff| {
-        let mut found: Option<(usize, T)> = None;
-        domain.visit_range(range, &mut |idx, a| {
-            if cutoff.passed(idx) {
-                return false;
-            }
-            match test(idx, a) {
-                Some(payload) => {
-                    cutoff.propose(idx);
-                    found = Some((idx, payload));
-                    false
-                }
-                None => true,
-            }
-        });
-        found
-    })
-    .into_iter()
-    .flatten()
-    .min_by_key(|(idx, _)| *idx)
 }
 
 /// How many tuples a worker evaluates between wall-clock deadline polls.
@@ -321,6 +230,24 @@ impl CancelToken {
     pub fn index_limit(&self) -> usize {
         self.index_limit
     }
+
+    /// Whether a worker should stop before evaluating `idx`: the flag or
+    /// the index limit fired, or the deadline passed. A worker polls the
+    /// clock once per [`DEADLINE_STRIDE`] inputs, counted in `since_poll`.
+    fn stop_requested(&self, idx: usize, since_poll: &mut usize) -> bool {
+        if idx >= self.index_limit || self.flag.load(Ordering::Relaxed) {
+            return true;
+        }
+        if self.deadline.is_none() {
+            return false;
+        }
+        *since_poll += 1;
+        if *since_poll < DEADLINE_STRIDE {
+            return false;
+        }
+        *since_poll = 0;
+        self.is_cancelled()
+    }
 }
 
 impl Default for CancelToken {
@@ -331,8 +258,8 @@ impl Default for CancelToken {
 
 /// Shared quarantine record: the least-index input whose evaluation
 /// panicked. Workers wind down past a quarantined index through the
-/// shared [`Cutoff`] (see [`WorkerCtx::guard`]), which keeps the least
-/// index deterministic for every thread count.
+/// shared cutoff, which keeps the least index deterministic for every
+/// thread count.
 #[derive(Default)]
 struct PanicSlot {
     least: Mutex<Option<(usize, String)>>,
@@ -366,129 +293,71 @@ fn payload_string(panic: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Per-worker context handed to guarded fold workers.
-///
-/// The context owns the worker's bookkeeping — how many tuples it
-/// evaluated, whether it was cut short — and exposes the two operations
-/// a fault-tolerant scan needs: [`WorkerCtx::stop_requested`] (poll the
-/// shared cancellation and quarantine state) and [`WorkerCtx::guard`]
-/// (evaluate the subject with panic isolation).
-pub struct WorkerCtx<'a> {
-    cutoff: &'a Cutoff,
-    ctl: &'a CancelToken,
-    faults: &'a PanicSlot,
-    evaluated: Cell<usize>,
-    since_poll: Cell<usize>,
-    cut: Cell<bool>,
+/// How the fold calls a step. A type parameter rather than a flag, so the
+/// infallible forms compile to a plain call.
+pub(crate) trait Guard {
+    /// Whether the fold polls the cancellation token.
+    const POLLS: bool;
+    /// Runs `f`, or returns the text of its panic.
+    fn call<R>(f: impl FnOnce() -> R) -> Result<R, String>;
 }
 
-impl<'a> WorkerCtx<'a> {
-    fn new(cutoff: &'a Cutoff, ctl: &'a CancelToken, faults: &'a PanicSlot) -> Self {
-        WorkerCtx {
-            cutoff,
-            ctl,
-            faults,
-            evaluated: Cell::new(0),
-            since_poll: Cell::new(0),
-            cut: Cell::new(false),
-        }
-    }
+/// The fail-closed forms: poll the cancellation token, quarantine panics.
+pub(crate) struct Guarded;
 
-    /// The shared early-exit bound (see [`Cutoff`]).
-    pub fn cutoff(&self) -> &Cutoff {
-        self.cutoff
-    }
+impl Guard for Guarded {
+    const POLLS: bool = true;
 
-    /// Whether the sweep should stop before evaluating `idx`: the
-    /// token's flag or index limit fired, or — polled every
-    /// [`DEADLINE_STRIDE`] tuples — the deadline passed.
-    ///
-    /// A quarantined subject does **not** trip this check: scans must
-    /// keep evaluating indices *below* the quarantined one (the
-    /// quarantine bounds the scan through the shared [`Cutoff`] instead),
-    /// otherwise a panic at index `p` could race a witness — or an
-    /// earlier panic — at `w < p` differently per thread count. Guarded
-    /// workers therefore always pair this check with
-    /// `ctx.cutoff().passed(idx)`.
-    ///
-    /// Marks the worker as cut short when it returns `true`.
-    pub fn stop_requested(&self, idx: usize) -> bool {
-        let stop = if idx >= self.ctl.index_limit || self.ctl.flag.load(Ordering::Relaxed) {
-            true
-        } else if self.ctl.deadline.is_some() {
-            let n = self.since_poll.get() + 1;
-            if n >= DEADLINE_STRIDE {
-                self.since_poll.set(0);
-                self.ctl.is_cancelled()
-            } else {
-                self.since_poll.set(n);
-                false
-            }
-        } else {
-            false
-        };
-        if stop {
-            self.cut.set(true);
-        }
-        stop
-    }
-
-    /// Evaluates the subject at `idx` with panic isolation.
-    ///
-    /// On panic the input is quarantined: the least offending index (and
-    /// its payload) is recorded for [`EnfError::SubjectPanicked`], the
-    /// index is proposed to the cutoff so sibling workers stop competing
-    /// past it, and `None` is returned — the worker should end its range.
-    pub fn guard<R>(&self, idx: usize, f: impl FnOnce() -> R) -> Option<R> {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-            Ok(r) => {
-                self.evaluated.set(self.evaluated.get() + 1);
-                Some(r)
-            }
-            Err(p) => {
-                self.faults.record(idx, payload_string(p));
-                self.cutoff.propose(idx);
-                self.cut.set(true);
-                None
-            }
-        }
-    }
-
-    /// [`WorkerCtx::guard`] without the panic isolation, for infallible
-    /// sweeps: a panicking subject unwinds out of the fold to its caller.
-    /// The evaluation still counts toward coverage.
-    pub(crate) fn call<R>(&self, f: impl FnOnce() -> R) -> R {
-        let r = f();
-        self.evaluated.set(self.evaluated.get() + 1);
-        r
+    #[inline]
+    fn call<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+        std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(payload_string)
     }
 }
 
-/// Result of a guarded fold: partials in range order plus what the sweep
-/// managed to cover before any fault or cancellation.
-#[derive(Clone, Debug)]
-pub struct FoldPartials<T> {
+/// The infallible forms: no token, and a panic unwinds to the caller with
+/// its own payload.
+pub(crate) struct Plain;
+
+impl Guard for Plain {
+    const POLLS: bool = false;
+
+    #[inline]
+    fn call<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+        Ok(f())
+    }
+}
+
+/// Unwraps the result of a [`Plain`] instantiation: it polls no token,
+/// lets a panic unwind instead of quarantining it and writes no
+/// checkpoint, so it cannot fail.
+pub(crate) fn plain<R>(folded: Result<R, EnfError>) -> R {
+    folded.unwrap_or_else(|e| unreachable!("a plain fold failed: {e}"))
+}
+
+/// What a fold leaves behind: partials in range order plus what it
+/// covered before a decision, a fault or a cancellation.
+pub(crate) struct FoldPartials<S> {
     /// One partial per worker, in range order.
-    pub parts: Vec<T>,
+    pub(crate) parts: Vec<S>,
     /// Size of the contiguous evaluated prefix of the folded span: every
     /// index in `span.start..span.start + checked` was evaluated.
-    pub checked: usize,
+    pub(crate) checked: usize,
     /// Whether every index in the span was evaluated (no cancellation,
-    /// no quarantine, no early cut).
-    pub complete: bool,
-    /// The least-index quarantined input, if any subject panicked.
-    pub quarantined: Option<(usize, String)>,
+    /// no quarantine, no decision before the end).
+    pub(crate) complete: bool,
+    /// The least-index quarantined input, if any step panicked.
+    quarantined: Option<(usize, String)>,
 }
 
-impl<T> FoldPartials<T> {
+impl<S> FoldPartials<S> {
     /// Converts the quarantine record into an error unless a decisive
     /// event (e.g. a witness) at a strictly smaller index outranks it.
     ///
     /// Sequential semantics order events by input index: a witness found
     /// at index 3 makes a panic at index 7 unreachable, and vice versa.
-    /// Comparing indices here keeps guarded sweeps bit-identical for
-    /// every thread count.
-    pub fn resolve_quarantine(&self, decisive_at: Option<usize>) -> Result<(), EnfError> {
+    /// Comparing indices here keeps guarded folds bit-identical for every
+    /// thread count.
+    pub(crate) fn resolve_quarantine(&self, decisive_at: Option<usize>) -> Result<(), EnfError> {
         match &self.quarantined {
             Some((idx, payload)) if decisive_at.is_none_or(|d| *idx < d) => {
                 Err(EnfError::SubjectPanicked {
@@ -499,109 +368,184 @@ impl<T> FoldPartials<T> {
             _ => Ok(()),
         }
     }
+
+    /// The coverage of a checker whose report is a statement about the
+    /// whole domain: the reduced partials on full coverage, `Unknown`
+    /// when cut short, and an error on any quarantine. Such a report built
+    /// from part of the domain would be wrong, not just partial, so a cut
+    /// fold has none. The infallible forms of these checkers reduce
+    /// `parts` directly: a [`Plain`] fold whose step never decides covers
+    /// its whole span.
+    pub(crate) fn whole<R>(
+        self,
+        total: usize,
+        reduce: impl FnOnce(Vec<S>) -> R,
+    ) -> Result<Coverage<R>, EnfError> {
+        self.resolve_quarantine(None)?;
+        Ok(if self.complete {
+            Coverage::confirmed(total, reduce(self.parts))
+        } else {
+            Coverage::unknown(self.checked, total)
+        })
+    }
 }
 
-/// Like [`partition_fold`], but fault tolerant: subject panics are
-/// quarantined instead of unwinding, and the fold stops cooperatively at
-/// the token's deadline, flag, or index limit.
+/// Folds `span` of the domain's index space: the per-input loop of every
+/// exhaustive checker.
 ///
-/// Workers receive a [`WorkerCtx`] and are expected to call
-/// [`WorkerCtx::stop_requested`] before and [`WorkerCtx::guard`] around
-/// each subject evaluation. The returned [`FoldPartials`] carries the
-/// partials in range order plus coverage bookkeeping; callers decide how
-/// a quarantine ranks against their own witnesses via
-/// [`FoldPartials::resolve_quarantine`].
-pub fn try_partition_fold<T, F>(
+/// Each worker folds one contiguous range, in order, into a state made by
+/// `init`, calling `step(&mut state, idx, tuple)` once per input. A step
+/// returns `true` when its input decides the fold, for example on a
+/// witness; the index then bounds every worker's scan and this worker's
+/// range ends. With one worker the fold runs on the calling thread: the
+/// sequential path is the parallel path with a single partition, not
+/// separate code.
+///
+/// [`Guarded`] polls `ctl` before each input and quarantines a panicking
+/// step: the least such index is kept for
+/// [`FoldPartials::resolve_quarantine`], and workers wind down past it.
+/// [`Plain`] ignores `ctl`, and a panicking step unwinds to the caller.
+pub(crate) fn fold<G, S>(
     domain: &dyn InputDomain,
-    config: &EvalConfig,
-    ctl: &CancelToken,
-    worker: F,
-) -> FoldPartials<T>
-where
-    T: Send,
-    F: Fn(Range<usize>, &WorkerCtx) -> T + Sync,
-{
-    try_partition_fold_range(domain, 0..domain.len(), config, ctl, worker)
-}
-
-/// [`try_partition_fold`] over an explicit sub-span of the index space —
-/// the building block of block-sequential checkpointed sweeps.
-pub fn try_partition_fold_range<T, F>(
-    _domain: &dyn InputDomain,
     span: Range<usize>,
     config: &EvalConfig,
     ctl: &CancelToken,
-    worker: F,
-) -> FoldPartials<T>
+    init: impl Fn() -> S + Sync,
+    step: impl Fn(&mut S, usize, &[V]) -> bool + Sync,
+) -> FoldPartials<S>
 where
-    T: Send,
-    F: Fn(Range<usize>, &WorkerCtx) -> T + Sync,
+    G: Guard,
+    S: Send,
 {
-    let len = span.len();
-    let workers = config.workers_for(len);
+    let ranges: Vec<Range<usize>> = split_ranges(span.len(), config.workers_for(span.len()))
+        .into_iter()
+        .map(|r| span.start + r.start..span.start + r.end)
+        .collect();
     let cutoff = Cutoff::new();
     let faults = PanicSlot::default();
-    // (partial, evaluated, cut) per worker, in range order.
-    let results: Vec<(T, usize, bool)> = if workers <= 1 {
-        let ctx = WorkerCtx::new(&cutoff, ctl, &faults);
-        let part = worker(span.clone(), &ctx);
-        vec![(part, ctx.evaluated.get(), ctx.cut.get())]
-    } else {
-        let ranges: Vec<Range<usize>> = split_ranges(len, workers)
-            .into_iter()
-            .map(|r| span.start + r.start..span.start + r.end)
-            .collect();
-        std::thread::scope(|scope| {
+    // One worker's pass: its partial and how many inputs it evaluated.
+    let worker = |range: Range<usize>| {
+        let mut state = init();
+        let (mut evaluated, mut since_poll) = (0, 0);
+        domain.visit_range(range, &mut |idx, a| {
+            // A quarantine bounds the scan through the cutoff alone: inputs
+            // below it are still evaluated, so a panic at `p` ranks against
+            // a witness, or an earlier panic, at `w < p` the same way for
+            // every thread count.
+            if cutoff.passed(idx) || (G::POLLS && ctl.stop_requested(idx, &mut since_poll)) {
+                return false;
+            }
+            match G::call(|| step(&mut state, idx, a)) {
+                Ok(decided) => {
+                    evaluated += 1;
+                    if decided {
+                        cutoff.propose(idx);
+                    }
+                    !decided
+                }
+                Err(payload) => {
+                    faults.record(idx, payload);
+                    cutoff.propose(idx);
+                    false
+                }
+            }
+        });
+        (state, evaluated)
+    };
+    let results: Vec<(S, usize)> = match ranges.as_slice() {
+        [range] => vec![worker(range.clone())],
+        _ => std::thread::scope(|scope| {
             let handles: Vec<_> = ranges
-                .into_iter()
+                .iter()
                 .map(|range| {
-                    let worker = &worker;
-                    let cutoff = &cutoff;
-                    let faults = &faults;
-                    scope.spawn(move || {
-                        let ctx = WorkerCtx::new(cutoff, ctl, faults);
-                        let part = worker(range, &ctx);
-                        (part, ctx.evaluated.get(), ctx.cut.get())
-                    })
+                    let (worker, range) = (&worker, range.clone());
+                    scope.spawn(move || worker(range))
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    // A panic that escapes the worker closure itself (not
-                    // a guarded subject call) is an engine bug: propagate.
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
-        })
+        }),
     };
     // Contiguous frontier: ranges are in order, so the prefix extends
     // through every fully evaluated range plus the leading evaluations of
-    // the first cut-short one. (A worker that early-exited via the cutoff
-    // counts as cut only if it flagged so; witness-driven cutoff exits
-    // leave `cut` false and are handled by the caller's merge.)
-    let mut checked = 0usize;
+    // the first one cut short.
+    let mut checked = 0;
     let mut complete = true;
-    let range_sizes = split_ranges(len, results.len().max(1));
-    for ((_, evaluated, cut), size) in results.iter().zip(range_sizes.iter().map(Range::len)) {
-        if *cut || *evaluated < size {
-            checked += *evaluated;
+    for ((_, evaluated), range) in results.iter().zip(&ranges) {
+        checked += evaluated;
+        if *evaluated < range.len() {
             complete = false;
             break;
         }
-        checked += size;
     }
     let quarantined = faults.take();
-    if quarantined.is_some() {
-        complete = false;
-    }
     FoldPartials {
-        parts: results.into_iter().map(|(t, _, _)| t).collect(),
+        parts: results.into_iter().map(|(state, _)| state).collect(),
         checked,
-        complete,
+        complete: complete && quarantined.is_none(),
         quarantined,
     }
+}
+
+/// The witness scan on the fold: the least-index tuple on which `test`
+/// returns a payload, with the coverage rules of [`try_find_first`].
+pub(crate) fn first<G, T>(
+    domain: &dyn InputDomain,
+    config: &EvalConfig,
+    ctl: &CancelToken,
+    test: impl Fn(usize, &[V]) -> Option<T> + Sync,
+) -> Result<Coverage<(usize, T)>, EnfError>
+where
+    G: Guard,
+    T: Send,
+{
+    let total = domain.len();
+    let mut folded = fold::<G, _>(
+        domain,
+        0..total,
+        config,
+        ctl,
+        || None,
+        |found, idx, a| {
+            *found = test(idx, a).map(|payload| (idx, payload));
+            found.is_some()
+        },
+    );
+    let hit = std::mem::take(&mut folded.parts)
+        .into_iter()
+        .flatten()
+        .min_by_key(|(idx, _)| *idx);
+    folded.resolve_quarantine(hit.as_ref().map(|(idx, _)| *idx))?;
+    Ok(match hit {
+        Some(w) => Coverage::refuted(folded.checked.min(w.0 + 1), total, w),
+        None if folded.complete => Coverage {
+            checked: total,
+            total,
+            verdict: Verdict::Confirmed,
+            report: None,
+        },
+        None => Coverage::unknown(folded.checked, total),
+    })
+}
+
+/// Finds the least-index tuple on which `test` returns a payload.
+///
+/// The shared witness-first pattern of `check_protection`, the schedule
+/// oracle and the static equivalence checker: scan for the first offending
+/// tuple, in enumeration order, with cooperative early exit across
+/// workers. A panic in `test` unwinds to the caller.
+pub fn find_first<T, F>(
+    domain: &dyn InputDomain,
+    config: &EvalConfig,
+    test: F,
+) -> Option<(usize, T)>
+where
+    T: Send,
+    F: Fn(usize, &[V]) -> Option<T> + Sync,
+{
+    plain(first::<Plain, _>(domain, config, &CancelToken::new(), test)).report
 }
 
 /// Fault-tolerant [`find_first`]: quarantines subject panics, honors the
@@ -628,44 +572,7 @@ where
     T: Send,
     F: Fn(usize, &[V]) -> Option<T> + Sync,
 {
-    let total = domain.len();
-    let partials = try_partition_fold(domain, config, ctl, |range, ctx| {
-        let mut found: Option<(usize, T)> = None;
-        domain.visit_range(range, &mut |idx, a| {
-            if ctx.cutoff().passed(idx) || ctx.stop_requested(idx) {
-                return false;
-            }
-            let Some(result) = ctx.guard(idx, || test(idx, a)) else {
-                return false;
-            };
-            match result {
-                Some(payload) => {
-                    ctx.cutoff().propose(idx);
-                    found = Some((idx, payload));
-                    false
-                }
-                None => true,
-            }
-        });
-        found
-    });
-    let witness = partials.parts.iter().flatten().map(|(idx, _)| *idx).min();
-    partials.resolve_quarantine(witness)?;
-    let hit = partials
-        .parts
-        .into_iter()
-        .flatten()
-        .min_by_key(|(idx, _)| *idx);
-    Ok(match hit {
-        Some(w) => Coverage::refuted(partials.checked.min(w.0 + 1), total, w),
-        None if partials.complete => Coverage {
-            checked: total,
-            total,
-            verdict: Verdict::Confirmed,
-            report: None,
-        },
-        None => Coverage::unknown(partials.checked, total),
-    })
+    first::<Guarded, _>(domain, config, ctl, test)
 }
 
 #[cfg(test)]
@@ -706,19 +613,22 @@ mod tests {
     }
 
     #[test]
-    fn partition_fold_covers_every_index_once() {
+    fn fold_covers_every_index_once() {
         let g = Grid::hypercube(2, 0..=31); // 1024 tuples
         for threads in 1..=8 {
-            let partials = partition_fold(&g, &par_cfg(threads), |range, _| {
-                let mut sum = 0u64;
-                let mut count = 0usize;
-                g.visit_range(range, &mut |idx, _| {
-                    sum += idx as u64;
-                    count += 1;
-                    true
-                });
-                (sum, count)
-            });
+            let partials = fold::<Plain, _>(
+                &g,
+                0..g.len(),
+                &par_cfg(threads),
+                &CancelToken::new(),
+                || (0u64, 0usize),
+                |(sum, count), idx, _| {
+                    *sum += idx as u64;
+                    *count += 1;
+                    false
+                },
+            )
+            .parts;
             let total: u64 = partials.iter().map(|p| p.0).sum();
             let count: usize = partials.iter().map(|p| p.1).sum();
             assert_eq!(count, 1024);
@@ -749,17 +659,18 @@ mod tests {
     fn find_first_sequential_fast_path_matches_parallel() {
         let g = Grid::hypercube(3, 0..=9);
         let test = |_: usize, a: &[V]| (a[0] >= 5 && a[2] == 7).then(|| a.to_vec());
-        // seq_cfg and a large seq_threshold both select the fast path; both
-        // must agree with the parallel scan, witness and index alike.
+        // seq_cfg and a large seq_threshold both select one worker on the
+        // calling thread; both must agree with the parallel scan, witness
+        // and index alike.
         let par = find_first(&g, &par_cfg(4), test);
         assert_eq!(find_first(&g, &seq_cfg(), test), par);
         assert_eq!(
             find_first(&g, &EvalConfig::with_threads(8), test),
             par,
-            "domain below DEFAULT_SEQ_THRESHOLD must use the fast path"
+            "domain below DEFAULT_SEQ_THRESHOLD must use one worker"
         );
         assert_eq!(par.map(|(idx, _)| idx), Some(507));
-        // The fast path stops at the first hit like the cutoff does.
+        // One worker stops at the first hit.
         let visits = std::sync::atomic::AtomicUsize::new(0);
         let counted = find_first(&g, &seq_cfg(), |idx, _| {
             visits.fetch_add(1, Ordering::Relaxed);
@@ -773,10 +684,19 @@ mod tests {
     fn sequential_config_runs_on_caller_thread() {
         let g = Grid::hypercube(2, 0..=9);
         let caller = std::thread::current().id();
-        let partials = partition_fold(&g, &seq_cfg(), |range, _| {
-            assert_eq!(std::thread::current().id(), caller);
-            range.len()
-        });
+        let partials = fold::<Plain, _>(
+            &g,
+            0..g.len(),
+            &seq_cfg(),
+            &CancelToken::new(),
+            || 0usize,
+            |n, _, _| {
+                assert_eq!(std::thread::current().id(), caller);
+                *n += 1;
+                false
+            },
+        )
+        .parts;
         assert_eq!(partials, vec![100]);
     }
 
@@ -812,24 +732,21 @@ mod tests {
     }
 
     fn count_fold(g: &Grid, threads: usize, ctl: &CancelToken) -> FoldPartials<usize> {
-        try_partition_fold(g, &par_cfg(threads), ctl, |range, ctx| {
-            let mut n = 0usize;
-            g.visit_range(range, &mut |idx, _| {
-                if ctx.cutoff().passed(idx) || ctx.stop_requested(idx) {
-                    return false;
-                }
-                if ctx.guard(idx, || ()).is_none() {
-                    return false;
-                }
-                n += 1;
-                true
-            });
-            n
-        })
+        fold::<Guarded, _>(
+            g,
+            0..g.len(),
+            &par_cfg(threads),
+            ctl,
+            || 0usize,
+            |n, _, _| {
+                *n += 1;
+                false
+            },
+        )
     }
 
     #[test]
-    fn try_partition_fold_clean_run_is_complete() {
+    fn guarded_fold_clean_run_is_complete() {
         let g = Grid::hypercube(2, 0..=31);
         for threads in 1..=8 {
             let p = count_fold(&g, threads, &CancelToken::new());
@@ -842,7 +759,7 @@ mod tests {
     }
 
     #[test]
-    fn try_partition_fold_index_limit_frontier_is_exact() {
+    fn guarded_fold_index_limit_frontier_is_exact() {
         let g = Grid::hypercube(2, 0..=31);
         for threads in 1..=8 {
             let ctl = CancelToken::new().with_index_limit(137);
@@ -853,31 +770,26 @@ mod tests {
     }
 
     #[test]
-    fn try_partition_fold_quarantines_panics() {
+    fn guarded_fold_quarantines_panics() {
         crate::chaos::silence_chaos_panics();
         let g = Grid::hypercube(2, 0..=31);
         for threads in 1..=8 {
-            let p = try_partition_fold(&g, &par_cfg(threads), &CancelToken::new(), |range, ctx| {
-                let mut n = 0usize;
-                g.visit_range(range, &mut |idx, _| {
-                    if ctx.cutoff().passed(idx) || ctx.stop_requested(idx) {
-                        return false;
+            let p = fold::<Guarded, _>(
+                &g,
+                0..g.len(),
+                &par_cfg(threads),
+                &CancelToken::new(),
+                || 0usize,
+                |n, idx, _| {
+                    // Two faulty indices: the least one must win for every
+                    // thread count.
+                    if idx == 700 || idx == 300 {
+                        panic!("{}: boom at {idx}", crate::chaos::CHAOS_MARKER);
                     }
-                    let evaluated = ctx.guard(idx, || {
-                        // Two faulty indices: the least one must win for
-                        // every thread count.
-                        if idx == 700 || idx == 300 {
-                            panic!("{}: boom at {idx}", crate::chaos::CHAOS_MARKER);
-                        }
-                    });
-                    if evaluated.is_none() {
-                        return false;
-                    }
-                    n += 1;
-                    true
-                });
-                n
-            });
+                    *n += 1;
+                    false
+                },
+            );
             assert!(!p.complete);
             let (idx, payload) = p.quarantined.clone().expect("quarantined");
             assert_eq!(idx, 300, "threads={threads}");

@@ -33,13 +33,14 @@
 //!
 //! With `k` inputs and `m` slots there are `(2^k)^m` assignments. They are
 //! enumerated canonically — slot-major, subset-bitmask ascending — and the
-//! sweep over schedules runs through [`crate::par::find_first`], so the
-//! reported witness is the least-schedule-index one for every thread count.
+//! sweep over schedules is the engine's witness scan ([`crate::par`]), so
+//! the reported witness is the least-schedule-index one for every thread
+//! count.
 
 use crate::domain::{Grid, InputDomain};
-use crate::error::{Coverage, EnfError};
+use crate::error::{Coverage, EnfError, Verdict};
 use crate::indexset::IndexSet;
-use crate::par::{find_first, try_find_first, CancelToken, EvalConfig};
+use crate::par::{first, plain, CancelToken, EvalConfig, Guard, Guarded, Plain};
 use crate::policy::{Allow, Policy};
 use crate::value::V;
 use std::collections::HashMap;
@@ -274,10 +275,10 @@ fn check_one_schedule<S: ScheduledProgram>(
 /// over `domain`, quantifying over every schedule of the canonical bounded
 /// enumeration (optionally capped at `max_schedules`).
 ///
-/// The schedule sweep is parallelized with [`crate::par::find_first`] over
-/// schedule indices; within one schedule the input sweep is sequential and
-/// deterministic. The reported witness is therefore the least-schedule-
-/// index one — identical for every thread count.
+/// The schedule sweep is parallelized with [`crate::par::find_first`]'s
+/// witness scan over schedule indices; within one schedule the input sweep
+/// is sequential and deterministic. The reported witness is therefore the
+/// least-schedule-index one — identical for every thread count.
 ///
 /// With `slot_count() == 0` exactly one schedule (the fixed initial policy)
 /// is checked, and the verdict coincides with [`crate::check_soundness`] of
@@ -294,62 +295,19 @@ pub fn check_soundness_scheduled<S: ScheduledProgram>(
     config: &EvalConfig,
     max_schedules: Option<usize>,
 ) -> ScheduledReport<S::Out> {
-    let arity = subject.arity();
-    assert_eq!(
-        arity,
-        initial.arity(),
-        "subject arity {arity} does not match policy arity {}",
-        initial.arity()
-    );
-    assert_eq!(
-        arity,
-        domain.arity(),
-        "domain arity {} does not match subject arity {arity}",
-        domain.arity()
-    );
-
-    let slots = subject.slot_count();
-    let total = Schedule::count(arity, slots).unwrap_or(u128::MAX);
-    let capped = match max_schedules {
-        Some(cap) => total.min(cap as u128),
-        None => total,
-    };
-    let count = usize::try_from(capped).unwrap_or_else(|_| {
-        panic!("schedule count {capped} overflows usize; pass a max_schedules cap")
-    });
-    assert!(count > 0, "schedule enumeration is empty");
-    let init_set = initial.allowed();
-
-    // A 1-D grid over schedule indices: `find_first` then yields the
-    // least-index failing schedule deterministically across thread counts.
-    let sched_domain = Grid::new(vec![0..=(count - 1) as V]);
-    let found = find_first(&sched_domain, config, |idx, a| {
-        let schedule = Schedule::nth(init_set, arity, slots, a[0] as u128);
-        check_one_schedule(subject, &schedule, domain)
-            .map(|(p, rep, c, out_a, out_b)| (idx, schedule, p, rep, c, out_a, out_b))
-    });
-
-    match found {
-        Some((_, (schedule_index, schedule, final_policy, rep, c, out_a, out_b))) => {
-            let mut buf = Vec::new();
-            domain.nth_input(rep, &mut buf);
-            let a = buf.clone();
-            domain.nth_input(c, &mut buf);
-            ScheduledReport::Unsound(ScheduledWitness {
-                schedule_index,
-                schedule,
-                final_policy,
-                a,
-                b: buf,
-                out_a,
-                out_b,
-            })
-        }
-        None => ScheduledReport::Sound {
-            schedules: count,
-            inputs: domain.len(),
-        },
-    }
+    let ctl = CancelToken::new();
+    let found = plain(scheduled::<Plain, _>(
+        subject,
+        initial,
+        domain,
+        config,
+        max_schedules,
+        &ctl,
+    ));
+    found.report.unwrap_or(ScheduledReport::Sound {
+        schedules: found.total,
+        inputs: domain.len(),
+    })
 }
 
 /// Fault-tolerant [`check_soundness_scheduled`]: the bounded-schedule
@@ -374,6 +332,30 @@ pub fn check_soundness_scheduled<S: ScheduledProgram>(
 /// Panics under the same arity/overflow conditions as
 /// [`check_soundness_scheduled`].
 pub fn try_check_soundness_scheduled<S: ScheduledProgram>(
+    subject: &S,
+    initial: &Allow,
+    domain: &dyn InputDomain,
+    config: &EvalConfig,
+    max_schedules: Option<usize>,
+    ctl: &CancelToken,
+) -> Result<Coverage<ScheduledReport<S::Out>>, EnfError> {
+    let mut found = scheduled::<Guarded, _>(subject, initial, domain, config, max_schedules, ctl)?;
+    // The witness scan confirms with an empty report (absence of a witness
+    // is its evidence); a confirmed schedule sweep carries the full Sound
+    // report like the plain entry point.
+    if found.verdict == Verdict::Confirmed {
+        found.report = Some(ScheduledReport::Sound {
+            schedules: found.total,
+            inputs: domain.len(),
+        });
+    }
+    Ok(found)
+}
+
+/// The body of both forms of [`check_soundness_scheduled`]: the witness
+/// scan over schedule indices, reporting the least failing schedule's
+/// witness. Coverage counts schedules.
+fn scheduled<G: Guard, S: ScheduledProgram>(
     subject: &S,
     initial: &Allow,
     domain: &dyn InputDomain,
@@ -407,15 +389,15 @@ pub fn try_check_soundness_scheduled<S: ScheduledProgram>(
     assert!(count > 0, "schedule enumeration is empty");
     let init_set = initial.allowed();
 
+    // A 1-D grid over schedule indices: the witness scan then yields the
+    // least-index failing schedule deterministically across thread counts.
     let sched_domain = Grid::new(vec![0..=(count - 1) as V]);
-    let coverage = try_find_first(&sched_domain, config, ctl, |idx, a| {
+    let found = first::<G, _>(&sched_domain, config, ctl, |_, a| {
         let schedule = Schedule::nth(init_set, arity, slots, a[0] as u128);
-        check_one_schedule(subject, &schedule, domain)
-            .map(|(p, rep, c, out_a, out_b)| (idx, schedule, p, rep, c, out_a, out_b))
+        check_one_schedule(subject, &schedule, domain).map(|conflict| (schedule, conflict))
     })?;
-
-    let mut mapped = coverage.map(
-        |(_, (schedule_index, schedule, final_policy, rep, c, out_a, out_b))| {
+    Ok(found.map(
+        |(schedule_index, (schedule, (final_policy, rep, c, out_a, out_b)))| {
             let mut buf = Vec::new();
             domain.nth_input(rep, &mut buf);
             let a = buf.clone();
@@ -430,17 +412,7 @@ pub fn try_check_soundness_scheduled<S: ScheduledProgram>(
                 out_b,
             })
         },
-    );
-    // `try_find_first` confirms with an empty report (absence of a witness
-    // is its evidence); a confirmed schedule sweep carries the full Sound
-    // report like the plain entry point.
-    if mapped.verdict == crate::error::Verdict::Confirmed {
-        mapped.report = Some(ScheduledReport::Sound {
-            schedules: count,
-            inputs: domain.len(),
-        });
-    }
-    Ok(mapped)
+    ))
 }
 
 /// Replays a scheduled witness against the subject, confirming it is a

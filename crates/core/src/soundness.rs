@@ -29,9 +29,7 @@ use crate::domain::InputDomain;
 use crate::error::{Coverage, EnfError};
 use crate::indexset::IndexSet;
 use crate::mechanism::{MechOutput, Mechanism};
-use crate::par::{
-    find_first, try_find_first, try_partition_fold_range, CancelToken, EvalConfig, WorkerCtx,
-};
+use crate::par::{self, first, plain, CancelToken, EvalConfig, Guard, Guarded, Plain};
 use crate::policy::Policy;
 use crate::program::Program;
 use crate::value::V;
@@ -270,60 +268,16 @@ where
     P: Policy + Sync,
     P::View: Send,
 {
-    let ctl = CancelToken::new();
-    match sweep::<Plain, _, _>(
+    let swept = sweep::<Plain, _, _>(
         mechanism,
         policies,
         domain,
         collapse_notices,
         config,
-        &ctl,
+        &CancelToken::new(),
         None,
-    ) {
-        Ok(swept) => swept.into_reports(domain),
-        // Only a quarantine or a checkpoint sink fails a sweep, and a
-        // plain sweep has neither.
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// How the sweep loop evaluates the subject. A type parameter rather
-/// than a flag, so the infallible forms compile to a plain call.
-trait Guard {
-    /// Whether the worker should stop before evaluating `idx`.
-    fn stop(ctx: &WorkerCtx, idx: usize) -> bool;
-    /// Runs the subject at `idx`; `None` ends the worker's range.
-    fn eval<R>(ctx: &WorkerCtx, idx: usize, f: impl FnOnce() -> R) -> Option<R>;
-}
-
-/// The fail-closed forms: poll the cancellation token, quarantine panics.
-struct Guarded;
-
-impl Guard for Guarded {
-    #[inline]
-    fn stop(ctx: &WorkerCtx, idx: usize) -> bool {
-        ctx.cutoff().passed(idx) || ctx.stop_requested(idx)
-    }
-
-    #[inline]
-    fn eval<R>(ctx: &WorkerCtx, idx: usize, f: impl FnOnce() -> R) -> Option<R> {
-        ctx.guard(idx, f)
-    }
-}
-
-/// The infallible forms: no token, and a subject panic unwinds.
-struct Plain;
-
-impl Guard for Plain {
-    #[inline]
-    fn stop(ctx: &WorkerCtx, idx: usize) -> bool {
-        ctx.cutoff().passed(idx)
-    }
-
-    #[inline]
-    fn eval<R>(ctx: &WorkerCtx, _idx: usize, f: impl FnOnce() -> R) -> Option<R> {
-        Some(ctx.call(f))
-    }
+    );
+    plain(swept).into_reports(domain)
 }
 
 /// What a sweep leaves behind: one merged table per policy plus coverage.
@@ -363,13 +317,13 @@ impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> Sweep<W, O> {
 /// The soundness sweep: every entry point of this module runs it.
 ///
 /// The index space is folded in blocks (one block unless checkpointing)
-/// through [`try_partition_fold_range`]. Each worker evaluates the subject
-/// once per input and records the output in one class table per policy;
-/// a table stops taking inputs once it holds a conflict in the worker's
-/// range, and once every table has one, the index goes to the shared
-/// cutoff so sibling workers stop past it. Partials merge in range order,
-/// so each class's representative is its globally first occurrence and
-/// each table's least conflict the one the sequential scan meets first. A
+/// through [`par::fold`]. Each worker evaluates the subject once per input
+/// and records the output in one class table per policy; a table stops
+/// taking inputs once it holds a conflict in the worker's range, and the
+/// input that gives the last table its conflict decides the fold, so
+/// sibling workers stop past it. Partials merge in range order, so each
+/// class's representative is its globally first occurrence and each
+/// table's least conflict the one the sequential scan meets first. A
 /// quarantine ranks against the conflicts by input index.
 fn sweep<G, M, P>(
     mechanism: &M,
@@ -404,48 +358,40 @@ where
         }
     }
 
-    while start < total {
+    // With no policy there is nothing to record, so the subject never runs.
+    while start < total && !parts.is_empty() {
         let span = start..start.saturating_add(block).min(total);
-        let mut partials =
-            try_partition_fold_range(domain, span.clone(), config, ctl, |range, ctx| {
-                // (partition, its table, still taking inputs) per policy.
-                let mut lanes: Vec<_> = parts.iter().map(|p| (p, p.table(), true)).collect();
-                let mut remaining = lanes.len();
-                domain.visit_range(range, &mut |idx, a| {
-                    if remaining == 0 || G::stop(ctx, idx) {
-                        return false;
+        let mut partials = par::fold::<G, _>(
+            domain,
+            span.clone(),
+            config,
+            ctl,
+            // Per policy: its table, and whether it still takes inputs.
+            || parts.iter().map(|p| (p.table(), true)).collect::<Vec<_>>(),
+            |lanes, idx, a| {
+                // The policy is part of the subject, so its view is taken
+                // under the guard too. A view is taken before the record it
+                // keys and guarded sweeps have one policy, so a panic leaves
+                // nothing recorded at `idx`.
+                let out = mechanism.run(a);
+                let out = if collapse_notices {
+                    out.collapse_notice()
+                } else {
+                    out
+                };
+                let mut open = 0;
+                for (part, (table, taking)) in parts.iter().zip(lanes.iter_mut()) {
+                    if *taking && part.record(table, a, idx, &out) {
+                        *taking = false;
                     }
-                    // The policy is part of the subject, so its view is
-                    // taken under the guard too. A view is taken before the
-                    // record it keys and guarded sweeps have one policy, so
-                    // a panic leaves nothing recorded at `idx`.
-                    G::eval(ctx, idx, || {
-                        let out = mechanism.run(a);
-                        let out = if collapse_notices {
-                            out.collapse_notice()
-                        } else {
-                            out
-                        };
-                        for (part, table, open) in &mut lanes {
-                            if *open && part.record(table, a, idx, &out) {
-                                *open = false;
-                                remaining -= 1;
-                                if remaining == 0 {
-                                    ctx.cutoff().propose(idx);
-                                }
-                            }
-                        }
-                    })
-                    .is_some()
-                });
-                lanes
-                    .into_iter()
-                    .map(|(_, table, _)| table)
-                    .collect::<Vec<_>>()
-            });
+                    open += usize::from(*taking);
+                }
+                open == 0
+            },
+        );
 
         for part in std::mem::take(&mut partials.parts) {
-            for (m, p) in merged.iter_mut().zip(part) {
+            for (m, (p, _)) in merged.iter_mut().zip(part) {
                 m.merge(p);
             }
         }
@@ -832,48 +778,17 @@ where
     M: Mechanism + Sync,
     Q: Program<Out = M::Out> + Sync,
 {
-    assert_eq!(
-        mechanism.arity(),
-        program.arity(),
-        "mechanism arity {} does not match program arity {}",
-        mechanism.arity(),
-        program.arity()
-    );
-    match find_first(domain, config, |_, a| {
-        if let MechOutput::Value(v) = mechanism.run(a) {
-            if v != program.eval(a) {
-                return Some(a.to_vec());
-            }
-        }
-        None
-    }) {
-        Some((_, offender)) => Err(offender),
-        None => Ok(()),
-    }
+    let found = protection::<Plain, _, _>(mechanism, program, domain, config, &CancelToken::new());
+    plain(found).report.map_or(Ok(()), Err)
 }
 
-/// Fault-tolerant [`check_protection`]: quarantines panics in the
+/// Fault-tolerant [`check_protection_with`]: quarantines panics in the
 /// mechanism or program and honors the cancellation token.
 ///
 /// The verdict is `Refuted` with the first offending input when clause
 /// (1) fails, `Confirmed` when the whole domain was scanned clean, and
 /// `Unknown` when cancelled first; a subject panicking below any offender
 /// surfaces as `Err(SubjectPanicked)`.
-pub fn try_check_protection<M, Q>(
-    mechanism: &M,
-    program: &Q,
-    domain: &dyn InputDomain,
-    ctl: &CancelToken,
-) -> Result<Coverage<Vec<V>>, EnfError>
-where
-    M: Mechanism + Sync,
-    Q: Program<Out = M::Out> + Sync,
-{
-    try_check_protection_with(mechanism, program, domain, &EvalConfig::default(), ctl)
-}
-
-/// Like [`try_check_protection`] but with an explicit evaluation
-/// configuration.
 pub fn try_check_protection_with<M, Q>(
     mechanism: &M,
     program: &Q,
@@ -885,6 +800,23 @@ where
     M: Mechanism + Sync,
     Q: Program<Out = M::Out> + Sync,
 {
+    protection::<Guarded, _, _>(mechanism, program, domain, config, ctl)
+}
+
+/// The body of both forms of [`check_protection_with`]: the first input
+/// on which `M` accepts with a value other than `Q(a)`.
+fn protection<G, M, Q>(
+    mechanism: &M,
+    program: &Q,
+    domain: &dyn InputDomain,
+    config: &EvalConfig,
+    ctl: &CancelToken,
+) -> Result<Coverage<Vec<V>>, EnfError>
+where
+    G: Guard,
+    M: Mechanism + Sync,
+    Q: Program<Out = M::Out> + Sync,
+{
     assert_eq!(
         mechanism.arity(),
         program.arity(),
@@ -892,15 +824,11 @@ where
         mechanism.arity(),
         program.arity()
     );
-    let coverage = try_find_first(domain, config, ctl, |_, a| {
-        if let MechOutput::Value(v) = mechanism.run(a) {
-            if v != program.eval(a) {
-                return Some(a.to_vec());
-            }
-        }
-        None
+    let found = first::<G, _>(domain, config, ctl, |_, a| match mechanism.run(a) {
+        MechOutput::Value(v) if v != program.eval(a) => Some(a.to_vec()),
+        _ => None,
     })?;
-    Ok(coverage.map(|(_, offender)| offender))
+    Ok(found.map(|(_, offender)| offender))
 }
 
 #[cfg(test)]

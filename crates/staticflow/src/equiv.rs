@@ -6,8 +6,8 @@
 //! test grid needs. Divergence (fuel exhaustion) counts as an observable
 //! outcome and must match too.
 
-use enf_core::par::{find_first, try_find_first, CancelToken};
-use enf_core::{Coverage, EnfError, EvalConfig, InputDomain, V};
+use enf_core::par::find_first;
+use enf_core::{EvalConfig, InputDomain, V};
 use enf_flowchart::graph::Flowchart;
 use enf_flowchart::interp::{run, ExecConfig, Outcome};
 
@@ -50,34 +50,6 @@ pub fn equivalent_on_with(
         Some((_, witness)) => Err(witness),
         None => Ok(()),
     }
-}
-
-/// Fault-tolerant [`equivalent_on`]: a panicking interpreter (e.g. a
-/// malformed chart slipping past the parser) is quarantined instead of
-/// unwinding, and the scan honors the cancellation token. The verdict is
-/// `Refuted` with the first differing input, `Confirmed` on a clean full
-/// scan, or `Unknown` when cancelled first.
-pub fn try_equivalent_on_with(
-    a: &Flowchart,
-    b: &Flowchart,
-    domain: &dyn InputDomain,
-    fuel: u64,
-    config: &EvalConfig,
-    ctl: &CancelToken,
-) -> Result<Coverage<Vec<V>>, EnfError> {
-    assert_eq!(a.arity(), b.arity(), "arity mismatch");
-    let cfg = ExecConfig::with_fuel(fuel);
-    let coverage = try_find_first(domain, config, ctl, |_, input| {
-        let oa = run(a, input, &cfg);
-        let ob = run(b, input, &cfg);
-        let same = match (&oa, &ob) {
-            (Outcome::Halted(ha), Outcome::Halted(hb)) => ha.y == hb.y,
-            (Outcome::OutOfFuel, Outcome::OutOfFuel) => true,
-            _ => false,
-        };
-        (!same).then(|| input.to_vec())
-    })?;
-    Ok(coverage.map(|(_, witness)| witness))
 }
 
 #[cfg(test)]

@@ -1325,12 +1325,14 @@ fn build_cancel_token(args: &Args) -> Result<CancelToken, CliError> {
         let v = v
             .as_deref()
             .ok_or_else(|| "--deadline needs a value (seconds)".to_string())?;
-        let secs: f64 = v
+        // `try_from_secs_f64` rejects negative, NaN, infinite and
+        // overflowing values in one call, and accepts `0` and `-0`.
+        let deadline = v
             .parse()
             .ok()
-            .filter(|s: &f64| s.is_finite() && *s >= 0.0)
+            .and_then(|secs| std::time::Duration::try_from_secs_f64(secs).ok())
             .ok_or_else(|| format!("bad --deadline `{v}` (need non-negative seconds)"))?;
-        ctl = ctl.with_deadline(std::time::Duration::from_secs_f64(secs));
+        ctl = ctl.with_deadline(deadline);
     }
     if let Some(v) = args.flag("budget") {
         let v = v

@@ -155,7 +155,7 @@ proptest! {
     }
 
     /// (a) Protection checks fail closed too: a program panicking at a
-    /// plan-chosen input is quarantined by `try_check_protection`.
+    /// plan-chosen input is quarantined by `try_check_protection_with`.
     #[test]
     fn protection_check_fails_closed(seed in 0u64..10_000) {
         silence_chaos_panics();

@@ -156,22 +156,24 @@ fn check_budget_reports_partial_coverage() {
 fn check_deadline_cuts_the_sweep() {
     // An already-expired deadline; the grid must be large enough for the
     // strided deadline poll (every 256 inputs per worker) to fire.
-    let (code, out, _) = enforce(
-        &[
-            "check",
-            "-",
-            "--allow",
-            "2",
-            "--span",
-            "40",
-            "--deadline",
-            "0",
-        ],
-        FORGETTING,
-    );
-    assert_eq!(code, 1, "{out}");
-    assert!(out.contains("unknown:"), "{out}");
-    assert!(out.contains("of 6561 inputs"), "{out}");
+    for secs in ["0", "-0"] {
+        let (code, out, _) = enforce(
+            &[
+                "check",
+                "-",
+                "--allow",
+                "2",
+                "--span",
+                "40",
+                "--deadline",
+                secs,
+            ],
+            FORGETTING,
+        );
+        assert_eq!(code, 1, "--deadline {secs}: {out}");
+        assert!(out.contains("unknown:"), "{out}");
+        assert!(out.contains("of 6561 inputs"), "{out}");
+    }
 }
 
 #[test]
@@ -424,21 +426,24 @@ fn usage_errors_exit_2() {
         err.contains("parse error") || err.contains("lowering"),
         "{err}"
     );
-    let (code, _, err) = enforce(
-        &[
-            "check",
-            "-",
-            "--allow",
-            "2",
-            "--span",
-            "3",
-            "--deadline",
-            "-1",
-        ],
-        FORGETTING,
-    );
-    assert_eq!(code, 2);
-    assert!(err.contains("--deadline"), "{err}");
+    // Negative, not finite, or more than a `Duration` holds.
+    for secs in ["-1", "1e300", "inf", "NaN"] {
+        let (code, _, err) = enforce(
+            &[
+                "check",
+                "-",
+                "--allow",
+                "2",
+                "--span",
+                "3",
+                "--deadline",
+                secs,
+            ],
+            FORGETTING,
+        );
+        assert_eq!(code, 2, "--deadline {secs}: {err}");
+        assert!(err.contains("--deadline"), "{err}");
+    }
 }
 
 const CANCELLING: &str = "program(1) { y := x1 - x1; }";
