@@ -27,6 +27,7 @@ use crate::par::{CancelToken, EvalConfig};
 use crate::policy::Policy;
 use crate::soundness::{guarded_sweep, Checkpoints, SoundnessReport};
 use crate::value::V;
+use std::borrow::Borrow;
 use std::hash::Hash;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,10 +36,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const FORMAT: &str = "enf-soundness-checkpoint-v1";
 
 /// FNV-1a over a sequence of words — the sweep fingerprint primitive.
-pub fn fingerprint(parts: &[u64]) -> u64 {
+/// It takes the words as an iterator, so a caller can fold bytes or
+/// fields in as they come instead of collecting them first.
+pub fn fingerprint<W: Borrow<u64>>(parts: impl IntoIterator<Item = W>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for part in parts {
-        for byte in part.to_le_bytes() {
+        for byte in part.borrow().to_le_bytes() {
             h ^= u64::from(byte);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -318,7 +321,7 @@ pub fn read_checkpoint_file(path: &Path) -> Result<Json, EnfError> {
 /// `salt` identifying the mechanism/policy pair (the engine cannot hash
 /// closures; the CLI derives the salt from its command line).
 pub fn soundness_fingerprint(total: usize, arity: usize, collapse_notices: bool, salt: u64) -> u64 {
-    fingerprint(&[
+    fingerprint([
         total as u64,
         arity as u64,
         u64::from(collapse_notices),

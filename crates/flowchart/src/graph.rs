@@ -299,8 +299,7 @@ impl Flowchart {
     /// records and caches can name a program without embedding its text.
     pub fn fingerprint(&self) -> u64 {
         let src = crate::pretty::flowchart_to_string(self);
-        let words: Vec<u64> = src.bytes().map(u64::from).collect();
-        enf_core::fingerprint(&words)
+        enf_core::fingerprint(src.bytes().map(u64::from))
     }
 
     /// Forward successors of a node as a list.

@@ -34,21 +34,22 @@
 //! them off and verifies the rest; any other break is refused.
 
 use enf_core::{EnfError, Json};
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions, TryLockError};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// `prev` of the first record: the FNV-1a fingerprint of the empty word
 /// sequence, rendered like every other hash.
-pub const GENESIS: u64 = fingerprint_bytes("");
+pub const GENESIS: u64 = fnv1a(FNV_BASIS, b"");
 
-/// FNV-1a over a string's bytes, via the same [`enf_core::fingerprint`]
-/// primitive the checkpoint format uses.
-const fn fingerprint_bytes(s: &str) -> u64 {
-    // `enf_core::fingerprint` folds u64 words; replicate its byte folding
-    // here so hashing a rendered record needs no intermediate Vec.
-    let bytes = s.as_bytes();
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a's offset basis, the state before any byte is folded in.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from the state `hash`: the byte
+/// folding inside [`enf_core::fingerprint`], the primitive the checkpoint
+/// format uses, applied to a record's text rather than to 64-bit words.
+const fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     let mut i = 0;
     while i < bytes.len() {
         hash ^= bytes[i] as u64;
@@ -60,14 +61,25 @@ const fn fingerprint_bytes(s: &str) -> u64 {
 
 /// The chain hash of a record: FNV-1a over its canonical rendering with
 /// the `hash` field absent. `prev` is part of the rendering, so the hash
-/// transitively covers the whole log prefix.
-fn chain_hash(body_render: &str) -> u64 {
-    fingerprint_bytes(body_render)
+/// transitively covers the whole log prefix. `open_body` is that
+/// rendering without its closing `}`, which is how a record's line
+/// begins.
+fn chain_hash(open_body: &str) -> u64 {
+    fnv1a(fnv1a(FNV_BASIS, open_body.as_bytes()), b"}")
 }
 
 /// 16-digit lowercase hex, the wire form of every hash in the log.
 pub fn hash_hex(h: u64) -> String {
     format!("{h:016x}")
+}
+
+/// Whether `text` is `h`'s [`hash_hex`] form, compared digit by digit
+/// without building that string.
+fn is_hex_of(text: &str, h: u64) -> bool {
+    let digits = (0..16)
+        .rev()
+        .map(|i| b"0123456789abcdef"[(h >> (4 * i)) as usize & 0xf]);
+    text.bytes().eq(digits)
 }
 
 /// When a file-backed log writes its bytes out. Both policies write
@@ -235,9 +247,9 @@ impl AuditLog {
                 .count();
             refuse(line, "record is not UTF-8".to_string())
         })?;
-        match verify_chain(text) {
+        let mut lines = Vec::new();
+        match replay(text, |line| lines.push(line.to_string())) {
             ChainVerdict::Intact { records, head } => {
-                let lines: Vec<String> = text.lines().map(str::to_string).collect();
                 debug_assert_eq!(lines.len(), records);
                 disk.written = records;
                 disk.len = bytes.len() as u64;
@@ -300,10 +312,13 @@ impl AuditLog {
             ("kind".to_string(), Json::Str(kind.to_string())),
         ];
         obj.extend(fields);
-        let body = Json::Obj(obj.clone()).render();
-        let hash = chain_hash(&body);
-        obj.push(("hash".to_string(), Json::Str(hash_hex(hash))));
-        self.lines.push(Json::Obj(obj).render());
+        // The line is the body's one rendering with the hash field added
+        // last: the body without its `}`, then `,"hash":"…"}`.
+        let mut line = Json::Obj(obj).render();
+        line.pop();
+        let hash = chain_hash(&line);
+        let _ = write!(line, ",\"hash\":\"{}\"}}", hash_hex(hash));
+        self.lines.push(line);
         self.head = hash;
         if self.flush == FlushPolicy::EveryRecord {
             self.persist()?;
@@ -378,6 +393,16 @@ impl ChainVerdict {
 /// its `hash` recomputes from the body. The scan stops at the first
 /// failure; everything before it is reported intact.
 pub fn verify_chain(text: &str) -> ChainVerdict {
+    replay(text, |_| {})
+}
+
+/// [`verify_chain`]'s scan, handing each verified record's line to `keep`
+/// so [`AuditLog::resume`] collects the lines it replays.
+///
+/// Each record costs one parse and one rendering, the canonical check.
+/// A canonical line ends with its last field, the `hash`, and a `}`, so
+/// the body it hashes is the line up to that field, closed with `}`.
+fn replay<'t>(text: &'t str, mut keep: impl FnMut(&'t str)) -> ChainVerdict {
     let mut head = GENESIS;
     let mut intact = 0usize;
     let mut rest = text;
@@ -408,10 +433,10 @@ pub fn verify_chain(text: &str) -> ChainVerdict {
         if parsed.render() != line {
             return tampered("record is not in canonical form".to_string());
         }
-        match fields.last() {
-            Some((key, _)) if key == "hash" => {}
+        let last = match fields.last() {
+            Some((key, value)) if key == "hash" => value,
             _ => return tampered("missing hash field".to_string()),
-        }
+        };
         let seq = parsed.get("seq").and_then(Json::as_usize);
         if seq != Some(intact) {
             return tampered(format!(
@@ -423,21 +448,24 @@ pub fn verify_chain(text: &str) -> ChainVerdict {
             ));
         }
         let prev = parsed.get("prev").and_then(Json::as_str).unwrap_or("");
-        if prev != hash_hex(head) {
+        if !is_hex_of(prev, head) {
             return tampered(format!(
                 "chain break: prev {prev} does not match head {}",
                 hash_hex(head)
             ));
         }
-        let body = Json::Obj(fields[..fields.len() - 1].to_vec()).render();
-        let expected = chain_hash(&body);
+        // `"hash":` and the value's rendering, after a comma unless the
+        // hash is the only field.
+        let field = r#""hash":"#.len() + last.render().len() + usize::from(fields.len() > 1);
+        let expected = chain_hash(&line[..line.len() - 1 - field]);
         let stored = parsed.get("hash").and_then(Json::as_str).unwrap_or("");
-        if stored != hash_hex(expected) {
+        if !is_hex_of(stored, expected) {
             return tampered(format!(
                 "hash mismatch: stored {stored}, recomputed {}",
                 hash_hex(expected)
             ));
         }
+        keep(line);
         head = expected;
         intact += 1;
         rest = tail;
@@ -457,6 +485,8 @@ pub(crate) fn indexset_json(set: &enf_core::IndexSet) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn sample() -> AuditLog {
         let mut log = AuditLog::in_memory();
@@ -551,6 +581,228 @@ mod tests {
                 assert!(reason.contains("canonical"));
             }
             other => panic!("reformatted log verified: {other:?}"),
+        }
+    }
+
+    /// The clone-and-render body rule that [`replay`] replaced, kept
+    /// verbatim as its oracle: it cloned each record's fields but the
+    /// last, rendered them again to hash the body, and compared hashes as
+    /// hex strings.
+    fn verify_chain_by_render(text: &str) -> ChainVerdict {
+        let mut head = GENESIS;
+        let mut intact = 0usize;
+        let mut rest = text;
+        while !rest.is_empty() {
+            let line_no = intact + 1;
+            let tampered = |reason: String| ChainVerdict::Tampered {
+                intact,
+                line: line_no,
+                reason,
+            };
+            let (line, tail) = match rest.split_once('\n') {
+                Some((line, tail)) => (line, tail),
+                None => {
+                    return tampered(format!(
+                        "truncated record: {} trailing bytes with no newline",
+                        rest.len()
+                    ))
+                }
+            };
+            let parsed = match enf_core::json::parse(line) {
+                Ok(parsed) => parsed,
+                Err(e) => return tampered(format!("malformed JSON: {e}")),
+            };
+            let fields = match &parsed {
+                Json::Obj(fields) => fields,
+                _ => return tampered("record is not an object".to_string()),
+            };
+            if parsed.render() != line {
+                return tampered("record is not in canonical form".to_string());
+            }
+            match fields.last() {
+                Some((key, _)) if key == "hash" => {}
+                _ => return tampered("missing hash field".to_string()),
+            }
+            let seq = parsed.get("seq").and_then(Json::as_usize);
+            if seq != Some(intact) {
+                return tampered(format!(
+                    "sequence break: expected seq {intact}, found {}",
+                    match seq {
+                        Some(s) => s.to_string(),
+                        None => "none".to_string(),
+                    }
+                ));
+            }
+            let prev = parsed.get("prev").and_then(Json::as_str).unwrap_or("");
+            if prev != hash_hex(head) {
+                return tampered(format!(
+                    "chain break: prev {prev} does not match head {}",
+                    hash_hex(head)
+                ));
+            }
+            let body = Json::Obj(fields[..fields.len() - 1].to_vec()).render();
+            let expected = fnv1a(FNV_BASIS, body.as_bytes());
+            let stored = parsed.get("hash").and_then(Json::as_str).unwrap_or("");
+            if stored != hash_hex(expected) {
+                return tampered(format!(
+                    "hash mismatch: stored {stored}, recomputed {}",
+                    hash_hex(expected)
+                ));
+            }
+            head = expected;
+            intact += 1;
+            rest = tail;
+        }
+        ChainVerdict::Intact {
+            records: intact,
+            head,
+        }
+    }
+
+    /// The line the two-render `append` wrote: the body rendered to hash
+    /// it, then the whole record rendered again with the hash field.
+    fn line_by_two_renders(
+        seq: usize,
+        head: u64,
+        kind: &str,
+        fields: Vec<(String, Json)>,
+    ) -> String {
+        let mut obj = vec![
+            ("seq".to_string(), Json::Int(seq as i128)),
+            ("prev".to_string(), Json::Str(hash_hex(head))),
+            ("kind".to_string(), Json::Str(kind.to_string())),
+        ];
+        obj.extend(fields);
+        let body = Json::Obj(obj.clone()).render();
+        let hash = fnv1a(FNV_BASIS, body.as_bytes());
+        obj.push(("hash".to_string(), Json::Str(hash_hex(hash))));
+        Json::Obj(obj).render()
+    }
+
+    /// Message fragments: quotes, backslashes, control characters, 1- to
+    /// 4-byte characters, and text that looks like a hash field.
+    const PIECES: &[&str] = &[
+        "a",
+        " ",
+        "\"",
+        "\\",
+        "\\\"",
+        "\n",
+        "\t",
+        "\u{0}",
+        "\u{1f}",
+        "\u{7f}",
+        "é",
+        "€",
+        "中",
+        "𝄞",
+        "}",
+        ",\"hash\":\"",
+        "\"hash\":",
+    ];
+
+    fn message() -> impl Strategy<Value = String> {
+        collection::vec(0..PIECES.len(), 0..8)
+            .prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect())
+    }
+
+    /// A record's fields after `kind`: messages, numbers, and objects
+    /// with a `hash` key of their own, under keys that are now and then
+    /// `hash` too (such a record never verifies).
+    fn record_fields() -> impl Strategy<Value = Vec<(String, Json)>> {
+        let key = (0..8u8, message()).prop_map(|(n, key)| match n {
+            0 => "hash".to_string(),
+            1..=3 => "message".to_string(),
+            _ => key,
+        });
+        let value = prop_oneof![
+            message().prop_map(Json::Str),
+            any::<i64>().prop_map(|n| Json::Int(n.into())),
+            (message(), message()).prop_map(|(a, b)| {
+                Json::Obj(vec![("hash".to_string(), Json::Str(a)), (b, Json::Null)])
+            }),
+        ];
+        collection::vec((key, value), 0..3)
+    }
+
+    /// One copy of a trail per kind of tampering, placed by `seed`.
+    fn tamperings(text: &str, seed: u64) -> Vec<String> {
+        let mut state = seed;
+        let mut pick =
+            |bound: usize| (enf_core::chaos::splitmix64(&mut state) % bound.max(1) as u64) as usize;
+        let lines: Vec<&str> = text.lines().collect();
+        let join = |lines: &[&str]| lines.iter().map(|l| format!("{l}\n")).collect::<String>();
+        let mut out = Vec::new();
+        // A byte flip that leaves the text UTF-8.
+        let mut flipped = text.as_bytes().to_vec();
+        let at = pick(flipped.len());
+        flipped[at] ^= 1 << pick(8);
+        out.extend(String::from_utf8(flipped));
+        // Inserted whitespace.
+        let mut at = pick(text.len() + 1);
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        let space = [" ", "\t", "\n", "\r"][pick(4)];
+        out.push(format!("{}{space}{}", &text[..at], &text[at..]));
+        // Two lines swapped.
+        let mut swapped = lines.clone();
+        swapped.swap(pick(lines.len()), pick(lines.len()));
+        out.push(join(&swapped));
+        // One record replaced by one whose only field is a hash, or whose
+        // hash is a number, an object with a `hash` key of its own, or a
+        // string that is not the lowercase hex of the right hash.
+        let at = pick(lines.len());
+        let cut = lines[at].rfind(r#","hash":"#).expect("an appended line");
+        let (open, right) = (&lines[at][..cut], &lines[at][cut + 9..cut + 25]);
+        for record in [
+            format!(r#"{{"hash":"{right}"}}"#),
+            format!(r#"{{"hash":"{}"}}"#, hash_hex(fnv1a(FNV_BASIS, b"{}"))),
+            format!(r#"{open},"hash":{}}}"#, pick(1 << 20)),
+            format!(r#"{open},"hash":{{"hash":"{right}"}}}}"#),
+            format!(r#"{open},"hash":"{}"}}"#, right.to_uppercase()),
+            format!(r#"{open},"hash":"+{}"}}"#, &right[1..]),
+            format!(r#"{open},"hash":"{right}0"}}"#),
+            format!(r#"{open},"hash":"z{}"}}"#, &right[1..]),
+        ] {
+            let mut replaced = lines.clone();
+            replaced[at] = &record;
+            out.push(join(&replaced));
+        }
+        out
+    }
+
+    proptest! {
+        /// `append` writes the two-render line, and on every trail and
+        /// every tampering of it, hashing the line's prefix gives the
+        /// verdict that rendering the body again gave, reason included.
+        #[test]
+        fn prefix_body_hash_matches_the_rendered_body(
+            records in collection::vec(record_fields(), 1..6),
+            seed in any::<u64>(),
+        ) {
+            let forged = records.iter().flatten().any(|(key, _)| key == "hash");
+            let mut log = AuditLog::in_memory();
+            for fields in records {
+                let (seq, head) = (log.len(), log.head());
+                log.append("note", fields.clone()).unwrap();
+                prop_assert_eq!(
+                    log.lines().last().unwrap(),
+                    &line_by_two_renders(seq, head, "note", fields)
+                );
+            }
+            let text = log.render();
+            let verdict = verify_chain(&text);
+            prop_assert_eq!(&verdict, &verify_chain_by_render(&text));
+            prop_assert_eq!(verdict.is_intact(), !forged);
+            for tampered in tamperings(&text, seed) {
+                prop_assert_eq!(
+                    verify_chain(&tampered),
+                    verify_chain_by_render(&tampered),
+                    "{}",
+                    tampered
+                );
+            }
         }
     }
 

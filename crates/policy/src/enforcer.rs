@@ -950,13 +950,12 @@ where
 /// of silently merged. The engine is deliberately absent — the two
 /// engines are bit-identical, so checkpoints are interchangeable.
 pub fn check_salt(src: &str, allow: IndexSet, span: i64, fuel: u64, highwater: bool) -> u64 {
-    let mut words: Vec<u64> = src.bytes().map(u64::from).collect();
-    words.extend(allow.iter().map(|i| i as u64));
-    words.push(u64::MAX); // separator between the index list and params
-    words.push(span as u64);
-    words.push(fuel);
-    words.push(u64::from(highwater));
-    fingerprint(&words)
+    let words = src
+        .bytes()
+        .map(u64::from)
+        .chain(allow.iter().map(|i| i as u64));
+    // u64::MAX separates the index list from the parameters.
+    fingerprint(words.chain([u64::MAX, span as u64, fuel, u64::from(highwater)]))
 }
 
 /// Checkpoint codec for the dynamic mechanisms' output shape:
@@ -1006,6 +1005,7 @@ mod tests {
     use crate::capability::Capability;
     use crate::sink::Sink;
     use enf_flowchart::parse;
+    use proptest::prelude::*;
 
     const LEAKY: &str = "program(2) { y := x1 + x2; }";
 
@@ -1240,5 +1240,42 @@ mod tests {
             .unwrap();
         assert!(outcome.is_sound());
         assert!(log.lines()[0].contains("\"mode\":\"scheduled\""));
+    }
+
+    /// The word list `check_salt` collected before hashing it.
+    fn collected_salt_words(
+        src: &str,
+        allow: IndexSet,
+        span: i64,
+        fuel: u64,
+        highwater: bool,
+    ) -> Vec<u64> {
+        let mut words: Vec<u64> = src.bytes().map(u64::from).collect();
+        words.extend(allow.iter().map(|i| i as u64));
+        words.push(u64::MAX);
+        words.push(span as u64);
+        words.push(fuel);
+        words.push(u64::from(highwater));
+        words
+    }
+
+    proptest! {
+        /// Folding the words straight into the hash keeps every salt, and
+        /// with it every checkpoint fingerprint an earlier build wrote.
+        #[test]
+        fn check_salt_hashes_the_collected_words(
+            src in "\\PC*",
+            bits in any::<u64>(),
+            span in any::<i64>(),
+            fuel in any::<u64>(),
+            highwater in any::<bool>(),
+        ) {
+            let allow = IndexSet::from_bits(bits);
+            let words = collected_salt_words(&src, allow, span, fuel, highwater);
+            prop_assert_eq!(
+                check_salt(&src, allow, span, fuel, highwater),
+                fingerprint(&words)
+            );
+        }
     }
 }

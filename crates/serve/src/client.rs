@@ -130,8 +130,8 @@ impl Client {
     /// [`Client::request`] on a raw request document. `job` seeds the
     /// jitter; pass the job key (or any stable label).
     pub fn call(&self, doc: &Json, job: &str) -> Result<Json, ClientError> {
-        let mut jitter_state = self.cfg.seed
-            ^ enf_core::checkpoint::fingerprint(&job.bytes().map(u64::from).collect::<Vec<u64>>());
+        let mut jitter_state =
+            self.cfg.seed ^ enf_core::checkpoint::fingerprint(job.bytes().map(u64::from));
         let mut last = String::from("no attempts made");
         for attempt in 0..self.cfg.max_attempts {
             match self.attempt(doc) {

@@ -384,17 +384,15 @@ impl Request {
     /// semantically relevant field, in hex. Two identical requests share a
     /// key, so a blind client retry can never double-run a job.
     pub fn content_key(&self) -> String {
-        let mut words: Vec<u64> = Vec::new();
-        words.push(self.op.name().len() as u64);
-        words.extend(self.op.name().bytes().map(u64::from));
-        words.extend(self.program.bytes().map(u64::from));
-        words.push(u64::MAX);
-        words.push(self.allow.to_bits());
-        words.extend(self.input.iter().map(|v| *v as u64));
-        words.push(u64::MAX);
-        words.push(self.span as u64);
-        words.push(self.fuel);
-        format!("{:016x}", enf_core::checkpoint::fingerprint(&words))
+        let name = self.op.name();
+        let words = [name.len() as u64]
+            .into_iter()
+            .chain(name.bytes().map(u64::from))
+            .chain(self.program.bytes().map(u64::from))
+            .chain([u64::MAX, self.allow.to_bits()])
+            .chain(self.input.iter().map(|v| *v as u64))
+            .chain([u64::MAX, self.span as u64, self.fuel]);
+        format!("{:016x}", enf_core::checkpoint::fingerprint(words))
     }
 
     /// The key this request is tracked under: the explicit `job` field, or
@@ -505,6 +503,8 @@ pub fn reply_retry_after(doc: &Json) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
     use std::io::Cursor;
 
     fn roundtrip(doc: &Json) -> Json {
@@ -614,6 +614,55 @@ mod tests {
         c.span += 1;
         assert_ne!(a.content_key(), c.content_key());
         assert_eq!(a.job_key(), a.content_key());
+    }
+
+    /// The word list `content_key` collected before hashing it.
+    fn collected_key_words(req: &Request) -> Vec<u64> {
+        let mut words: Vec<u64> = Vec::new();
+        words.push(req.op.name().len() as u64);
+        words.extend(req.op.name().bytes().map(u64::from));
+        words.extend(req.program.bytes().map(u64::from));
+        words.push(u64::MAX);
+        words.push(req.allow.to_bits());
+        words.extend(req.input.iter().map(|v| *v as u64));
+        words.push(u64::MAX);
+        words.push(req.span as u64);
+        words.push(req.fuel);
+        words
+    }
+
+    proptest! {
+        /// Folding the words straight into the hash keeps every key.
+        #[test]
+        fn content_key_hashes_the_collected_words(
+            op in 0..5usize,
+            program in "\\PC*",
+            bits in any::<u64>(),
+            input in collection::vec(any::<i64>(), 0..4),
+            span in 0i64..=64,
+            fuel in any::<u64>(),
+        ) {
+            let ops = [Op::Ping, Op::Surveil, Op::Certify, Op::Check, Op::Refute];
+            let req = Request {
+                op: ops[op],
+                tenant: "default".to_string(),
+                job: String::new(),
+                program,
+                allow: IndexSet::from_bits(bits),
+                input,
+                span,
+                deadline_ms: None,
+                budget: None,
+                block: 64,
+                fuel,
+                chaos: None,
+            };
+            let words = collected_key_words(&req);
+            prop_assert_eq!(
+                req.content_key(),
+                format!("{:016x}", enf_core::checkpoint::fingerprint(&words))
+            );
+        }
     }
 
     #[test]

@@ -468,6 +468,42 @@ fn deeply_nested_frame_severs_only_its_connection() {
 }
 
 #[test]
+fn a_bound_sized_frame_is_answered_promptly() {
+    use std::io::{Read as _, Write as _};
+    let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    // A ping whose job string fills the frame to `MAX_FRAME_BYTES`. A
+    // decoder quadratic in string length spent over 20 s of CPU on it.
+    let (head, tail) = (r#"{"op":"ping","job":""#, "\"}\n");
+    let job = "j".repeat(enf_serve::MAX_FRAME_BYTES - head.len() - tail.len());
+    let payload = format!("{head}{job}{tail}");
+    assert_eq!(payload.len(), enf_serve::MAX_FRAME_BYTES);
+    let start = std::time::Instant::now();
+    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    conn.write_all(&(payload.len() as u32).to_be_bytes())
+        .unwrap();
+    conn.write_all(payload.as_bytes()).unwrap();
+    // The reply echoes the job, so it is longer than an inbound frame may
+    // be: read it raw rather than through `read_frame`.
+    let mut len = [0u8; 4];
+    conn.read_exact(&mut len).expect("a reply within 5 s");
+    let mut reply = vec![0u8; u32::from_be_bytes(len) as usize];
+    conn.read_exact(&mut reply)
+        .expect("a whole reply within 5 s");
+    let reply = enf_core::json::parse(std::str::from_utf8(&reply).unwrap().trim_end()).unwrap();
+    let elapsed = start.elapsed();
+    assert_eq!(reply.get("pong"), Some(&Json::Bool(true)));
+    assert_eq!(str_field(&reply, "job"), job);
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "answered after {elapsed:?}"
+    );
+    let stats = server.stop();
+    assert!(!stats.degraded(), "{stats:?}");
+}
+
+#[test]
 fn a_trail_has_one_writing_server_at_a_time() {
     let state = temp_dir("one-writer");
     let cfg = || ServerConfig {
