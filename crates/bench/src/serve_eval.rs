@@ -8,9 +8,9 @@
 //!   throughput ceiling.
 //! * `chaos`  — the same jobs through the fault-injecting proxy
 //!   ([`enf_serve::ProxyHandle`], fixed [`FaultPlan`] seed) while every
-//!   eighth job is preceded by a one-shot worker-kill directive: the
-//!   price of riding out dropped, delayed, and truncated frames plus
-//!   quarantine-and-replace supervision with retries.
+//!   eighth job is preceded by a one-shot kill directive: the price of
+//!   riding out dropped, delayed, and truncated frames plus quarantined
+//!   jobs with retries.
 //!
 //! The interesting number is not the absolute rate but the ratio: how
 //! much throughput the fault model costs when every fault actually
@@ -86,12 +86,12 @@ fn drive(client: &Client, kill_shot: Option<&Client>, jobs: usize) -> usize {
     let mut completed = 0;
     for i in 0..jobs {
         // In the chaos scenario every eighth job is first submitted with a
-        // one-shot kill directive (the worker dies, exactly once), then
-        // submitted for real — supervision cost included in the clock.
+        // one-shot kill directive (the job panics, exactly once), then
+        // submitted for real — quarantine cost included in the clock.
         if let Some(one_shot) = kill_shot.filter(|_| i % 8 == 0) {
             // The one-shot client goes straight at the server (no proxy,
             // no retries), so each directive quarantines exactly one
-            // worker; the panicked frame comes back as a client error.
+            // job; the panicked frame comes back as a client error.
             let _ = one_shot.request(&request(i, true));
         }
         let reply = client

@@ -4,22 +4,23 @@
 //! installation: one surveillance monitor serving many mutually distrustful
 //! callers. This crate is that deployment story. A long-running daemon
 //! accepts certify / surveil / check / refute jobs over a length-prefixed
-//! JSONL protocol ([`protocol`]), executes them on a supervised worker pool
-//! ([`server`]), and survives the faults a real service meets: panicking
-//! subjects, overload, torn connections, and its own untimely death.
+//! JSONL protocol ([`protocol`]), runs each on the connection thread that
+//! read it behind one admission gate ([`server`]), and survives the faults
+//! a real service meets: panicking subjects, overload, torn connections,
+//! and its own untimely death.
 //!
 //! The failure model, in one table:
 //!
 //! | Fault                     | Containment                                         |
 //! |---------------------------|-----------------------------------------------------|
-//! | worker panic mid-job      | quarantined + replaced; client gets a typed frame   |
-//! | queue full / tenant quota | shed with `Retry-After`; never silently dropped     |
+//! | job panic mid-run         | quarantined; client gets a typed, retryable frame   |
+//! | gate full / tenant quota  | shed with `Retry-After`; never silently dropped     |
 //! | connection flood          | past 256 open: one `overloaded` frame, then closed  |
 //! | idle connection           | closed after 60 s without a frame                   |
 //! | server killed mid-sweep   | checkpoint on disk; resumed run is bit-identical    |
 //! | torn / truncated frame    | length prefix detects it; connection closed         |
 //! | duplicate client retry    | idempotency key replays the recorded reply          |
-//! | shutdown (SIGTERM)        | drain: in-flight jobs finish, then workers join     |
+//! | shutdown (SIGTERM)        | drain: running and waiting jobs finish, then exit   |
 //!
 //! Every tenant namespace owns its own hash-chained
 //! [`enf_policy::AuditLog`] and capability, so one tenant's trail can be
@@ -37,7 +38,8 @@
 //! soak-tested under a fixed seed.
 //!
 //! Everything is `std`-only: hand-rolled framing over `TcpListener` /
-//! `UnixListener`, `std::thread` workers, `std::sync::mpsc` queues.
+//! `UnixListener`, a `std::thread` per connection, and a `Mutex` and
+//! `Condvar` for the gate.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -23,6 +23,14 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// Protocol version tag carried by every reply (for future evolution).
 pub const PROTOCOL_VERSION: i128 = 1;
 
+/// Longest `job` key a request may carry. Every reply echoes the key, so
+/// the bound keeps a reply within one frame.
+pub const MAX_JOB_BYTES: usize = 256;
+
+/// Longest `detail` a rejection carries; a longer one (it may quote the
+/// request) is cut at a char boundary, so the reply fits in one frame.
+const MAX_DETAIL_BYTES: usize = 1024;
+
 /// Why a frame could not be read or understood.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FrameError {
@@ -114,14 +122,19 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, FrameError> {
     }
     let mut payload = vec![0u8; declared];
     r.read_exact(&mut payload)?;
-    let text = std::str::from_utf8(&payload).map_err(|e| FrameError::Malformed {
+    decode_payload(&payload).map(Some)
+}
+
+/// Decodes one frame's payload: UTF-8 text, its trailing newline dropped,
+/// parsed as JSON.
+pub(crate) fn decode_payload(payload: &[u8]) -> Result<Json, FrameError> {
+    let text = std::str::from_utf8(payload).map_err(|e| FrameError::Malformed {
         detail: format!(
             "payload is not UTF-8 (valid up to byte {})",
             e.valid_up_to()
         ),
     })?;
     enf_core::json::parse(text.trim_end_matches('\n'))
-        .map(Some)
         .map_err(|detail| FrameError::Malformed { detail })
 }
 
@@ -175,8 +188,9 @@ pub struct Request {
     /// Tenant namespace (audit trail and quota bucket). Defaults to
     /// `"default"`.
     pub tenant: String,
-    /// Idempotency key. Retries with the same key never re-run a
-    /// completed job; empty means the server derives one from content.
+    /// Idempotency key, at most [`MAX_JOB_BYTES`]. Retries with the same
+    /// key never re-run a completed job; empty means the server derives
+    /// one from content.
     pub job: String,
     /// Flowchart source text.
     pub program: String,
@@ -250,6 +264,12 @@ impl Request {
             .and_then(Json::as_str)
             .unwrap_or("")
             .to_string();
+        if job.len() > MAX_JOB_BYTES {
+            return Err(format!(
+                "\"job\" is {} bytes, limit is {MAX_JOB_BYTES}",
+                job.len()
+            ));
+        }
         let program = doc
             .get("program")
             .and_then(Json::as_str)
@@ -419,9 +439,8 @@ pub enum ErrorKind {
     /// The job is already running under this key; retry after the hinted
     /// delay to pick up its result.
     InProgress,
-    /// The worker executing the job panicked; the worker was quarantined
-    /// and the job key released, so a retry re-runs the job on a fresh
-    /// worker.
+    /// The job panicked mid-run; it was quarantined and its job key and
+    /// tenant slot released, so a retry re-runs it.
     Panicked,
     /// The server is draining for shutdown; retry against a fresh instance.
     Draining,
@@ -466,8 +485,10 @@ pub fn reply_ok(job: &str, fields: Vec<(String, Json)>) -> Json {
 }
 
 /// Builds a rejection reply. `retry_after_ms` is the server's load-shed
-/// hint; it is present exactly when the kind is retryable.
+/// hint; it is present exactly when the kind is retryable. `detail` is cut
+/// to its first 1 KiB.
 pub fn reply_err(job: &str, kind: ErrorKind, detail: &str, retry_after_ms: Option<u64>) -> Json {
+    let detail = &detail[..detail.floor_char_boundary(MAX_DETAIL_BYTES)];
     let mut all = vec![
         ("v".to_string(), Json::Int(PROTOCOL_VERSION)),
         ("ok".to_string(), Json::Bool(false)),
@@ -675,5 +696,8 @@ mod tests {
         assert_eq!(reply_retry_after(&shed), Some(40));
         let usage = reply_err("j", ErrorKind::Usage, "bad", None);
         assert_eq!(reply_retry_after(&usage), None);
+        // A long detail is cut to 1 KiB at a char boundary (`€` is 3 bytes).
+        let long = reply_err("j", ErrorKind::Usage, &"€".repeat(400), None);
+        assert_eq!(long.get("detail"), Some(&Json::Str("€".repeat(341))));
     }
 }

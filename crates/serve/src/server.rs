@@ -1,28 +1,28 @@
-//! The policy server: supervised workers, admission control, drain.
+//! The policy server: one admission gate, quarantine, drain.
 //!
 //! One [`serve`] call runs the whole service: an accept loop feeding
-//! per-connection reader threads, a bounded job queue, and a pool of
-//! worker threads executing jobs under `catch_unwind`. The supervision
-//! tree is flat and explicit:
+//! per-connection threads, each of which runs the jobs it reads under
+//! `catch_unwind`, behind one admission gate. The structure is flat:
 //!
 //! ```text
 //! serve() ── accept thread ── connection threads (one per socket)
-//!    │                              │ admission: claim key → quota → queue
-//!    ├── worker pool  ◀── bounded ──┘
-//!    │     └─ catch_unwind per job; panic ⇒ quarantine + replace
-//!    └── supervisor loop: respawns dead workers until drain
+//!    │                              │ admission: claim key → quota → gate
+//!    │                              │ gate: ≤ workers run, ≤ queue wait (FIFO)
+//!    │                              └─ catch_unwind per job; panic ⇒ quarantine
+//!    └── waits for the shutdown flag, then wakes the acceptor
 //! ```
 //!
-//! **The accept path.** The acceptor blocks in `accept`; at drain the
-//! supervisor wakes it with one connection to the listener's own address.
+//! **The accept path.** The acceptor blocks in `accept`; at drain
+//! [`serve`] wakes it with one connection to the listener's own address.
 //! It keeps no handle of a connection thread that has finished, answers a
 //! connection past [`MAX_CONNS`] with one `overloaded` frame, and a
 //! connection that sends no byte of a frame for 60 s is closed.
 //!
 //! **Admission control.** A request is shed — with a retryable,
-//! `Retry-After`-carrying frame — when the job queue is full or its
-//! tenant is at quota. Shedding happens *before* any work; an admitted
-//! job always produces exactly one reply frame.
+//! `Retry-After`-carrying frame — when its tenant is at quota or
+//! [`ServerConfig::queue`] jobs already wait for a turn. Shedding happens
+//! *before* any work; an admitted job always produces exactly one reply
+//! frame.
 //!
 //! **Crash recovery.** `check`/`refute` jobs sweep through
 //! [`Enforcer::sweep_checkpointed`] when the server has a state
@@ -34,37 +34,40 @@
 //!
 //! **Degradation is observable.** [`ServerStats`] counts everything the
 //! service survived; [`ServerStats::degraded`] is the exit-code contract:
-//! a drain that replaced workers or hit internal faults exits 1, a clean
+//! a drain that quarantined a job or hit internal faults exits 1, a clean
 //! drain exits 0.
 
 use crate::cache::{JobClaim, JobTable, VerdictCache, VerdictKey};
 use crate::protocol::{
-    read_frame, reply_err, reply_ok, write_frame, ErrorKind, FrameError, Op, Request,
+    decode_payload, reply_err, reply_is_ok, reply_ok, write_frame, ErrorKind, FrameError, Op,
+    Request,
 };
-use crate::tenant::{lock, TenantStore};
+use crate::tenant::{lock, Tenant, TenantStore};
 use enf_core::chaos::CHAOS_MARKER;
 use enf_core::{
     try_check_soundness_with, Allow, CancelToken, EvalConfig, Grid, Identity, Json, MechOutput,
     Program, SoundnessReport, Verdict,
 };
 use enf_flowchart::{ExecValue, Flowchart, FlowchartProgram};
+use enf_policy::proof::Proof;
 use enf_policy::{
-    check_salt, AuditLog, CertifyOutcome, Enforcer, PolicyError, Refusal, RunVerdict, Sink, Tainted,
+    check_salt, AuditLog, Auditable, CertifyOutcome, Enforcer, PolicyError, Refusal, RunVerdict,
+    Sink, Tainted, Verified,
 };
 use enf_static::certify::Analysis;
 use std::io::{self, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-/// How long a reader sleeps between polls while idle (and the shutdown
-/// reaction latency of an idle connection).
+/// How long a reader sleeps between polls while idle, and [`serve`]
+/// between looks at the shutdown flag.
 const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Polls a mid-frame stall this many times before declaring the frame
@@ -73,8 +76,8 @@ const STALL_LIMIT: u32 = 200;
 
 /// Polls an idle connection (no byte of its next frame yet) this many
 /// times before closing it (60 s at [`POLL_TIMEOUT`]). A connection
-/// waiting for its own job's reply is not reading, so a long sweep is
-/// never cut off.
+/// running its own job, or waiting for its turn, is not reading, so a
+/// long sweep is never cut off.
 const IDLE_LIMIT: u32 = 2_400;
 
 /// Connections the server keeps open at once. A connection past the cap
@@ -91,9 +94,11 @@ const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads executing jobs.
+    /// Jobs that execute at once, each on the connection thread that read
+    /// it (at least 1).
     pub workers: usize,
-    /// Bounded job-queue depth; a full queue sheds.
+    /// Jobs that may wait for one of those turns (at least 1); they start
+    /// in arrival order, and a request past them is shed.
     pub queue: usize,
     /// Per-tenant in-flight job quota; an over-quota tenant is shed.
     pub tenant_quota: usize,
@@ -137,10 +142,8 @@ pub struct ServerStats {
     pub usage_errors: u64,
     /// Internal faults reported to clients.
     pub internal_errors: u64,
-    /// Worker panics contained by the supervisor.
+    /// Jobs that panicked mid-run, contained by `catch_unwind`.
     pub quarantined: u64,
-    /// Replacement workers spawned after quarantines.
-    pub workers_replaced: u64,
     /// Sweep verdicts answered from the content-addressed cache.
     pub cache_hits: u64,
     /// Check jobs resumed from an on-disk checkpoint.
@@ -159,33 +162,22 @@ impl ServerStats {
 
     /// Renders the stats as a JSON document (the drain report).
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("served".to_string(), Json::Int(i128::from(self.served))),
-            ("shed".to_string(), Json::Int(i128::from(self.shed))),
-            (
-                "usage_errors".to_string(),
-                Json::Int(i128::from(self.usage_errors)),
-            ),
-            (
-                "internal_errors".to_string(),
-                Json::Int(i128::from(self.internal_errors)),
-            ),
-            (
-                "quarantined".to_string(),
-                Json::Int(i128::from(self.quarantined)),
-            ),
-            (
-                "workers_replaced".to_string(),
-                Json::Int(i128::from(self.workers_replaced)),
-            ),
-            (
-                "cache_hits".to_string(),
-                Json::Int(i128::from(self.cache_hits)),
-            ),
-            ("resumed".to_string(), Json::Int(i128::from(self.resumed))),
-            ("replayed".to_string(), Json::Int(i128::from(self.replayed))),
-            ("degraded".to_string(), Json::Bool(self.degraded())),
-        ])
+        let counts = [
+            ("served", self.served),
+            ("shed", self.shed),
+            ("usage_errors", self.usage_errors),
+            ("internal_errors", self.internal_errors),
+            ("quarantined", self.quarantined),
+            ("cache_hits", self.cache_hits),
+            ("resumed", self.resumed),
+            ("replayed", self.replayed),
+        ];
+        let mut fields: Vec<(String, Json)> = counts
+            .into_iter()
+            .map(|(name, n)| (name.to_string(), Json::Int(i128::from(n))))
+            .collect();
+        fields.push(("degraded".to_string(), Json::Bool(self.degraded())));
+        Json::Obj(fields)
     }
 }
 
@@ -197,7 +189,6 @@ struct Counters {
     usage_errors: AtomicU64,
     internal_errors: AtomicU64,
     quarantined: AtomicU64,
-    workers_replaced: AtomicU64,
     cache_hits: AtomicU64,
     resumed: AtomicU64,
     replayed: AtomicU64,
@@ -215,7 +206,6 @@ impl Counters {
             usage_errors: self.usage_errors.load(Ordering::Relaxed),
             internal_errors: self.internal_errors.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
-            workers_replaced: self.workers_replaced.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             resumed: self.resumed.load(Ordering::Relaxed),
             replayed: self.replayed.load(Ordering::Relaxed),
@@ -380,11 +370,73 @@ fn refuse(mut conn: Box<dyn Conn>, retry_after_ms: u64) {
     }
 }
 
-/// One admitted job: the request plus the channel its single reply frame
-/// travels back on.
-struct Job {
-    req: Request,
-    reply_tx: mpsc::Sender<Json>,
+/// The admission gate: at most `workers` jobs hold a turn at once, at
+/// most `queue` more wait for one, and a finished turn goes to the
+/// earliest waiter. Waiters hold tickets, so arrival order is start order.
+struct Gate {
+    workers: usize,
+    queue: usize,
+    state: Mutex<GateState>,
+    turn_freed: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    /// Turns taken and not yet given back.
+    running: usize,
+    /// Tickets handed out to waiters, and the ticket that starts next;
+    /// `issued - next` jobs wait.
+    issued: u64,
+    next: u64,
+}
+
+/// One job's turn; dropping it frees the turn for the earliest waiter.
+struct Turn<'a>(&'a Gate);
+
+impl Gate {
+    fn new(workers: usize, queue: usize) -> Gate {
+        Gate {
+            workers: workers.max(1),
+            queue: queue.max(1),
+            state: Mutex::new(GateState::default()),
+            turn_freed: Condvar::new(),
+        }
+    }
+
+    /// Takes a turn, waiting behind every earlier waiter when all turns
+    /// are taken. `None` when `queue` jobs already wait: shed the request.
+    fn enter(&self) -> Option<Turn<'_>> {
+        let mut s = lock(&self.state);
+        let waiting = s.issued - s.next;
+        if waiting == 0 && s.running < self.workers {
+            s.running += 1;
+            return Some(Turn(self));
+        }
+        if waiting >= self.queue as u64 {
+            return None;
+        }
+        let ticket = s.issued;
+        s.issued += 1;
+        while s.next != ticket || s.running >= self.workers {
+            s = self
+                .turn_freed
+                .wait(s)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        s.next += 1;
+        s.running += 1;
+        drop(s);
+        // Two turns may have come free at once: the next waiter may start too.
+        self.turn_freed.notify_all();
+        Some(Turn(self))
+    }
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.state).running -= 1;
+        self.0.turn_freed.notify_all();
+    }
 }
 
 /// State shared by every thread of one server instance.
@@ -393,34 +445,25 @@ struct Shared {
     tenants: TenantStore,
     cache: VerdictCache,
     jobs: JobTable,
+    gate: Gate,
     counters: Counters,
     shutdown: Arc<AtomicBool>,
 }
 
 /// Runs the service until `shutdown` is raised, then drains: the accept
-/// loop stops, open connections finish their in-flight request, queued
-/// jobs complete, workers join. Returns the life's [`ServerStats`].
+/// loop stops, and each open connection finishes its in-flight and
+/// waiting jobs before its thread is joined. Returns the life's
+/// [`ServerStats`].
 pub fn serve(listener: Listener, cfg: ServerConfig, shutdown: Arc<AtomicBool>) -> ServerStats {
     let shared = Arc::new(Shared {
         tenants: TenantStore::new(cfg.state_dir.clone(), cfg.tenant_quota),
         cache: VerdictCache::new(cfg.cache_capacity),
         jobs: JobTable::new(),
+        gate: Gate::new(cfg.workers, cfg.queue),
         counters: Counters::default(),
         shutdown: Arc::clone(&shutdown),
         cfg,
     });
-    let (job_tx, job_rx) = mpsc::sync_channel::<Job>(shared.cfg.queue.max(1));
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let (death_tx, death_rx) = mpsc::channel::<()>();
-
-    let mut workers = Vec::new();
-    for i in 0..shared.cfg.workers.max(1) {
-        if let Some(h) = spawn_worker(i, &shared, &job_rx, &death_tx) {
-            workers.push(h);
-        } else {
-            Counters::bump(&shared.counters.internal_errors);
-        }
-    }
 
     // Accept loop: blocks in `accept` until the drain wakes it.
     let listener = Arc::new(listener);
@@ -438,139 +481,62 @@ pub fn serve(listener: Listener, cfg: ServerConfig, shutdown: Arc<AtomicBool>) -
                         return;
                     }
                     let conn_shared = Arc::clone(&shared);
-                    let job_tx = job_tx.clone();
                     let spawned = thread::Builder::new()
                         .name("enf-serve-conn".to_string())
-                        .spawn(move || handle_conn(conn, &conn_shared, &job_tx));
+                        .spawn(move || handle_conn(conn, &conn_shared));
                     match spawned {
                         Ok(h) => threads.push(h),
                         Err(_) => Counters::bump(&shared.counters.internal_errors),
                     }
                 });
-                // job_tx (the last non-connection sender) drops here.
             })
             .ok()
     };
 
-    // Supervisor: replace quarantined workers until drain begins.
     while !shutdown.load(Ordering::SeqCst) {
-        match death_rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(()) => {
-                Counters::bump(&shared.counters.workers_replaced);
-                let idx = workers.len();
-                if let Some(h) = spawn_worker(idx, &shared, &job_rx, &death_tx) {
-                    workers.push(h);
-                } else {
-                    Counters::bump(&shared.counters.internal_errors);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
+        thread::sleep(POLL_TIMEOUT);
     }
-
-    // Drain: the woken acceptor exits once its connections have finished
-    // (dropping every job_tx), and the closed channel retires the workers.
+    // Drain: the woken acceptor returns once its connections have finished.
     if let Some(h) = acceptor {
         listener.wake();
         let _ = h.join();
     }
-    drop(listener); // refuse new connections while the workers finish
-    for h in workers {
-        let _ = h.join();
-    }
     shared.counters.snapshot()
-}
-
-fn spawn_worker(
-    index: usize,
-    shared: &Arc<Shared>,
-    job_rx: &Arc<Mutex<Receiver<Job>>>,
-    death_tx: &mpsc::Sender<()>,
-) -> Option<thread::JoinHandle<()>> {
-    let shared = Arc::clone(shared);
-    let job_rx = Arc::clone(job_rx);
-    let death_tx = death_tx.clone();
-    thread::Builder::new()
-        .name(format!("enf-serve-worker-{index}"))
-        .spawn(move || loop {
-            // Hold the receiver lock only for the dequeue itself.
-            let job = {
-                let rx = lock(&job_rx);
-                rx.recv()
-            };
-            let Ok(job) = job else {
-                return; // queue closed: drain complete
-            };
-            let key = job.req.job_key();
-            let tenant = job.req.tenant.clone();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                execute(&shared, &job.req)
-            }));
-            shared.tenants.release(&tenant);
-            match outcome {
-                Ok(reply) => {
-                    if is_terminal(&reply) {
-                        shared.jobs.complete(&tenant, &key, reply.clone());
-                    } else {
-                        shared.jobs.abort(&tenant, &key);
-                    }
-                    let _ = job.reply_tx.send(reply);
-                }
-                Err(_) => {
-                    // Quarantine: this worker retires; the supervisor
-                    // spawns a replacement. The claim is released so a
-                    // retry can re-run the job.
-                    Counters::bump(&shared.counters.quarantined);
-                    shared.jobs.abort(&tenant, &key);
-                    let reply = reply_err(
-                        &key,
-                        ErrorKind::Panicked,
-                        "worker panicked mid-job; it was quarantined and replaced",
-                        Some(shared.cfg.retry_after_ms),
-                    );
-                    let _ = job.reply_tx.send(reply);
-                    let _ = death_tx.send(());
-                    return;
-                }
-            }
-        })
-        .ok()
 }
 
 /// Whether a reply should be recorded for idempotent replay. Partial
 /// (`unknown`) sweeps stay claimable so a resubmission resumes from the
 /// checkpoint instead of replaying the partial answer.
 fn is_terminal(reply: &Json) -> bool {
-    if !crate::protocol::reply_is_ok(reply) {
+    if !reply_is_ok(reply) {
         return false;
     }
     !matches!(reply.get("verdict").and_then(Json::as_str), Some("unknown"))
 }
 
-/// One connection: read frames, admit, forward replies, until EOF, a torn
-/// frame, or drain.
-fn handle_conn(mut conn: Box<dyn Conn>, shared: &Shared, job_tx: &SyncSender<Job>) {
+/// One connection: read frames, run their jobs, write replies, until EOF,
+/// a torn frame, or drain.
+fn handle_conn(mut conn: Box<dyn Conn>, shared: &Shared) {
     if conn.set_read_timeout(Some(POLL_TIMEOUT)).is_err() {
         return;
     }
     loop {
         match read_frame_polled(&mut *conn, &shared.shutdown) {
             Ok(Some(doc)) => {
-                let reply = dispatch(shared, job_tx, &doc);
+                let reply = dispatch(shared, &doc);
                 if write_frame(&mut conn, &reply).is_err() {
                     return;
                 }
             }
             Ok(None) => return, // clean EOF, or idle at drain
-            Err(_) => return,   // torn frame: sever, client retries
+            Err(_) => return,   // torn or malformed frame: sever, client retries
         }
     }
 }
 
-/// Admission control and routing for one request frame. Always returns
-/// exactly one reply document.
-fn dispatch(shared: &Shared, job_tx: &SyncSender<Job>, doc: &Json) -> Json {
+/// Admission control, then the job itself, on the calling connection's
+/// thread. Always returns exactly one reply document.
+fn dispatch(shared: &Shared, doc: &Json) -> Json {
     let req = match Request::from_json(doc) {
         Ok(req) => req,
         Err(detail) => {
@@ -632,49 +598,41 @@ fn dispatch(shared: &Shared, job_tx: &SyncSender<Job>, doc: &Json) -> Json {
             return reply_err(&key, ErrorKind::Internal, &e.to_string(), None);
         }
     }
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let tenant = req.tenant.clone();
-    match job_tx.try_send(Job { req, reply_tx }) {
-        Ok(()) => {}
-        Err(TrySendError::Full(_)) => {
-            shared.tenants.release(&tenant);
-            shared.jobs.abort(&tenant, &key);
-            Counters::bump(&shared.counters.shed);
-            return reply_err(
-                &key,
-                ErrorKind::Overloaded,
-                "job queue is full",
-                Some(shared.cfg.retry_after_ms),
-            );
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            shared.tenants.release(&tenant);
-            shared.jobs.abort(&tenant, &key);
-            return reply_err(
-                &key,
-                ErrorKind::Draining,
-                "server is draining for shutdown",
-                Some(shared.cfg.retry_after_ms),
-            );
-        }
+    let Some(turn) = shared.gate.enter() else {
+        shared.tenants.release(&req.tenant);
+        shared.jobs.abort(&req.tenant, &key);
+        Counters::bump(&shared.counters.shed);
+        return reply_err(
+            &key,
+            ErrorKind::Overloaded,
+            "job queue is full",
+            Some(shared.cfg.retry_after_ms),
+        );
+    };
+    let outcome = catch_unwind(AssertUnwindSafe(|| execute(shared, &req)));
+    drop(turn);
+    shared.tenants.release(&req.tenant);
+    let Ok(reply) = outcome else {
+        // Quarantine: the claim is released so a retry re-runs the job, and
+        // the connection goes on serving.
+        Counters::bump(&shared.counters.quarantined);
+        shared.jobs.abort(&req.tenant, &key);
+        return reply_err(
+            &key,
+            ErrorKind::Panicked,
+            "job panicked mid-run; it was quarantined",
+            Some(shared.cfg.retry_after_ms),
+        );
+    };
+    if is_terminal(&reply) {
+        shared.jobs.complete(&req.tenant, &key, reply.clone());
+    } else {
+        shared.jobs.abort(&req.tenant, &key);
     }
-    match reply_rx.recv() {
-        Ok(reply) => {
-            if crate::protocol::reply_is_ok(&reply) {
-                Counters::bump(&shared.counters.served);
-            }
-            reply
-        }
-        Err(_) => {
-            Counters::bump(&shared.counters.internal_errors);
-            reply_err(
-                &key,
-                ErrorKind::Internal,
-                "worker reply channel broke",
-                None,
-            )
-        }
+    if reply_is_ok(&reply) {
+        Counters::bump(&shared.counters.served);
     }
+    reply
 }
 
 fn mark_replayed(reply: Json) -> Json {
@@ -687,11 +645,11 @@ fn mark_replayed(reply: Json) -> Json {
     }
 }
 
-/// Executes one admitted job on a worker thread. Runs under
-/// `catch_unwind`; a panic here quarantines the worker.
+/// Executes one admitted job. Runs under `catch_unwind`; a panic here
+/// quarantines the job.
 fn execute(shared: &Shared, req: &Request) -> Json {
     if shared.cfg.chaos && req.chaos.as_deref() == Some("panic") {
-        panic!("{CHAOS_MARKER}: chaos directive killed this worker mid-job");
+        panic!("{CHAOS_MARKER}: chaos directive panicked this job");
     }
     let key = req.job_key();
     let fuel = if req.fuel > 0 {
@@ -748,6 +706,27 @@ fn indexset_str(set: &enf_core::IndexSet) -> String {
         .join(",")
 }
 
+/// Releases a verified value through the tenant's capability sink,
+/// issuing the capability on first use. `Err` is the reply to send.
+fn release<T: Auditable, P: Proof>(
+    shared: &Shared,
+    key: &str,
+    t: &mut Tenant,
+    tenant: &str,
+    v: Verified<T, P>,
+) -> Result<T, Json> {
+    let cap = t
+        .take_capability(&format!("serve:{tenant}"))
+        .map_err(|e| policy_reply(shared, key, e))?;
+    let mut sink = Sink::new(cap, &mut t.log);
+    let released = sink.release(v);
+    t.cap = Some(sink.into_capability());
+    released.map_err(|e| {
+        Counters::bump(&shared.counters.internal_errors);
+        reply_err(key, ErrorKind::Internal, &e.to_string(), None)
+    })
+}
+
 /// One monitored run, released through the tenant's capability sink.
 fn run_surveil(shared: &Shared, req: &Request, key: &str, enforcer: &Enforcer) -> Json {
     let tenant = match shared.tenants.get(&req.tenant) {
@@ -761,29 +740,16 @@ fn run_surveil(shared: &Shared, req: &Request, key: &str, enforcer: &Enforcer) -
         Err(e) => return policy_reply(shared, key, e),
     };
     match verdict {
-        RunVerdict::Released(v) => {
-            let cap = match t.take_capability(&format!("serve:{}", req.tenant)) {
-                Ok(cap) => cap,
-                Err(e) => return policy_reply(shared, key, e),
-            };
-            let mut sink = Sink::new(cap, &mut t.log);
-            let released = sink.release(v);
-            let cap = sink.into_capability();
-            t.cap = Some(cap);
-            match released {
-                Ok(value) => reply_ok(
-                    key,
-                    vec![
-                        ("verdict".to_string(), Json::Str("released".to_string())),
-                        ("value".to_string(), Json::Int(i128::from(value))),
-                    ],
-                ),
-                Err(e) => {
-                    Counters::bump(&shared.counters.internal_errors);
-                    reply_err(key, ErrorKind::Internal, &e.to_string(), None)
-                }
-            }
-        }
+        RunVerdict::Released(v) => match release(shared, key, &mut t, &req.tenant, v) {
+            Ok(value) => reply_ok(
+                key,
+                vec![
+                    ("verdict".to_string(), Json::Str("released".to_string())),
+                    ("value".to_string(), Json::Int(i128::from(value))),
+                ],
+            ),
+            Err(reply) => reply,
+        },
         RunVerdict::Refused(Refusal::Violation {
             site,
             taint,
@@ -835,22 +801,9 @@ fn run_certify(shared: &Shared, req: &Request, key: &str, enforcer: &Enforcer) -
                     Ok(v) => v,
                     Err(e) => return policy_reply(shared, key, e),
                 };
-                let cap = match t.take_capability(&format!("serve:{}", req.tenant)) {
-                    Ok(cap) => cap,
-                    Err(e) => return policy_reply(shared, key, e),
-                };
-                let mut sink = Sink::new(cap, &mut t.log);
-                let released = sink.release(verified);
-                let cap = sink.into_capability();
-                t.cap = Some(cap);
-                match released {
-                    Ok(value) => {
-                        fields.push(("value".to_string(), Json::Str(value.to_string())));
-                    }
-                    Err(e) => {
-                        Counters::bump(&shared.counters.internal_errors);
-                        return reply_err(key, ErrorKind::Internal, &e.to_string(), None);
-                    }
+                match release(shared, key, &mut t, &req.tenant, verified) {
+                    Ok(value) => fields.push(("value".to_string(), Json::Str(value.to_string()))),
+                    Err(reply) => return reply,
                 }
             }
             reply_ok(key, fields)
@@ -863,6 +816,18 @@ fn run_certify(shared: &Shared, req: &Request, key: &str, enforcer: &Enforcer) -
             ],
         ),
     }
+}
+
+/// The request's deadline and budget as a sweep's cancel token.
+fn cancel_token(req: &Request) -> CancelToken {
+    let mut ctl = CancelToken::new();
+    if let Some(ms) = req.deadline_ms {
+        ctl = ctl.with_deadline(Duration::from_millis(ms));
+    }
+    if let Some(budget) = req.budget {
+        ctl = ctl.with_index_limit(budget);
+    }
+    ctl
 }
 
 /// An exhaustive sweep: cache-checked, checkpoint-recoverable, and
@@ -880,13 +845,7 @@ fn run_sweep(shared: &Shared, req: &Request, key: &str, enforcer: &Enforcer, fue
         Ok(t) => t,
         Err(e) => return policy_reply(shared, key, e),
     };
-    let mut ctl = CancelToken::new();
-    if let Some(ms) = req.deadline_ms {
-        ctl = ctl.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(budget) = req.budget {
-        ctl = ctl.with_index_limit(budget);
-    }
+    let ctl = cancel_token(req);
     let eval = EvalConfig::new();
     let ckpt = shared.tenants.checkpoint_path(&req.tenant, salt);
     let resume = ckpt.clone().filter(|p| p.exists());
@@ -984,13 +943,7 @@ fn run_refute(shared: &Shared, req: &Request, key: &str, fc: Flowchart, fuel: u6
     };
     let policy = Allow::from_set(arity, req.allow);
     let grid = Grid::hypercube(arity, -req.span..=req.span);
-    let mut ctl = CancelToken::new();
-    if let Some(ms) = req.deadline_ms {
-        ctl = ctl.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(budget) = req.budget {
-        ctl = ctl.with_index_limit(budget);
-    }
+    let ctl = cancel_token(req);
     let cov = match try_check_soundness_with(
         &Identity::new(program),
         &policy,
@@ -1065,50 +1018,53 @@ fn cached_reply(key: &str, cached: &Json) -> Json {
     reply_ok(key, fields)
 }
 
-/// [`read_frame`] over a polling socket: idle timeouts are polls (so the
-/// shutdown flag is honored between frames, and an idle connection closes
-/// after [`IDLE_LIMIT`] of them), but a frame, once begun, is given
-/// [`STALL_LIMIT`] polls to arrive whole before being declared torn.
+/// [`read_framed_bytes`], its payload decoded.
 fn read_frame_polled(
     conn: &mut dyn Conn,
     shutdown: &AtomicBool,
 ) -> Result<Option<Json>, FrameError> {
     match read_framed_bytes(conn, shutdown)? {
-        Some(framed) => read_frame(&mut io::Cursor::new(framed)),
+        Some(framed) => decode_payload(&framed[4..]).map(Some),
         None => Ok(None),
     }
 }
 
-/// Reads one whole frame's raw bytes (length prefix included) with the
-/// same polling discipline as `read_frame_polled`. The chaos proxy uses
-/// this to forward or mutilate frames byte-exactly.
+/// Reads one whole frame's raw bytes, length prefix included, from a
+/// polling socket: idle timeouts are polls (so the shutdown flag is
+/// honored between frames, and an idle connection closes after
+/// [`IDLE_LIMIT`] of them), but a frame, once begun, is given
+/// [`STALL_LIMIT`] polls to arrive whole before being declared torn. The
+/// server decodes the payload after the prefix; the chaos proxy forwards
+/// or mutilates the frame byte-exactly.
 pub fn read_framed_bytes(
     conn: &mut dyn Conn,
     shutdown: &AtomicBool,
 ) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut buffered: Vec<u8> = Vec::new();
-    let mut len_buf = [0u8; 4];
-    // Phase 1: the length prefix. Zero bytes so far means an idle
-    // connection; shutdown or the idle bound closes it cleanly.
+    let mut framed = vec![0u8; 4];
     let mut filled = 0usize;
     let mut stalls = 0u32;
-    while filled < 4 {
-        match conn.read(&mut len_buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(None)
-                } else {
-                    Err(FrameError::Truncated)
-                };
-            }
+    while filled < framed.len() {
+        match conn.read(&mut framed[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => return Err(FrameError::Truncated),
             Ok(n) => {
                 filled += n;
                 stalls = 0;
+                if filled == 4 {
+                    let declared =
+                        u32::from_be_bytes([framed[0], framed[1], framed[2], framed[3]]) as usize;
+                    if declared > crate::protocol::MAX_FRAME_BYTES {
+                        return Err(FrameError::Oversized { declared });
+                    }
+                    framed.resize(4 + declared, 0);
+                }
             }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 stalls += 1;
+                // Zero bytes so far means an idle connection; shutdown or
+                // the idle bound closes it cleanly.
                 if filled == 0 {
                     if shutdown.load(Ordering::SeqCst) || stalls > IDLE_LIMIT {
                         return Ok(None);
@@ -1121,36 +1077,6 @@ pub fn read_framed_bytes(
             Err(e) => return Err(e.into()),
         }
     }
-    let declared = u32::from_be_bytes(len_buf) as usize;
-    if declared > crate::protocol::MAX_FRAME_BYTES {
-        return Err(FrameError::Oversized { declared });
-    }
-    // Phase 2: the payload. The frame has begun; stalls are bounded.
-    buffered.resize(declared, 0);
-    let mut filled = 0usize;
-    let mut stalls = 0u32;
-    while filled < declared {
-        match conn.read(&mut buffered[filled..]) {
-            Ok(0) => return Err(FrameError::Truncated),
-            Ok(n) => {
-                filled += n;
-                stalls = 0;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                stalls += 1;
-                if stalls > STALL_LIMIT {
-                    return Err(FrameError::Truncated);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let mut framed = Vec::with_capacity(4 + declared);
-    framed.extend_from_slice(&len_buf);
-    framed.extend_from_slice(&buffered);
     Ok(Some(framed))
 }
 
@@ -1235,6 +1161,76 @@ mod tests {
         fn set_write_timeout(&self, _: Option<Duration>) -> io::Result<()> {
             Ok(())
         }
+    }
+
+    /// Polls until `n` jobs wait at the gate.
+    fn await_waiters(gate: &Gate, n: u64) {
+        loop {
+            let s = lock(&gate.state);
+            if s.issued - s.next >= n {
+                return;
+            }
+            drop(s);
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn the_gate_bounds_turns_and_waiters_and_keeps_arrival_order() {
+        use std::sync::atomic::AtomicUsize;
+
+        // Never more than `workers` turns at once.
+        let gate = Gate::new(2, 8);
+        let (inside, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        let turn = gate.enter().expect("a place for every job");
+                        most.fetch_max(inside.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                        thread::yield_now();
+                        inside.fetch_sub(1, Ordering::SeqCst);
+                        drop(turn);
+                    }
+                });
+            }
+        });
+        assert!(most.load(Ordering::SeqCst) <= 2, "{most:?} turns at once");
+
+        // A job that must wait is refused when `queue` jobs already wait;
+        // the waiters start in arrival order.
+        let gate = Gate::new(1, 2);
+        let started = Mutex::new(Vec::new());
+        let first = gate.enter().expect("a free turn");
+        thread::scope(|s| {
+            for id in [1, 2] {
+                let (gate, started) = (&gate, &started);
+                s.spawn(move || {
+                    let _turn = gate.enter().expect("a place to wait");
+                    lock(started).push(id);
+                });
+                await_waiters(gate, id);
+            }
+            assert!(gate.enter().is_none(), "both places are taken");
+            drop(first);
+        });
+        assert_eq!(*lock(&started), [1, 2]);
+
+        // A freed turn goes to the earliest waiter, not to a later arrival.
+        let gate = Gate::new(1, 2);
+        let started = Mutex::new(Vec::new());
+        let first = gate.enter().expect("a free turn");
+        thread::scope(|s| {
+            s.spawn(|| {
+                let _turn = gate.enter().expect("a place to wait");
+                lock(&started).push("waiter");
+            });
+            await_waiters(&gate, 1);
+            drop(first);
+            let _late = gate.enter().expect("a place to wait");
+            lock(&started).push("late arrival");
+        });
+        assert_eq!(*lock(&started), ["waiter", "late arrival"]);
     }
 
     #[test]

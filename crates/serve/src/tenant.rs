@@ -27,7 +27,7 @@ pub struct Tenant {
     /// The tenant's release capability, once first needed. `None` until a
     /// job actually releases a value.
     pub cap: Option<Capability>,
-    /// Jobs currently admitted (queued or running) for this tenant.
+    /// Jobs currently admitted (waiting or running) for this tenant.
     pub inflight: usize,
 }
 
@@ -137,9 +137,10 @@ impl TenantStore {
     }
 }
 
-/// Locks a mutex, recovering from poisoning. A worker panic is already
-/// contained by the supervisor; abandoning the whole namespace over it
-/// would turn one bad job into a tenant-wide outage.
+/// Locks a mutex, recovering from poisoning. A job that panics while it
+/// holds a lock is already quarantined by `catch_unwind`; abandoning the
+/// whole namespace over it would turn one bad job into a tenant-wide
+/// outage.
 pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,

@@ -1,7 +1,7 @@
 //! Chaos soak: the acceptance gate for enforcement-as-a-service.
 //!
 //! A fixed-seed [`FaultPlan`] drives a fault-injecting proxy (dropped,
-//! delayed, and truncated request frames) and two explicit worker kills
+//! delayed, and truncated request frames) and two explicit job kills
 //! while a mixed workload from three tenants runs through the service.
 //! The run must be *indistinguishable in outcome* from the same workload
 //! on a fault-free control server: every reply's decisive fields agree,
@@ -134,7 +134,7 @@ fn chaos_soak_is_outcome_identical_to_fault_free_control() {
     let control_trails = tenant_trails(&control_state);
 
     // Chaos: the same workload through a fault-injecting proxy, against a
-    // server whose workers can be killed by directive.
+    // server whose jobs can be killed by directive.
     let chaos_state = temp_dir("chaos");
     let server = ServerHandle::spawn(ServerConfig {
         state_dir: Some(chaos_state.clone()),
@@ -158,9 +158,9 @@ fn chaos_soak_is_outcome_identical_to_fault_free_control() {
         },
     );
 
-    // Two deterministic worker kills mid-soak, observed raw (a retrying
+    // Two deterministic job kills mid-soak, observed raw (a retrying
     // client would consume the panic frame). The claim is released on the
-    // worker's death, so these jobs leave no trace in any trail.
+    // quarantine, so these jobs leave no trace in any trail.
     let kill_a = {
         let mut r = request("acme", "kill-a", Op::Check, SOUND, vec![]);
         r.chaos = Some("panic".to_string());
@@ -211,10 +211,9 @@ fn chaos_soak_is_outcome_identical_to_fault_free_control() {
         );
     }
 
-    // The faults really happened: both kills quarantined a worker and the
-    // pool was repaired each time, yet every job was served.
+    // The faults really happened: both kills were quarantined, yet every
+    // job was served.
     assert_eq!(chaos_stats.quarantined, 2);
-    assert!(chaos_stats.workers_replaced >= 2);
     assert!(chaos_stats.served >= workload().len() as u64);
     assert!(chaos_stats.degraded(), "quarantines mark a degraded life");
 

@@ -1,5 +1,5 @@
-//! End-to-end service tests: supervision, admission, idempotency,
-//! checkpoint recovery, and drain — all over real sockets.
+//! End-to-end service tests: quarantine, admission, idempotency,
+//! checkpoint recovery, reply bounds and drain — all over real sockets.
 
 use enf_core::Json;
 use enf_serve::{parse_allow, Client, ClientConfig, Op, Request, ServerConfig, ServerHandle};
@@ -220,7 +220,7 @@ fn idempotent_retry_replays_without_rerunning() {
 }
 
 #[test]
-fn panicking_worker_is_quarantined_and_replaced() {
+fn panicking_job_is_quarantined() {
     let server = ServerHandle::spawn(ServerConfig {
         workers: 2,
         chaos: true,
@@ -229,23 +229,35 @@ fn panicking_worker_is_quarantined_and_replaced() {
     .unwrap();
     let addr = server.addr().to_string();
 
-    // One raw attempt (no retries): the chaos directive kills the worker
-    // and the caller still gets a structured, retryable frame.
+    // One raw attempt (no retries): the chaos directive panics the job and
+    // the caller still gets a structured, retryable frame.
     let mut kill = base_request(Op::Check, SOUND);
     kill.chaos = Some("panic".to_string());
-    let reply = raw_exchange(&addr, &kill);
+    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    enf_serve::write_frame(&mut conn, &kill.to_json()).unwrap();
+    let reply = enf_serve::read_frame(&mut conn).unwrap().unwrap();
     assert!(!enf_serve::reply_is_ok(&reply));
     assert_eq!(str_field(&reply, "error"), "panicked");
     assert_eq!(reply.get("retryable"), Some(&Json::Bool(true)));
 
-    // The pool was repaired: the same sweep (no directive) still runs.
+    // The connection that read the job keeps serving.
+    enf_serve::write_frame(&mut conn, &base_request(Op::Ping, "").to_json()).unwrap();
+    let pong = enf_serve::read_frame(&mut conn).unwrap().unwrap();
+    assert_eq!(
+        pong.get("pong"),
+        Some(&Json::Bool(true)),
+        "{}",
+        pong.render()
+    );
+
+    // The job key was released: the same sweep (no directive) still runs.
     let client = quick_client(&addr);
     let reply = client.request(&base_request(Op::Check, SOUND)).unwrap();
     assert_eq!(str_field(&reply, "verdict"), "confirmed");
 
     let stats = server.stop();
     assert_eq!(stats.quarantined, 1);
-    assert!(stats.workers_replaced >= 1);
     assert!(stats.degraded(), "a quarantine is a degraded life");
 }
 
@@ -315,6 +327,76 @@ fn overload_is_shed_with_retry_after() {
 
     let stats = server.stop();
     assert!(stats.shed >= 1);
+    assert!(!stats.degraded(), "shedding is not degradation: {stats:?}");
+}
+
+#[test]
+fn a_full_queue_sheds_with_retry_after() {
+    let server = ServerHandle::spawn(ServerConfig {
+        workers: 1,
+        queue: 1,
+        retry_after_ms: 33,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    let one_shot = |req: Request| {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let client = Client::with_config(
+                &addr,
+                ClientConfig {
+                    max_attempts: 1,
+                    ..ClientConfig::default()
+                },
+            );
+            client.request(&req).unwrap()
+        })
+    };
+
+    // Three tenants, so no request meets its tenant's quota. The first
+    // holds the only turn until its deadline cancels the sweep, as in
+    // `overload_is_shed_with_retry_after`.
+    let mut slow = base_request(Op::Check, DIVERGING);
+    slow.tenant = "tenant-a".to_string();
+    slow.fuel = 125_000;
+    slow.span = 64;
+    slow.deadline_ms = Some(1_500);
+    let occupant = one_shot(slow);
+    std::thread::sleep(Duration::from_millis(400));
+
+    // The second takes the one place to wait and completes after it.
+    let mut second = base_request(Op::Check, SOUND);
+    second.tenant = "tenant-b".to_string();
+    let waiter = one_shot(second);
+    std::thread::sleep(Duration::from_millis(300));
+
+    // The third finds the place taken and is shed with the hint.
+    let mut third = base_request(Op::Check, SOUND);
+    third.tenant = "tenant-c".to_string();
+    let reply = raw_exchange(&addr, &third);
+    assert_eq!(
+        str_field(&reply, "error"),
+        "overloaded",
+        "{}",
+        reply.render()
+    );
+    assert_eq!(str_field(&reply, "detail"), "job queue is full");
+    assert_eq!(reply.get("retryable"), Some(&Json::Bool(true)));
+    assert_eq!(int_field(&reply, "retry_after_ms"), 33);
+
+    let waited = waiter.join().unwrap();
+    assert_eq!(
+        str_field(&waited, "verdict"),
+        "confirmed",
+        "{}",
+        waited.render()
+    );
+    let occupied = occupant.join().unwrap();
+    assert_eq!(str_field(&occupied, "verdict"), "unknown");
+
+    let stats = server.stop();
+    assert_eq!(stats.shed, 1, "{stats:?}");
     assert!(!stats.degraded(), "shedding is not degradation: {stats:?}");
 }
 
@@ -467,40 +549,87 @@ fn deeply_nested_frame_severs_only_its_connection() {
     assert!(!stats.degraded(), "{stats:?}");
 }
 
-#[test]
-fn a_bound_sized_frame_is_answered_promptly() {
-    use std::io::{Read as _, Write as _};
-    let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
-    let addr = server.addr().to_string();
-    // A ping whose job string fills the frame to `MAX_FRAME_BYTES`. A
-    // decoder quadratic in string length spent over 20 s of CPU on it.
-    let (head, tail) = (r#"{"op":"ping","job":""#, "\"}\n");
-    let job = "j".repeat(enf_serve::MAX_FRAME_BYTES - head.len() - tail.len());
-    let payload = format!("{head}{job}{tail}");
+/// `head`, then `fill` repeated, then `tail`: a frame payload of exactly
+/// `MAX_FRAME_BYTES`.
+fn bound_sized(head: &str, fill: char, tail: &str) -> String {
+    let n = enf_serve::MAX_FRAME_BYTES - head.len() - tail.len();
+    let payload = format!("{head}{}{tail}", String::from(fill).repeat(n));
     assert_eq!(payload.len(), enf_serve::MAX_FRAME_BYTES);
-    let start = std::time::Instant::now();
-    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+    payload
+}
+
+/// Writes one raw frame payload on a fresh connection and reads the reply
+/// through `read_frame`.
+fn raw_payload_exchange(addr: &str, payload: &str) -> Result<Option<Json>, enf_serve::FrameError> {
+    use std::io::Write as _;
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     conn.write_all(&(payload.len() as u32).to_be_bytes())
         .unwrap();
     conn.write_all(payload.as_bytes()).unwrap();
-    // The reply echoes the job, so it is longer than an inbound frame may
-    // be: read it raw rather than through `read_frame`.
-    let mut len = [0u8; 4];
-    conn.read_exact(&mut len).expect("a reply within 5 s");
-    let mut reply = vec![0u8; u32::from_be_bytes(len) as usize];
-    conn.read_exact(&mut reply)
-        .expect("a whole reply within 5 s");
-    let reply = enf_core::json::parse(std::str::from_utf8(&reply).unwrap().trim_end()).unwrap();
+    enf_serve::read_frame(&mut conn)
+}
+
+#[test]
+fn a_bound_sized_frame_is_answered_promptly() {
+    let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    // A ping whose unused program string fills the frame to
+    // `MAX_FRAME_BYTES`. A decoder quadratic in string length spent over
+    // 20 s of CPU on it.
+    let payload = bound_sized(r#"{"op":"ping","program":""#, 'p', "\"}\n");
+    let start = std::time::Instant::now();
+    let reply = raw_payload_exchange(&addr, &payload)
+        .expect("a whole reply within 5 s")
+        .expect("a reply before EOF");
     let elapsed = start.elapsed();
     assert_eq!(reply.get("pong"), Some(&Json::Bool(true)));
-    assert_eq!(str_field(&reply, "job"), job);
     assert!(
         elapsed < Duration::from_secs(5),
         "answered after {elapsed:?}"
     );
     let stats = server.stop();
     assert!(!stats.degraded(), "{stats:?}");
+}
+
+#[test]
+fn every_reply_fits_in_one_frame() {
+    let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    // Bound-sized requests whose replies would quote the client's text: a
+    // job key (echoed by every reply), an op name, a tenant name and an
+    // identifier in a parse error.
+    for (payload, detail) in [
+        (
+            bound_sized(r#"{"op":"ping","job":""#, 'j', "\"}\n"),
+            "\"job\" is",
+        ),
+        (bound_sized(r#"{"op":""#, 'o', "\"}\n"), "unknown op"),
+        (
+            bound_sized(r#"{"op":"check","program":"p","tenant":""#, 't', "\"}\n"),
+            "invalid tenant name",
+        ),
+        (
+            bound_sized(
+                r#"{"op":"check","program":"program(1) { y := "#,
+                'z',
+                "; }\"}\n",
+            ),
+            "parse error",
+        ),
+    ] {
+        let reply = raw_payload_exchange(&addr, &payload)
+            .expect("a reply within the frame bound")
+            .expect("a reply before EOF");
+        assert_eq!(str_field(&reply, "error"), "usage", "{}", reply.render());
+        assert!(
+            str_field(&reply, "detail").starts_with(detail),
+            "{}",
+            reply.render()
+        );
+    }
+    let stats = server.stop();
+    assert_eq!(stats.usage_errors, 4, "{stats:?}");
 }
 
 #[test]

@@ -160,10 +160,13 @@ fn usage() -> &'static str {
      full instruction listing.\n\
      serve runs the multi-tenant enforcement service in the foreground\n\
      (default --listen 127.0.0.1:0; the bound address is printed first).\n\
-     SIGTERM or SIGINT drains: in-flight jobs finish, workers join, and\n\
-     the drain report is printed as JSON. Exit 0 is a clean life, exit 1\n\
-     a degraded one (a worker was quarantined or an internal fault was\n\
-     reported). client sends one job (op: ping, surveil, certify, check\n\
+     Each job runs on the thread of the connection that sent it: at most\n\
+     --workers N (default 4) run at once, at most --queue N (default 64)\n\
+     more wait and start in arrival order, and the next is shed with a\n\
+     retry hint. SIGTERM or SIGINT drains: running and waiting jobs\n\
+     finish, and the drain report is printed as JSON. Exit 0 is a clean\n\
+     life, exit 1 a degraded one (a job panicked and was quarantined, or\n\
+     an internal fault was reported). client sends one job (op: ping, surveil, certify, check\n\
      or refute) with timeouts, Retry-After-honoring backoff and an\n\
      idempotent --job key, and prints the server's reply as JSON.\n\
      exit codes: 0 ok, 1 violation/refuted/unknown, 2 usage, 3 internal."

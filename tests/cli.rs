@@ -1080,9 +1080,9 @@ fn client_refute_of_colliding_programs_reports_the_leak() {
 #[cfg(unix)]
 #[test]
 fn serve_exits_1_after_a_quarantine() {
-    // `--chaos` arms the kill directive; one poisoned job panics a worker,
-    // supervision replaces it, and the drained server reports a degraded
-    // life with exit 1.
+    // `--chaos` arms the kill directive; one poisoned job panics, is
+    // quarantined, and the drained server reports a degraded life with
+    // exit 1.
     let (server, addr, lines) = spawn_server(&["--chaos"]);
     // One-shot so the kill directive fires exactly once; the panicked
     // frame is retryable, so a single attempt exits 3 (gave up).
@@ -1119,7 +1119,6 @@ fn serve_exits_1_after_a_quarantine() {
     let (code, report) = sigterm_drain(server, lines);
     assert_eq!(code, 1, "degraded lives exit 1\n{report}");
     assert!(report.contains("\"quarantined\":1"), "{report}");
-    assert!(report.contains("\"workers_replaced\":1"), "{report}");
 }
 
 #[cfg(unix)]

@@ -18,6 +18,10 @@
 //! And the static analyses: every taint certifier in `enf_static` solves
 //! the one may-taint problem in `dataflow.rs`, so the library declares
 //! exactly five dataflow problems.
+//!
+//! And the service: a job runs on the connection thread that read it, so
+//! the server spawns threads in three places and hands nothing over a
+//! channel.
 
 use std::path::{Path, PathBuf};
 
@@ -159,5 +163,22 @@ fn static_analyses_share_one_taint_problem() {
          values. A taint certifier passes its refinement to the may-taint \
          problem instead of forking the transfer. Found:\n{}",
         problems.join("\n")
+    );
+}
+
+#[test]
+fn the_server_runs_each_job_on_its_connection_thread() {
+    let text = read(&repo_root().join("crates/serve/src/server.rs"));
+    let library = library_part(&text);
+    assert!(
+        !library.contains("mpsc"),
+        "the server hands no job or reply over a channel; the connection \
+         thread that reads a job runs it behind the admission gate"
+    );
+    assert_eq!(
+        library.matches("thread::Builder::new()").count(),
+        3,
+        "the server spawns the acceptor, one thread per connection and \
+         `ServerHandle::spawn`'s thread, and no worker pool"
     );
 }
