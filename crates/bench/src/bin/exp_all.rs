@@ -5,15 +5,16 @@
 //! checkpointed-sweep overhead (bar ≤3%), the relational-proof vs
 //! pair-sweep cost, the bytecode-VM vs stepper speedup (bar ≥5×), and the
 //! class-partition vs view-partition speedup (bar ≥10×), and the
+//! lane-group vs one-input-at-a-time VM sweep speedup (bar ≥2×), and the
 //! dynamic-policy certificate vs bounded-schedule-sweep cost, and the
 //! shared multi-clearance lattice sweep vs per-clearance loop (bar ≥3×),
 //! and the typed-pipeline (audit-trail) overhead (bar ≤5%), and the
 //! durable audit append at 10²–10⁵ records (bar: slowest within 2× of
 //! fastest), and the enforcement-service load (fault-free vs
-//! chaos-proxied throughput), writing all eleven to `BENCH_results.json`
+//! chaos-proxied throughput), writing all twelve to `BENCH_results.json`
 //! (`{"throughput": [...], "stepper_overhead": [...],
 //! "checkpoint_overhead": [...], "relational": [...], "bytecode": [...],
-//! "class_eval": [...], "schedule": [...], "lattice": [...],
+//! "class_eval": [...], "lanes": [...], "schedule": [...], "lattice": [...],
 //! "audit": [...], "audit_append": [...], "serve": [...]}`); skip with
 //! `--no-bench`, or pass `--quick` for the small-size CI smoke run (same
 //! code paths, sub-minute, numbers not publication-grade).
@@ -127,6 +128,22 @@ fn main() {
                 r.speedup()
             );
         }
+        let lanes = if quick {
+            enf_bench::vmspeed::measure_lanes(3, 4, &[(3, 3), (4, 2)])
+        } else {
+            enf_bench::vmspeed::measure_lanes(11, 32, &[(3, 10), (4, 5)])
+        };
+        for r in &lanes {
+            println!(
+                "lanes arity {} {:>3} programs x {:>6} inputs  one at a time {:>10.6}s  lane groups {:>10.6}s  speedup {:.2}x (bar >= 2x)",
+                r.arity,
+                r.programs,
+                r.inputs / r.programs.max(1),
+                r.per_input_secs,
+                r.lanes_secs,
+                r.speedup
+            );
+        }
         let sched = if quick {
             enf_bench::schedule_eval::measure_sized(&[1, 2])
         } else {
@@ -208,13 +225,14 @@ fn main() {
             );
         }
         let json = format!(
-            "{{\n\"throughput\": {},\n\"stepper_overhead\": {},\n\"checkpoint_overhead\": {},\n\"relational\": {},\n\"bytecode\": {},\n\"class_eval\": {},\n\"schedule\": {},\n\"lattice\": {},\n\"audit\": {},\n\"audit_append\": {},\n\"serve\": {}\n}}\n",
+            "{{\n\"throughput\": {},\n\"stepper_overhead\": {},\n\"checkpoint_overhead\": {},\n\"relational\": {},\n\"bytecode\": {},\n\"class_eval\": {},\n\"lanes\": {},\n\"schedule\": {},\n\"lattice\": {},\n\"audit\": {},\n\"audit_append\": {},\n\"serve\": {}\n}}\n",
             enf_bench::throughput::to_json(&rows),
             enf_bench::stepper::to_json(&overhead),
             enf_bench::checkpoint::to_json(&ckpt),
             enf_bench::relational::to_json(&rel),
             enf_bench::vmspeed::bytecode_to_json(&bytecode),
             enf_bench::vmspeed::class_eval_to_json(&class_eval),
+            enf_bench::vmspeed::lanes_to_json(&lanes),
             enf_bench::schedule_eval::to_json(&sched),
             enf_bench::lattice_eval::to_json(&lattice),
             enf_bench::audit::to_json(&audit),

@@ -70,7 +70,7 @@ fn median(mut samples: Vec<f64>) -> f64 {
 /// hits both sweeps alike within a round and cancels in that round's
 /// ratio; the median over rounds then discards the rounds a burst still
 /// skewed. Returns `(median_a, median_b, median of per-round b/a)`.
-fn paired_rounds<RA, RB>(
+pub(crate) fn paired_rounds<RA, RB>(
     rounds: u32,
     mut a: impl FnMut() -> RA,
     mut b: impl FnMut() -> RB,

@@ -1,20 +1,24 @@
 //! Compiled hot-path speedups: the register-bytecode VM against the
-//! stepper (steps/second) and the soundness sweep's class partition
-//! against its view partition (tuples/second).
+//! stepper (steps/second), the soundness sweep's class partition against
+//! its view partition (tuples/second), and the lane-group VM's sweeps
+//! against the same VM run one input at a time.
 //!
-//! Both fast paths are differentially pinned bit-identical to the
-//! originals (`tests/bytecode_differential.rs`), so these rows price the
+//! Every fast path is differentially pinned bit-identical to the
+//! original (`tests/bytecode_differential.rs`), so these rows price the
 //! *same answers computed faster*: `exp_all` serializes them into the
-//! `"bytecode"` and `"class_eval"` fields of `BENCH_results.json`. The
-//! acceptance bars are ≥5× steps/s for the VM and ≥10× tuples/s for the
-//! class partition with the VM.
+//! `"bytecode"`, `"class_eval"` and `"lanes"` fields of
+//! `BENCH_results.json`. The acceptance bars are ≥5× steps/s for the VM,
+//! ≥10× tuples/s for the class partition with the VM, and ≥2× for lane
+//! groups.
 
+use crate::checkpoint::paired_rounds;
 use enf_core::{
     check_soundness_with, Allow, EvalConfig, FnMechanism, FnPolicy, Grid, IndexSet, InputDomain,
-    MechOutput, Policy, V,
+    MechOutput, Mechanism, Policy, V,
 };
 use enf_flowchart::bytecode::Compiled;
-use enf_flowchart::generate::loop_program;
+use enf_flowchart::generate::{loop_program, random_flowchart, GenConfig};
+use enf_flowchart::interp::ExecValue;
 use enf_flowchart::interp::{run, ExecConfig};
 use enf_flowchart::parse;
 use enf_flowchart::program::FlowchartProgram;
@@ -251,6 +255,115 @@ pub fn class_eval_to_json(rows: &[ClassEvalRow]) -> String {
             r.generic_tuples_per_sec(),
             r.classes_tuples_per_sec(),
             r.speedup(),
+            if i + 1 == rows.len() { "" } else { "," }
+        ));
+    }
+    s.push(']');
+    s
+}
+
+/// One lane-groups-vs-one-at-a-time measurement: a family of random
+/// programs of one arity, each swept under `allow(1)`.
+#[derive(Clone, Debug)]
+pub struct LanesRow {
+    /// Program inputs.
+    pub arity: usize,
+    /// Programs swept per round.
+    pub programs: usize,
+    /// Inputs per round, over every program.
+    pub inputs: usize,
+    /// Median wall-clock seconds of a round with [`VmSurveillance`] run
+    /// one input at a time.
+    pub per_input_secs: f64,
+    /// Median wall-clock seconds of a round with its lane groups.
+    pub lanes_secs: f64,
+    /// Median of the per-round ratios `per_input / lanes`.
+    pub speedup: f64,
+}
+
+/// [`VmSurveillance`] behind a wrapper that forwards only `run`, so a
+/// sweep gets the default `run_rows` and runs the VM once per input.
+struct OneAtATime(VmSurveillance);
+
+impl Mechanism for OneAtATime {
+    type Out = ExecValue;
+
+    fn arity(&self) -> usize {
+        self.0.arity()
+    }
+
+    fn run(&self, input: &[V]) -> MechOutput<ExecValue> {
+        self.0.run(input)
+    }
+}
+
+/// Sweeps `programs` random programs of each arity in `shapes`
+/// (`(arity, span)`, [`GenConfig::default`] otherwise) under `allow(1)`
+/// with one worker, through the lane groups and one input at a time, in
+/// `rounds` paired rounds (median of the per-round ratios, as the
+/// `checkpoint_overhead` rows do).
+pub fn measure_lanes(rounds: u32, programs: usize, shapes: &[(usize, i64)]) -> Vec<LanesRow> {
+    let seq = EvalConfig::with_threads(1);
+    let fuel = 100_000;
+    shapes
+        .iter()
+        .map(|&(arity, span)| {
+            let gen = GenConfig {
+                arity,
+                ..GenConfig::default()
+            };
+            let grid = Grid::hypercube(arity, -span..=span);
+            let policy = Allow::new(arity, [1]);
+            let mechs: Vec<VmSurveillance> = (0..programs as u64)
+                .map(|seed| {
+                    let fc = random_flowchart(0x1a7e5 + seed, &gen);
+                    VmSurveillance::new(FlowchartProgram::with_fuel(fc, fuel), policy.allowed())
+                })
+                .collect();
+            let one: Vec<OneAtATime> = mechs.iter().cloned().map(OneAtATime).collect();
+            // Each side counts the programs it finds sound, so the two
+            // sweeps can be checked against each other.
+            let lanes = || {
+                mechs
+                    .iter()
+                    .filter(|m| check_soundness_with(*m, &policy, &grid, false, &seq).is_sound())
+                    .count()
+            };
+            let single = || {
+                one.iter()
+                    .filter(|m| check_soundness_with(*m, &policy, &grid, false, &seq).is_sound())
+                    .count()
+            };
+            assert_eq!(lanes(), single(), "the two sweeps must agree");
+            let (lanes_secs, per_input_secs, speedup) = paired_rounds(rounds, lanes, single);
+            LanesRow {
+                arity,
+                programs,
+                inputs: programs * grid.len(),
+                per_input_secs,
+                lanes_secs,
+                speedup,
+            }
+        })
+        .collect()
+}
+
+/// Serializes lane rows as a JSON array.
+pub fn lanes_to_json(rows: &[LanesRow]) -> String {
+    let mut s = String::from("[\n");
+    for (i, r) in rows.iter().enumerate() {
+        s.push_str(&format!(
+            "  {{\"arity\": {}, \"programs\": {}, \"inputs\": {}, \"per_input_secs\": {:.6}, \
+             \"lanes_secs\": {:.6}, \"per_input_inputs_per_sec\": {:.1}, \
+             \"lanes_inputs_per_sec\": {:.1}, \"speedup\": {:.2}}}{}\n",
+            r.arity,
+            r.programs,
+            r.inputs,
+            r.per_input_secs,
+            r.lanes_secs,
+            r.inputs as f64 / r.per_input_secs.max(1e-12),
+            r.inputs as f64 / r.lanes_secs.max(1e-12),
+            r.speedup,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }

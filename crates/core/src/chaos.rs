@@ -15,7 +15,7 @@
 //! the default reporting for every *other* panic but drops the noise from
 //! intentional ones, so chaos test output stays readable.
 
-use crate::domain::InputDomain;
+use crate::domain::{InputDomain, Rows};
 use crate::mechanism::{MechOutput, Mechanism};
 use crate::program::Program;
 use crate::value::V;
@@ -187,6 +187,18 @@ impl<M: Mechanism> Mechanism for PanicOn<M> {
             panic!("{CHAOS_MARKER}: mechanism fault on {input:?}");
         }
         self.inner.run(input)
+    }
+
+    /// Panics if the block holds the trigger, before running any row;
+    /// otherwise runs the whole block on the wrapped mechanism's own
+    /// block path.
+    fn run_rows(&self, rows: Rows<'_>, out: &mut Vec<MechOutput<M::Out>>) {
+        if let Some(trigger) = self.trigger.as_deref() {
+            if let Some(input) = rows.iter().find(|a| *a == trigger) {
+                panic!("{CHAOS_MARKER}: mechanism fault on {input:?}");
+            }
+        }
+        self.inner.run_rows(rows, out)
     }
 }
 

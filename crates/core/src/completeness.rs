@@ -14,7 +14,7 @@
 use crate::domain::InputDomain;
 use crate::error::{Coverage, EnfError};
 use crate::mechanism::Mechanism;
-use crate::par::{fold, CancelToken, EvalConfig, FoldPartials, Guard, Guarded, Plain};
+use crate::par::{each, fold, CancelToken, EvalConfig, FoldPartials, Guard, Guarded, Plain};
 use crate::value::V;
 
 /// How two mechanisms' acceptance sets relate over a domain.
@@ -196,7 +196,7 @@ where
         config,
         ctl,
         ComparePartial::default,
-        |p, idx, a| {
+        each(|p: &mut ComparePartial, idx, a| {
             let (ok1, ok2) = (m1.run(a).is_value(), m2.run(a).is_value());
             p.inputs += 1;
             p.accepted_first += usize::from(ok1);
@@ -209,7 +209,7 @@ where
                 p.witness_second.get_or_insert_with(|| (idx, a.to_vec()));
             }
             false
-        },
+        }),
     )
 }
 
@@ -295,12 +295,12 @@ fn accepted<G: Guard, M: Mechanism + Sync>(
         config,
         ctl,
         Vec::new,
-        |accepted, _, a| {
+        each(|accepted: &mut Vec<Vec<V>>, _, a| {
             if m.run(a).is_value() {
                 accepted.push(a.to_vec());
             }
             false
-        },
+        }),
     )
 }
 

@@ -109,6 +109,85 @@ pub trait InputDomain: Sync {
     }
 }
 
+/// A block of input tuples of one arity, stored one row after another.
+///
+/// The exhaustive checkers' fold ([`crate::par`]) hands consecutive inputs
+/// to a checker in blocks, and the soundness sweep hands each block to
+/// [`Mechanism::run_rows`](crate::Mechanism::run_rows). The row count is
+/// kept apart from the values, so a block of arity 0 still says how many
+/// empty tuples it holds.
+#[derive(Clone, Copy, Debug)]
+pub struct Rows<'a> {
+    values: &'a [V],
+    arity: usize,
+    len: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// `len` tuples of `arity` values each, laid out row after row.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `values` holds exactly `arity * len` values.
+    pub fn new(values: &'a [V], arity: usize, len: usize) -> Self {
+        assert_eq!(
+            values.len(),
+            arity * len,
+            "{len} rows of arity {arity} need {} values",
+            arity * len
+        );
+        Rows { values, arity, len }
+    }
+
+    /// The block holding `tuple` alone.
+    pub fn one(tuple: &'a [V]) -> Self {
+        Rows {
+            values: tuple,
+            arity: tuple.len(),
+            len: 1,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the block holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Values per row.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [V]> + 'a {
+        let (values, arity) = (self.values, self.arity);
+        (0..self.len).map(move |i| &values[i * arity..(i + 1) * arity])
+    }
+
+    /// The rows with positions in `range`, as a block of their own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the last row.
+    pub fn slice(&self, range: Range<usize>) -> Rows<'a> {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "rows {range:?} of a block of {}",
+            self.len
+        );
+        Rows {
+            values: &self.values[range.start * self.arity..range.end * self.arity],
+            arity: self.arity,
+            len: range.len(),
+        }
+    }
+}
+
 /// A product of integer ranges, one per input coordinate.
 ///
 /// # Examples

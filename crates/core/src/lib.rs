@@ -69,7 +69,7 @@ pub use completeness::{
     acceptance_set, acceptance_set_with, compare, compare_with, try_acceptance_set_with,
     try_compare_with, CompletenessReport, MechOrdering,
 };
-pub use domain::{Explicit, Grid, InputDomain};
+pub use domain::{Explicit, Grid, InputDomain, Rows};
 pub use error::{Coverage, EnfError, Verdict};
 pub use indexset::IndexSet;
 pub use integrity::{check_preservation, PreservationReport};

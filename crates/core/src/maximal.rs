@@ -20,7 +20,7 @@ use crate::domain::InputDomain;
 use crate::error::{Coverage, EnfError};
 use crate::mechanism::{MechOutput, Mechanism};
 use crate::notice::Notice;
-use crate::par::{fold, CancelToken, EvalConfig, FoldPartials, Guard, Guarded, Plain};
+use crate::par::{each, fold, CancelToken, EvalConfig, FoldPartials, Guard, Guarded, Plain};
 use crate::policy::Policy;
 use crate::program::Program;
 use crate::value::{BoxedFn, V};
@@ -167,11 +167,11 @@ where
             config,
             ctl,
             HashMap::new,
-            |classes, _, a| {
+            each(|classes: &mut HashMap<W, Option<O>>, _, a| {
                 let view = policy.filter(a);
                 absorb(classes, view, Some(program.eval(a)));
                 false
-            },
+            }),
         )
     }
 

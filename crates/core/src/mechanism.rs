@@ -10,6 +10,7 @@
 //! (clause (1) of the definition: accepted outputs equal `Q(a)`) is checked
 //! empirically by [`crate::soundness::check_protection`].
 
+use crate::domain::Rows;
 use crate::notice::Notice;
 use crate::program::Program;
 use crate::value::{SharedFn, V};
@@ -87,6 +88,18 @@ pub trait Mechanism {
 
     /// Runs the mechanism on an input tuple.
     fn run(&self, input: &[V]) -> MechOutput<Self::Out>;
+
+    /// Runs the mechanism on every row of a block, appending one output
+    /// per row to `out`, in row order.
+    ///
+    /// The soundness sweeps call this once per block of consecutive
+    /// inputs. The default calls [`Mechanism::run`] on each row. A
+    /// mechanism that can share work between rows overrides it (the
+    /// lane-group surveillance VM runs rows that take the same path as
+    /// one group), and must append exactly what the default would.
+    fn run_rows(&self, rows: Rows<'_>, out: &mut Vec<MechOutput<Self::Out>>) {
+        out.extend(rows.iter().map(|a| self.run(a)));
+    }
 }
 
 impl<M: Mechanism + ?Sized> Mechanism for &M {
@@ -99,6 +112,10 @@ impl<M: Mechanism + ?Sized> Mechanism for &M {
     fn run(&self, input: &[V]) -> MechOutput<Self::Out> {
         (**self).run(input)
     }
+
+    fn run_rows(&self, rows: Rows<'_>, out: &mut Vec<MechOutput<Self::Out>>) {
+        (**self).run_rows(rows, out)
+    }
 }
 
 impl<M: Mechanism + ?Sized> Mechanism for Arc<M> {
@@ -110,6 +127,10 @@ impl<M: Mechanism + ?Sized> Mechanism for Arc<M> {
 
     fn run(&self, input: &[V]) -> MechOutput<Self::Out> {
         (**self).run(input)
+    }
+
+    fn run_rows(&self, rows: Rows<'_>, out: &mut Vec<MechOutput<Self::Out>>) {
+        (**self).run_rows(rows, out)
     }
 }
 

@@ -20,6 +20,13 @@
 //! panicking subject, while the infallible forms call the subject directly
 //! and let a panic unwind to their caller with its own payload.
 //!
+//! The fold hands the step blocks of up to [`BLOCK_ROWS`] consecutive
+//! inputs ([`Rows`]), so a subject that shares work between inputs (the
+//! lane-group surveillance VM) sees many at once. Every per-input check
+//! (cutoff, cancellation, index limit) still runs before an input joins a
+//! block, and a block whose step panics is run again one input at a time,
+//! so coverage, witnesses and quarantines are those of the per-input loop.
+//!
 //! The engine is std-only: workers are scoped threads
 //! (`std::thread::scope`), so borrowed mechanisms, policies, and domains
 //! cross into workers without `'static` bounds or reference counting.
@@ -32,7 +39,7 @@
 //! bound. The merge still selects the minimal index, so early exit never
 //! changes a report, only the work done.
 
-use crate::domain::InputDomain;
+use crate::domain::{InputDomain, Rows};
 use crate::error::{Coverage, EnfError, Verdict};
 use crate::value::V;
 use std::num::NonZeroUsize;
@@ -154,6 +161,10 @@ fn split_ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
     }
     ranges
 }
+
+/// Most inputs the fold hands a step at once. 64 is the lane count of the
+/// surveillance VM's lane groups, which keep their lanes in a `u64` mask.
+pub const BLOCK_ROWS: usize = 64;
 
 /// How many tuples a worker evaluates between wall-clock deadline polls.
 ///
@@ -394,24 +405,36 @@ impl<S> FoldPartials<S> {
 /// exhaustive checker.
 ///
 /// Each worker folds one contiguous range, in order, into a state made by
-/// `init`, calling `step(&mut state, idx, tuple)` once per input. A step
-/// returns `true` when its input decides the fold, for example on a
-/// witness; the index then bounds every worker's scan and this worker's
-/// range ends. With one worker the fold runs on the calling thread: the
-/// sequential path is the parallel path with a single partition, not
-/// separate code.
+/// `init`. It gathers the inputs it admits into blocks of up to
+/// [`BLOCK_ROWS`] and calls `step(&mut state, first_index, rows)` once per
+/// block. A step returns `Some(k)` when row `k` decides the fold, for
+/// example on a witness; the rows after it count as not evaluated, the
+/// index bounds every worker's scan and this worker's range ends. With one
+/// worker the fold runs on the calling thread: the sequential path is the
+/// parallel path with a single partition, not separate code.
 ///
-/// [`Guarded`] polls `ctl` before each input and quarantines a panicking
-/// step: the least such index is kept for
-/// [`FoldPartials::resolve_quarantine`], and workers wind down past it.
-/// [`Plain`] ignores `ctl`, and a panicking step unwinds to the caller.
+/// An input joins a block only after the per-input checks: the shared
+/// cutoff and, under [`Guarded`], `ctl`. So an index limit `n` evaluates
+/// exactly the indices below `n`.
+///
+/// A block may panic on an input that a decision earlier in the same block
+/// would have kept the per-input loop from reaching. So a block whose step
+/// panics is stepped again one input at a time, from its first input, and
+/// the first of those that panics is the one reported: [`Guarded`]
+/// quarantines it (the least such index is kept for
+/// [`FoldPartials::resolve_quarantine`], and workers wind down past it),
+/// while under [`Plain`] it unwinds to the caller with its own payload. A
+/// step must therefore bear seeing part of a block twice: the class
+/// tables record an input twice to the same effect, the witness scan
+/// records only at a decision, and the other checkers drop their state on
+/// any panic.
 pub(crate) fn fold<G, S>(
     domain: &dyn InputDomain,
     span: Range<usize>,
     config: &EvalConfig,
     ctl: &CancelToken,
     init: impl Fn() -> S + Sync,
-    step: impl Fn(&mut S, usize, &[V]) -> bool + Sync,
+    step: impl Fn(&mut S, usize, Rows<'_>) -> Option<usize> + Sync,
 ) -> FoldPartials<S>
 where
     G: Guard,
@@ -423,9 +446,52 @@ where
         .collect();
     let cutoff = Cutoff::new();
     let faults = PanicSlot::default();
+    // Steps the pending block and empties it. Returns `false` once the
+    // block decided the fold or was quarantined.
+    let flush = |state: &mut S, block: &mut Block, evaluated: &mut usize| {
+        let (start, len) = (block.start, block.len);
+        if len == 0 {
+            return true;
+        }
+        let rows = block.rows();
+        let stepped = match len {
+            1 => G::call(|| step(state, start, rows)).map_err(|payload| (0, payload)),
+            _ => std::panic::catch_unwind(AssertUnwindSafe(|| step(state, start, rows))).or_else(
+                |_| {
+                    for k in 0..len {
+                        match G::call(|| step(state, start + k, rows.slice(k..k + 1))) {
+                            Ok(Some(_)) => return Ok(Some(k)),
+                            Ok(None) => {}
+                            Err(payload) => return Err((k, payload)),
+                        }
+                    }
+                    Ok(None)
+                },
+            ),
+        };
+        block.clear();
+        match stepped {
+            Ok(None) => {
+                *evaluated += len;
+                true
+            }
+            Ok(Some(k)) => {
+                *evaluated += k + 1;
+                cutoff.propose(start + k);
+                false
+            }
+            Err((k, payload)) => {
+                *evaluated += k;
+                faults.record(start + k, payload);
+                cutoff.propose(start + k);
+                false
+            }
+        }
+    };
     // One worker's pass: its partial and how many inputs it evaluated.
     let worker = |range: Range<usize>| {
         let mut state = init();
+        let mut block = Block::new(domain.arity());
         let (mut evaluated, mut since_poll) = (0, 0);
         domain.visit_range(range, &mut |idx, a| {
             // A quarantine bounds the scan through the cutoff alone: inputs
@@ -435,21 +501,11 @@ where
             if cutoff.passed(idx) || (G::POLLS && ctl.stop_requested(idx, &mut since_poll)) {
                 return false;
             }
-            match G::call(|| step(&mut state, idx, a)) {
-                Ok(decided) => {
-                    evaluated += 1;
-                    if decided {
-                        cutoff.propose(idx);
-                    }
-                    !decided
-                }
-                Err(payload) => {
-                    faults.record(idx, payload);
-                    cutoff.propose(idx);
-                    false
-                }
-            }
+            block.push(idx, a);
+            block.len < BLOCK_ROWS || flush(&mut state, &mut block, &mut evaluated)
         });
+        // The inputs admitted before the range ended or a stop.
+        flush(&mut state, &mut block, &mut evaluated);
         (state, evaluated)
     };
     let results: Vec<(S, usize)> = match ranges.as_slice() {
@@ -489,6 +545,55 @@ where
     }
 }
 
+/// A worker's pending block: consecutive admitted inputs, row after row.
+struct Block {
+    /// Index of the first row.
+    start: usize,
+    len: usize,
+    arity: usize,
+    values: Vec<V>,
+}
+
+impl Block {
+    fn new(arity: usize) -> Self {
+        Block {
+            start: 0,
+            len: 0,
+            arity,
+            values: Vec::with_capacity(arity * BLOCK_ROWS),
+        }
+    }
+
+    fn push(&mut self, idx: usize, a: &[V]) {
+        if self.len == 0 {
+            self.start = idx;
+        }
+        self.values.extend_from_slice(a);
+        self.len += 1;
+    }
+
+    fn rows(&self) -> Rows<'_> {
+        Rows::new(&self.values, self.arity, self.len)
+    }
+
+    fn clear(&mut self) {
+        self.values.clear();
+        self.len = 0;
+    }
+}
+
+/// A per-input step as a block step: `step` runs on each row in order,
+/// and the first row on which it returns `true` decides the block.
+pub(crate) fn each<S>(
+    step: impl Fn(&mut S, usize, &[V]) -> bool + Sync,
+) -> impl Fn(&mut S, usize, Rows<'_>) -> Option<usize> + Sync {
+    move |state, start, rows| {
+        rows.iter()
+            .enumerate()
+            .position(|(k, a)| step(state, start + k, a))
+    }
+}
+
 /// The witness scan on the fold: the least-index tuple on which `test`
 /// returns a payload, with the coverage rules of [`try_find_first`].
 pub(crate) fn first<G, T>(
@@ -508,10 +613,10 @@ where
         config,
         ctl,
         || None,
-        |found, idx, a| {
+        each(|found, idx, a| {
             *found = test(idx, a).map(|payload| (idx, payload));
             found.is_some()
-        },
+        }),
     );
     let hit = std::mem::take(&mut folded.parts)
         .into_iter()
@@ -622,11 +727,11 @@ mod tests {
                 &par_cfg(threads),
                 &CancelToken::new(),
                 || (0u64, 0usize),
-                |(sum, count), idx, _| {
+                each(|(sum, count), idx, _| {
                     *sum += idx as u64;
                     *count += 1;
                     false
-                },
+                }),
             )
             .parts;
             let total: u64 = partials.iter().map(|p| p.0).sum();
@@ -690,11 +795,11 @@ mod tests {
             &seq_cfg(),
             &CancelToken::new(),
             || 0usize,
-            |n, _, _| {
+            each(|n, _, _| {
                 assert_eq!(std::thread::current().id(), caller);
                 *n += 1;
                 false
-            },
+            }),
         )
         .parts;
         assert_eq!(partials, vec![100]);
@@ -738,10 +843,10 @@ mod tests {
             &par_cfg(threads),
             ctl,
             || 0usize,
-            |n, _, _| {
+            each(|n, _, _| {
                 *n += 1;
                 false
-            },
+            }),
         )
     }
 
@@ -780,7 +885,7 @@ mod tests {
                 &par_cfg(threads),
                 &CancelToken::new(),
                 || 0usize,
-                |n, idx, _| {
+                each(|n, idx, _| {
                     // Two faulty indices: the least one must win for every
                     // thread count.
                     if idx == 700 || idx == 300 {
@@ -788,7 +893,7 @@ mod tests {
                     }
                     *n += 1;
                     false
-                },
+                }),
             );
             assert!(!p.complete);
             let (idx, payload) = p.quarantined.clone().expect("quarantined");

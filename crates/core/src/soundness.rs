@@ -316,9 +316,11 @@ impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> Sweep<W, O> {
 
 /// The soundness sweep: every entry point of this module runs it.
 ///
-/// The index space is folded in blocks (one block unless checkpointing)
-/// through [`par::fold`]. Each worker evaluates the subject once per input
-/// and records the output in one class table per policy; a table stops
+/// The index space is folded one checkpoint block at a time (a single
+/// one unless checkpointing) through [`par::fold`]. Each worker runs the
+/// subject once per input, a fold block at a time through
+/// [`Mechanism::run_rows`], and records each output in one class table
+/// per policy; a table stops
 /// taking inputs once it holds a conflict in the worker's range, and the
 /// input that gives the last table its conflict decides the fold, so
 /// sibling workers stop past it. Partials merge in range order, so each
@@ -366,31 +368,44 @@ where
             span.clone(),
             config,
             ctl,
-            // Per policy: its table, and whether it still takes inputs.
-            || parts.iter().map(|p| (p.table(), true)).collect::<Vec<_>>(),
-            |lanes, idx, a| {
+            // Per policy: its table, and whether it still takes inputs; and
+            // the outputs of the block in hand.
+            || {
+                let tables = parts.iter().map(|p| (p.table(), true)).collect::<Vec<_>>();
+                (tables, Vec::with_capacity(par::BLOCK_ROWS))
+            },
+            |(lanes, outs), start, rows| {
+                // A block whose run panicked may have left outputs behind.
+                outs.clear();
+                mechanism.run_rows(rows, outs);
+                assert_eq!(outs.len(), rows.len(), "run_rows gives one output per row");
                 // The policy is part of the subject, so its view is taken
                 // under the guard too. A view is taken before the record it
-                // keys and guarded sweeps have one policy, so a panic leaves
-                // nothing recorded at `idx`.
-                let out = mechanism.run(a);
-                let out = if collapse_notices {
-                    out.collapse_notice()
-                } else {
-                    out
-                };
-                let mut open = 0;
-                for (part, (table, taking)) in parts.iter().zip(lanes.iter_mut()) {
-                    if *taking && part.record(table, a, idx, &out) {
-                        *taking = false;
+                // keys, and a table that has a conflict takes nothing more,
+                // so a block stepped again after a panic records each input
+                // to the same effect.
+                for (k, (a, out)) in rows.iter().zip(outs.drain(..)).enumerate() {
+                    let out = if collapse_notices {
+                        out.collapse_notice()
+                    } else {
+                        out
+                    };
+                    let mut open = 0;
+                    for (part, (table, taking)) in parts.iter().zip(lanes.iter_mut()) {
+                        if *taking && part.record(table, a, start + k, &out) {
+                            *taking = false;
+                        }
+                        open += usize::from(*taking);
                     }
-                    open += usize::from(*taking);
+                    if open == 0 {
+                        return Some(k);
+                    }
                 }
-                open == 0
+                None
             },
         );
 
-        for part in std::mem::take(&mut partials.parts) {
+        for (part, _) in std::mem::take(&mut partials.parts) {
             for (m, (p, _)) in merged.iter_mut().zip(part) {
                 m.merge(p);
             }

@@ -13,7 +13,8 @@
 //!   `if e op e'` decision shape, and single-instruction forms for
 //!   constant/copy/binary assignments;
 //! * a shared RPN **code pool** for the rare deep expressions, evaluated
-//!   on a reusable stack;
+//!   over a caller-owned stack of [`Compiled::stack_capacity`] rows, on one
+//!   lane or on `L` lanes at once ([`Compiled::eval_lanes`]);
 //! * **interpreter-exact i64 semantics** — wrapping arithmetic, total
 //!   division (`x / 0 = x % 0 = 0`) and the same fuel accounting as
 //!   [`interp::run`](crate::interp::run): the fuel check precedes each
@@ -35,6 +36,10 @@ use std::fmt::Write as _;
 
 /// Index of a register slot in the VM's dense value array.
 pub type Slot = u32;
+
+/// Register slots and RPN stack rows a scalar run keeps on its own frame;
+/// a program that needs more puts them on the heap.
+const FRAME_ROWS: usize = 32;
 
 /// A binary arithmetic operator with the interpreter's total semantics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,6 +87,22 @@ impl BinOp {
         }
     }
 
+    /// [`BinOp::apply`] on every lane, in place: `a[l] := a[l] op b[l]`.
+    /// The operator is matched once, outside the lane loop, so the loop
+    /// vectorizes where the target has the instruction.
+    #[inline]
+    pub fn apply_lanes<const L: usize>(self, a: &mut [V; L], b: Lanes<'_, L>) {
+        match self {
+            BinOp::Add => zip_lanes(a, b, V::wrapping_add),
+            BinOp::Sub => zip_lanes(a, b, V::wrapping_sub),
+            BinOp::Mul => zip_lanes(a, b, V::wrapping_mul),
+            BinOp::Div => zip_lanes(a, b, |x, y| BinOp::Div.apply(x, y)),
+            BinOp::Mod => zip_lanes(a, b, |x, y| BinOp::Mod.apply(x, y)),
+            BinOp::BOr => zip_lanes(a, b, |x, y| x | y),
+            BinOp::BAnd => zip_lanes(a, b, |x, y| x & y),
+        }
+    }
+
     fn symbol(self) -> &'static str {
         match self {
             BinOp::Add => "+",
@@ -92,6 +113,83 @@ impl BinOp {
             BinOp::BOr => "|",
             BinOp::BAnd => "&",
         }
+    }
+}
+
+/// [`CmpOp::apply`] on every lane, in place, as `1` or `0`: the lane-wise
+/// twin of [`BinOp::apply_lanes`].
+#[inline]
+pub fn compare_lanes<const L: usize>(op: CmpOp, a: &mut [V; L], b: Lanes<'_, L>) {
+    match op {
+        CmpOp::Eq => zip_lanes(a, b, |x, y| V::from(x == y)),
+        CmpOp::Ne => zip_lanes(a, b, |x, y| V::from(x != y)),
+        CmpOp::Lt => zip_lanes(a, b, |x, y| V::from(x < y)),
+        CmpOp::Le => zip_lanes(a, b, |x, y| V::from(x <= y)),
+        CmpOp::Gt => zip_lanes(a, b, |x, y| V::from(x > y)),
+        CmpOp::Ge => zip_lanes(a, b, |x, y| V::from(x >= y)),
+    }
+}
+
+/// One operand on every lane: a row of lane values, read in place, or one
+/// value on all lanes.
+#[derive(Clone, Copy, Debug)]
+pub enum Lanes<'a, const L: usize> {
+    /// Lane `l` holds `row[l]`.
+    Row(&'a [V; L]),
+    /// Every lane holds this value.
+    Splat(V),
+}
+
+impl<const L: usize> Lanes<'_, L> {
+    /// The lanes as a row of their own.
+    #[inline]
+    pub fn row(self) -> [V; L] {
+        match self {
+            Lanes::Row(row) => *row,
+            Lanes::Splat(v) => [v; L],
+        }
+    }
+}
+
+/// Whether `op` pops two operands and pushes one.
+fn is_binary(op: EOp) -> bool {
+    matches!(op, EOp::Bin(_) | EOp::Cmp(_) | EOp::And | EOp::Or)
+}
+
+/// A two-operand RPN op on every lane, in place: `a[l] := a[l] op b[l]`.
+#[inline(always)]
+fn binary<const L: usize>(op: EOp, a: &mut [V; L], b: Lanes<'_, L>) {
+    match op {
+        EOp::Bin(op) => op.apply_lanes(a, b),
+        EOp::Cmp(op) => compare_lanes(op, a, b),
+        EOp::And => zip_lanes(a, b, |x, y| V::from(x != 0 && y != 0)),
+        EOp::Or => zip_lanes(a, b, |x, y| V::from(x != 0 || y != 0)),
+        other => unreachable!("{other:?} is not a two-operand op"),
+    }
+}
+
+/// `a[l] := f(a[l], b[l])` on every lane.
+#[inline(always)]
+fn zip_lanes<const L: usize>(a: &mut [V; L], b: Lanes<'_, L>, f: impl Fn(V, V) -> V) {
+    match b {
+        Lanes::Row(b) => {
+            for (x, y) in a.iter_mut().zip(b) {
+                *x = f(*x, *y);
+            }
+        }
+        Lanes::Splat(y) => {
+            for x in a.iter_mut() {
+                *x = f(*x, y);
+            }
+        }
+    }
+}
+
+/// `a[l] := f(a[l])` on every lane.
+#[inline(always)]
+fn map_lanes<const L: usize>(a: &mut [V; L], f: impl Fn(V) -> V) {
+    for x in a.iter_mut() {
+        *x = f(*x);
     }
 }
 
@@ -111,6 +209,16 @@ impl Operand {
         match self {
             Operand::Slot(s) => slots[s as usize],
             Operand::Const(v) => v,
+        }
+    }
+
+    /// The operand on every lane, where `slots[s][l]` is slot `s` in lane
+    /// `l`.
+    #[inline]
+    pub fn lanes<const L: usize>(self, slots: &[[V; L]]) -> Lanes<'_, L> {
+        match self {
+            Operand::Slot(s) => Lanes::Row(&slots[s as usize]),
+            Operand::Const(v) => Lanes::Splat(v),
         }
     }
 }
@@ -353,8 +461,8 @@ impl Compiled {
         &self.read_pool[s as usize..e as usize]
     }
 
-    /// Upper bound on the RPN evaluation stack depth; sizing a scratch
-    /// `Vec` to this avoids reallocation during a run.
+    /// Upper bound on the RPN evaluation stack depth: the rows of scratch
+    /// [`Compiled::eval_code`] and [`Compiled::eval_lanes`] need.
     pub fn stack_capacity(&self) -> usize {
         self.stack_cap
     }
@@ -527,57 +635,77 @@ impl Compiled {
         }
     }
 
-    /// Evaluates an RPN fragment against `slots` using `stack` as scratch.
+    /// Evaluates an RPN fragment against `slots`, with `stack` (at least
+    /// [`Compiled::stack_capacity`] values) as scratch.
     #[inline]
-    pub fn eval_code(&self, range: CodeRange, slots: &[V], stack: &mut Vec<V>) -> V {
-        stack.clear();
-        for op in &self.code[range.start as usize..range.end as usize] {
-            match *op {
-                EOp::Push(v) => stack.push(v),
-                EOp::Load(s) => stack.push(slots[s as usize]),
-                EOp::Neg => {
-                    let a = stack.pop().expect("rpn underflow");
-                    stack.push(a.wrapping_neg());
+    pub fn eval_code(&self, range: CodeRange, slots: &[V], stack: &mut [V]) -> V {
+        let [v] = self.eval_lanes(range, slots.as_chunks().0, stack.as_chunks_mut().0);
+        v
+    }
+
+    /// Evaluates an RPN fragment on `L` lanes at once: `slots[s][l]` is
+    /// slot `s` in lane `l`, and `stack` is scratch of at least
+    /// [`Compiled::stack_capacity`] rows. Every lane is evaluated: the
+    /// operators are total, so no lane can fail and none depends on
+    /// another, and a caller keeps the lanes it needs.
+    #[inline]
+    pub fn eval_lanes<const L: usize>(
+        &self,
+        range: CodeRange,
+        slots: &[[V; L]],
+        stack: &mut [[V; L]],
+    ) -> [V; L] {
+        let ops = &self.code[range.start as usize..range.end as usize];
+        // `sp` is the depth; the compiler sized `stack` for the deepest
+        // fragment, and every fragment leaves one row.
+        let (mut sp, mut k) = (0, 0);
+        // A push or load that feeds a two-operand op is read where it is,
+        // not copied onto the stack first.
+        macro_rules! operand {
+            ($b:expr) => {{
+                let b = $b;
+                match ops.get(k) {
+                    Some(&next) if is_binary(next) => {
+                        k += 1;
+                        binary(next, &mut stack[sp - 1], b);
+                    }
+                    _ => {
+                        stack[sp] = b.row();
+                        sp += 1;
+                    }
                 }
-                EOp::Bin(b) => {
-                    let y = stack.pop().expect("rpn underflow");
-                    let x = stack.pop().expect("rpn underflow");
-                    stack.push(b.apply(x, y));
-                }
-                EOp::Cmp(c) => {
-                    let y = stack.pop().expect("rpn underflow");
-                    let x = stack.pop().expect("rpn underflow");
-                    stack.push(c.apply(x, y) as V);
-                }
-                EOp::Not => {
-                    let a = stack.pop().expect("rpn underflow");
-                    stack.push((a == 0) as V);
-                }
-                EOp::And => {
-                    let y = stack.pop().expect("rpn underflow");
-                    let x = stack.pop().expect("rpn underflow");
-                    stack.push((x != 0 && y != 0) as V);
-                }
-                EOp::Or => {
-                    let y = stack.pop().expect("rpn underflow");
-                    let x = stack.pop().expect("rpn underflow");
-                    stack.push((x != 0 || y != 0) as V);
+            }};
+        }
+        while k < ops.len() {
+            let op = ops[k];
+            k += 1;
+            match op {
+                EOp::Push(v) => operand!(Lanes::Splat(v)),
+                EOp::Load(s) => operand!(Lanes::Row(&slots[s as usize])),
+                EOp::Neg => map_lanes(&mut stack[sp - 1], V::wrapping_neg),
+                EOp::Not => map_lanes(&mut stack[sp - 1], |a| V::from(a == 0)),
+                EOp::Bin(_) | EOp::Cmp(_) | EOp::And | EOp::Or => {
+                    sp -= 1;
+                    let (lower, upper) = stack.split_at_mut(sp);
+                    binary(op, &mut lower[sp - 1], Lanes::Row(&upper[0]));
                 }
                 EOp::Select => {
-                    let f = stack.pop().expect("rpn underflow");
-                    let t = stack.pop().expect("rpn underflow");
-                    let c = stack.pop().expect("rpn underflow");
-                    stack.push(if c != 0 { t } else { f });
+                    sp -= 2;
+                    let (lower, upper) = stack.split_at_mut(sp);
+                    let (then_, else_) = (&upper[0], &upper[1]);
+                    for ((c, t), e) in lower[sp - 1].iter_mut().zip(then_).zip(else_) {
+                        *c = if *c != 0 { *t } else { *e };
+                    }
                 }
             }
         }
-        stack.pop().expect("rpn fragment left no result")
+        stack[0]
     }
 
     /// Executes the assignment parts of `inst`: returns
     /// `(dst, value, next)`. Panics if `inst` is not an assignment.
     #[inline]
-    pub fn assign_parts(&self, inst: Inst, slots: &[V], stack: &mut Vec<V>) -> (Slot, V, u32) {
+    pub fn assign_parts(&self, inst: Inst, slots: &[V], stack: &mut [V]) -> (Slot, V, u32) {
         match inst {
             Inst::AssignConst { dst, value, next } => (dst, value, next),
             Inst::AssignCopy { dst, src, next } => (dst, slots[src as usize], next),
@@ -596,7 +724,7 @@ impl Compiled {
     /// Evaluates the branch parts of `inst`: returns
     /// `(taken, then_, else_)`. Panics if `inst` is not a branch.
     #[inline]
-    pub fn branch_taken(&self, inst: Inst, slots: &[V], stack: &mut Vec<V>) -> (bool, u32, u32) {
+    pub fn branch_taken(&self, inst: Inst, slots: &[V], stack: &mut [V]) -> (bool, u32, u32) {
         match inst {
             Inst::CmpBr {
                 op,
@@ -622,18 +750,26 @@ impl Compiled {
             self.arity,
             inputs.len()
         );
-        // Sweeps call `run` once per tuple; keep the register file on the
-        // stack for typical programs to avoid a heap allocation per call.
-        let mut slots_buf = [0 as V; 32];
+        // Sweeps call `run` once per tuple; keep the register file and the
+        // RPN stack on the frame for typical programs, so a call allocates
+        // nothing.
+        let mut slots_buf = [0 as V; FRAME_ROWS];
         let mut slots_heap: Vec<V>;
-        let slots: &mut [V] = if self.slot_count <= 32 {
+        let slots: &mut [V] = if self.slot_count <= FRAME_ROWS {
             &mut slots_buf[..self.slot_count]
         } else {
             slots_heap = vec![0 as V; self.slot_count];
             &mut slots_heap
         };
         slots[..self.arity].copy_from_slice(inputs);
-        let mut stack: Vec<V> = Vec::with_capacity(self.stack_cap);
+        let mut stack_buf = [0 as V; FRAME_ROWS];
+        let mut stack_heap: Vec<V>;
+        let stack: &mut [V] = if self.stack_cap <= FRAME_ROWS {
+            &mut stack_buf
+        } else {
+            stack_heap = vec![0 as V; self.stack_cap];
+            &mut stack_heap
+        };
         let mut pc = 0usize;
         let mut steps: u64 = 0;
         let fuel = cfg.fuel;
@@ -660,7 +796,7 @@ impl Compiled {
                     pc = next as usize;
                 }
                 Inst::AssignCode { dst, code, next } => {
-                    slots[dst as usize] = self.eval_code(code, slots, &mut stack);
+                    slots[dst as usize] = self.eval_code(code, slots, stack);
                     pc = next as usize;
                 }
                 Inst::CmpBr {
@@ -677,7 +813,7 @@ impl Compiled {
                     };
                 }
                 Inst::PredBr { code, then_, else_ } => {
-                    pc = if self.eval_code(code, slots, &mut stack) != 0 {
+                    pc = if self.eval_code(code, slots, stack) != 0 {
                         then_ as usize
                     } else {
                         else_ as usize
@@ -708,7 +844,14 @@ impl Compiled {
         let mut store = Store::init(&self.fc, inputs);
         let mut slots = vec![0 as V; self.slot_count];
         slots[..self.arity].copy_from_slice(inputs);
-        let mut stack: Vec<V> = Vec::with_capacity(self.stack_cap);
+        let mut stack_buf = [0 as V; FRAME_ROWS];
+        let mut stack_heap: Vec<V>;
+        let stack: &mut [V] = if self.stack_cap <= FRAME_ROWS {
+            &mut stack_buf
+        } else {
+            stack_heap = vec![0 as V; self.stack_cap];
+            &mut stack_heap
+        };
         let mut pc = 0usize;
         let mut steps: u64 = 0;
         while steps < fuel {
@@ -726,7 +869,7 @@ impl Compiled {
                         unreachable!("assignment instruction at non-assign node {at}")
                     };
                     monitor.on_assign(steps, at, *var, expr, &store);
-                    let (dst, v, next) = self.assign_parts(inst, &slots, &mut stack);
+                    let (dst, v, next) = self.assign_parts(inst, &slots, stack);
                     slots[dst as usize] = v;
                     store.set(*var, v);
                     pc = next as usize;
@@ -738,7 +881,7 @@ impl Compiled {
                     if let Some(out) = monitor.on_decision(steps, at, pred, &store) {
                         return out;
                     }
-                    let (taken, then_, else_) = self.branch_taken(inst, &slots, &mut stack);
+                    let (taken, then_, else_) = self.branch_taken(inst, &slots, stack);
                     monitor.on_branch(steps, at, pred, taken);
                     pc = if taken {
                         then_ as usize

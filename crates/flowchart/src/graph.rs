@@ -256,6 +256,7 @@ impl Flowchart {
                     v
                 }
                 Node::Decision { pred } => pred.vars(),
+                Node::Declassify { var, .. } => vec![*var],
                 _ => Vec::new(),
             };
             for v in vars {
@@ -556,6 +557,12 @@ mod tests {
             ],
         );
         assert_eq!(fc.max_reg(), 7);
+    }
+
+    #[test]
+    fn max_reg_counts_a_register_only_declassified() {
+        let fc = crate::parse("program(1) { declassify(r3: 1 ~> ); y := x1; }").unwrap();
+        assert_eq!(fc.max_reg(), 3);
     }
 
     #[test]

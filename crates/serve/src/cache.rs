@@ -10,12 +10,14 @@
 //!   deliberately crude (drop an arbitrary entry): correctness never
 //!   depends on what the cache remembers.
 //! * [`JobTable`] — the idempotency ledger. A job key is claimed before a
-//!   request is queued; a retry of a *running* job gets a retryable
-//!   `in_progress` frame instead of a second execution, and a retry of a
-//!   *completed* job replays the recorded reply byte-for-byte.
+//!   request is queued, together with the request's [`JobMaterial`]; a
+//!   retry of a *running* job gets a retryable `in_progress` frame instead
+//!   of a second execution, and a retry of a *completed* job replays the
+//!   recorded reply byte-for-byte. A request under a claimed key with
+//!   other material is refused: its reply would be another request's.
 
 use crate::protocol::{Op, Request};
-use enf_core::{IndexSet, Json};
+use enf_core::{IndexSet, Json, V};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -95,6 +97,38 @@ impl VerdictCache {
     }
 }
 
+/// Everything a job's reply depends on: a replay under the same job key
+/// needs equal material.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct JobMaterial {
+    /// The operation.
+    pub op: Op,
+    /// The program text.
+    pub program: String,
+    /// The `allow` policy.
+    pub allow: IndexSet,
+    /// The input tuple (`surveil`).
+    pub input: Vec<V>,
+    /// The sweep half-width (`check`, `refute`).
+    pub span: i64,
+    /// The fuel the request asked for (0 = the server's default).
+    pub fuel: u64,
+}
+
+impl JobMaterial {
+    /// The material of `req`.
+    pub fn of(req: &Request) -> JobMaterial {
+        JobMaterial {
+            op: req.op,
+            program: req.program.clone(),
+            allow: req.allow,
+            input: req.input.clone(),
+            span: req.span,
+            fuel: req.fuel,
+        }
+    }
+}
+
 /// What a job-key claim found.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobClaim {
@@ -104,6 +138,8 @@ pub enum JobClaim {
     Running,
     /// The key already completed with this recorded reply.
     Done(Json),
+    /// The key is held by a request with other material.
+    Reused,
 }
 
 enum JobState {
@@ -111,9 +147,9 @@ enum JobState {
     Done(Json),
 }
 
-/// The idempotency ledger: `(tenant, job-key) → state`.
+/// The idempotency ledger: `(tenant, job-key) → (material, state)`.
 pub struct JobTable {
-    map: Mutex<HashMap<(String, String), JobState>>,
+    map: Mutex<HashMap<(String, String), (JobMaterial, JobState)>>,
 }
 
 impl JobTable {
@@ -124,23 +160,32 @@ impl JobTable {
         }
     }
 
-    /// Claims `key` for `tenant`. Exactly one caller ever sees
-    /// [`JobClaim::Fresh`] for a given key while it is outstanding.
-    pub fn claim(&self, tenant: &str, key: &str) -> JobClaim {
+    /// Claims `key` for `tenant` and a request of this `material`. Exactly
+    /// one caller ever sees [`JobClaim::Fresh`] for a given key while it is
+    /// outstanding, and a key held under other material answers
+    /// [`JobClaim::Reused`].
+    pub fn claim(&self, tenant: &str, key: &str, material: &JobMaterial) -> JobClaim {
         let mut map = lock(&self.map);
         match map.get(&(tenant.to_string(), key.to_string())) {
-            Some(JobState::Running) => JobClaim::Running,
-            Some(JobState::Done(reply)) => JobClaim::Done(reply.clone()),
+            Some((held, _)) if held != material => JobClaim::Reused,
+            Some((_, JobState::Running)) => JobClaim::Running,
+            Some((_, JobState::Done(reply))) => JobClaim::Done(reply.clone()),
             None => {
-                map.insert((tenant.to_string(), key.to_string()), JobState::Running);
+                map.insert(
+                    (tenant.to_string(), key.to_string()),
+                    (material.clone(), JobState::Running),
+                );
                 JobClaim::Fresh
             }
         }
     }
 
-    /// Records the final reply for a claimed key. Future claims replay it.
+    /// Records the final reply for a claimed key. Future claims with the
+    /// same material replay it.
     pub fn complete(&self, tenant: &str, key: &str, reply: Json) {
-        lock(&self.map).insert((tenant.to_string(), key.to_string()), JobState::Done(reply));
+        if let Some((_, state)) = lock(&self.map).get_mut(&(tenant.to_string(), key.to_string())) {
+            *state = JobState::Done(reply);
+        }
     }
 
     /// Abandons a claimed key (shed after claim, or worker death). The key
@@ -149,7 +194,7 @@ impl JobTable {
         let mut map = lock(&self.map);
         if matches!(
             map.get(&(tenant.to_string(), key.to_string())),
-            Some(JobState::Running)
+            Some((_, JobState::Running))
         ) {
             map.remove(&(tenant.to_string(), key.to_string()));
         }
@@ -198,26 +243,61 @@ mod tests {
         assert!(cache.is_empty());
     }
 
+    fn material(program: &str) -> JobMaterial {
+        JobMaterial {
+            op: Op::Refute,
+            program: program.to_string(),
+            allow: IndexSet::empty(),
+            input: vec![],
+            span: 2,
+            fuel: 0,
+        }
+    }
+
     #[test]
     fn job_claims_are_exclusive_then_replayed() {
         let jobs = JobTable::new();
-        assert_eq!(jobs.claim("t", "k"), JobClaim::Fresh);
-        assert_eq!(jobs.claim("t", "k"), JobClaim::Running);
+        let m = material("program(1) { y := 0; }");
+        assert_eq!(jobs.claim("t", "k", &m), JobClaim::Fresh);
+        assert_eq!(jobs.claim("t", "k", &m), JobClaim::Running);
         jobs.complete("t", "k", Json::Int(7));
-        assert_eq!(jobs.claim("t", "k"), JobClaim::Done(Json::Int(7)));
+        assert_eq!(jobs.claim("t", "k", &m), JobClaim::Done(Json::Int(7)));
         // A different tenant's identical key is a different job.
-        assert_eq!(jobs.claim("u", "k"), JobClaim::Fresh);
+        assert_eq!(jobs.claim("u", "k", &m), JobClaim::Fresh);
+    }
+
+    #[test]
+    fn a_key_replays_only_for_equal_material() {
+        let jobs = JobTable::new();
+        let sound = material("program(1) { y := 0; }");
+        assert_eq!(jobs.claim("t", "J2", &sound), JobClaim::Fresh);
+        let leaky = material("program(1) { y := x1; }");
+        assert_eq!(jobs.claim("t", "J2", &leaky), JobClaim::Reused);
+        jobs.complete("t", "J2", Json::Bool(false));
+        assert_eq!(jobs.claim("t", "J2", &leaky), JobClaim::Reused);
+        let mut wider = sound.clone();
+        wider.span = 3;
+        assert_eq!(jobs.claim("t", "J2", &wider), JobClaim::Reused);
+        assert_eq!(
+            jobs.claim("t", "J2", &sound),
+            JobClaim::Done(Json::Bool(false))
+        );
     }
 
     #[test]
     fn aborted_claims_become_claimable_again() {
         let jobs = JobTable::new();
-        assert_eq!(jobs.claim("t", "k"), JobClaim::Fresh);
+        let m = material("program(1) { y := 0; }");
+        assert_eq!(jobs.claim("t", "k", &m), JobClaim::Fresh);
         jobs.abort("t", "k");
-        assert_eq!(jobs.claim("t", "k"), JobClaim::Fresh);
+        // An aborted key holds no material: other content may claim it.
+        let other = material("program(1) { y := 1; }");
+        assert_eq!(jobs.claim("t", "k", &other), JobClaim::Fresh);
+        jobs.abort("t", "k");
+        assert_eq!(jobs.claim("t", "k", &m), JobClaim::Fresh);
         // Abort after completion must not erase the recorded reply.
         jobs.complete("t", "k", Json::Int(1));
         jobs.abort("t", "k");
-        assert_eq!(jobs.claim("t", "k"), JobClaim::Done(Json::Int(1)));
+        assert_eq!(jobs.claim("t", "k", &m), JobClaim::Done(Json::Int(1)));
     }
 }

@@ -51,7 +51,7 @@ pub mod proxy;
 pub mod server;
 pub mod tenant;
 
-pub use cache::{JobClaim, JobTable, VerdictCache, VerdictKey};
+pub use cache::{JobClaim, JobMaterial, JobTable, VerdictCache, VerdictKey};
 pub use client::{Client, ClientConfig, ClientError};
 pub use protocol::{
     parse_allow, read_frame, reply_err, reply_is_ok, reply_ok, reply_retry_after, write_frame,

@@ -37,7 +37,7 @@
 //! a drain that quarantined a job or hit internal faults exits 1, a clean
 //! drain exits 0.
 
-use crate::cache::{JobClaim, JobTable, VerdictCache, VerdictKey};
+use crate::cache::{JobClaim, JobMaterial, JobTable, VerdictCache, VerdictKey};
 use crate::protocol::{
     decode_payload, reply_err, reply_is_ok, reply_ok, write_frame, ErrorKind, FrameError, Op,
     Request,
@@ -79,6 +79,11 @@ const STALL_LIMIT: u32 = 200;
 /// running its own job, or waiting for its turn, is not reading, so a
 /// long sweep is never cut off.
 const IDLE_LIMIT: u32 = 2_400;
+
+/// Bytes a reader takes from a connection per read. A frame's buffer
+/// grows only as its bytes arrive, so a peer that declares a large frame
+/// and sends little of it holds little memory.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Connections the server keeps open at once. A connection past the cap
 /// gets one `overloaded` frame and is closed.
@@ -564,7 +569,16 @@ fn dispatch(shared: &Shared, doc: &Json) -> Json {
             Some(shared.cfg.retry_after_ms),
         );
     }
-    match shared.jobs.claim(&req.tenant, &key) {
+    match shared.jobs.claim(&req.tenant, &key, &JobMaterial::of(&req)) {
+        JobClaim::Reused => {
+            Counters::bump(&shared.counters.usage_errors);
+            return reply_err(
+                &key,
+                ErrorKind::Usage,
+                "job id reused with different content",
+                None,
+            );
+        }
         JobClaim::Done(reply) => {
             Counters::bump(&shared.counters.replayed);
             Counters::bump(&shared.counters.served);
@@ -1032,31 +1046,43 @@ fn read_frame_polled(
 /// Reads one whole frame's raw bytes, length prefix included, from a
 /// polling socket: idle timeouts are polls (so the shutdown flag is
 /// honored between frames, and an idle connection closes after
-/// [`IDLE_LIMIT`] of them), but a frame, once begun, is given
-/// [`STALL_LIMIT`] polls to arrive whole before being declared torn. The
+/// `IDLE_LIMIT` of them), but a frame, once begun, is given
+/// `STALL_LIMIT` polls to arrive whole before being declared torn. The
 /// server decodes the payload after the prefix; the chaos proxy forwards
 /// or mutilates the frame byte-exactly.
+///
+/// The buffer grows with the bytes that arrived, `READ_CHUNK` at a time,
+/// and never past the declared length, which is at most
+/// [`MAX_FRAME_BYTES`](crate::protocol::MAX_FRAME_BYTES).
 pub fn read_framed_bytes(
     conn: &mut dyn Conn,
     shutdown: &AtomicBool,
 ) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut framed = vec![0u8; 4];
-    let mut filled = 0usize;
+    let mut chunk = [0u8; READ_CHUNK];
+    let mut framed = Vec::new();
+    // The frame's whole length: the prefix until it has arrived.
+    let mut want = 4;
     let mut stalls = 0u32;
-    while filled < framed.len() {
-        match conn.read(&mut framed[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
+    while framed.len() < want {
+        let room = (want - framed.len()).min(READ_CHUNK);
+        match conn.read(&mut chunk[..room]) {
+            Ok(0) if framed.is_empty() => return Ok(None),
             Ok(0) => return Err(FrameError::Truncated),
             Ok(n) => {
-                filled += n;
+                // Doubling, capped at the frame's length.
+                if framed.capacity() - framed.len() < n {
+                    let target = (2 * framed.capacity()).clamp(framed.len() + n, want);
+                    framed.reserve_exact(target - framed.len());
+                }
+                framed.extend_from_slice(&chunk[..n]);
                 stalls = 0;
-                if filled == 4 {
+                if want == 4 && framed.len() == 4 {
                     let declared =
                         u32::from_be_bytes([framed[0], framed[1], framed[2], framed[3]]) as usize;
                     if declared > crate::protocol::MAX_FRAME_BYTES {
                         return Err(FrameError::Oversized { declared });
                     }
-                    framed.resize(4 + declared, 0);
+                    want = 4 + declared;
                 }
             }
             Err(e)
@@ -1065,7 +1091,7 @@ pub fn read_framed_bytes(
                 stalls += 1;
                 // Zero bytes so far means an idle connection; shutdown or
                 // the idle bound closes it cleanly.
-                if filled == 0 {
+                if framed.is_empty() {
                     if shutdown.load(Ordering::SeqCst) || stalls > IDLE_LIMIT {
                         return Ok(None);
                     }

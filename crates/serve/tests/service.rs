@@ -220,6 +220,51 @@ fn idempotent_retry_replays_without_rerunning() {
 }
 
 #[test]
+fn a_reused_job_id_never_replays_another_requests_verdict() {
+    let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let mut sound = base_request(Op::Refute, "program(1) { y := 0; }");
+    sound.allow = parse_allow("").unwrap();
+    sound.job = "J2".to_string();
+    let first = raw_exchange(&addr, &sound);
+    assert_eq!(
+        first.get("leak"),
+        Some(&Json::Bool(false)),
+        "{}",
+        first.render()
+    );
+
+    // The same job id on a leaky program is refused, not answered with
+    // the sound program's verdict.
+    let mut leaky = sound.clone();
+    leaky.program = "program(1) { y := x1; }".to_string();
+    let reused = raw_exchange(&addr, &leaky);
+    assert_eq!(str_field(&reused, "error"), "usage", "{}", reused.render());
+    assert_eq!(
+        str_field(&reused, "detail"),
+        "job id reused with different content"
+    );
+    assert_eq!(reused.get("leak"), None);
+
+    // An identical retry still replays, and the leaky program under its
+    // own job id still reports its leak.
+    let retry = raw_exchange(&addr, &sound);
+    assert_eq!(retry.get("replayed"), Some(&Json::Bool(true)));
+    assert_eq!(retry.get("leak"), Some(&Json::Bool(false)));
+    leaky.job = "J3".to_string();
+    let leak = raw_exchange(&addr, &leaky);
+    assert_eq!(
+        leak.get("leak"),
+        Some(&Json::Bool(true)),
+        "{}",
+        leak.render()
+    );
+
+    let stats = server.stop();
+    assert_eq!(stats.replayed, 1);
+}
+
+#[test]
 fn panicking_job_is_quarantined() {
     let server = ServerHandle::spawn(ServerConfig {
         workers: 2,
@@ -275,12 +320,15 @@ fn overload_is_shed_with_retry_after() {
 
     // Occupy the only worker: a sweep with far more work than its deadline
     // allows — 129^2 inputs, every one burning the full fuel bound — so it
-    // holds the worker until the deadline cancels it. The fuel is sized so
-    // the engine's wall-clock poll (every 256 inputs) lands soon after the
-    // deadline rather than minutes after it.
+    // holds the worker until the deadline cancels it. Every input takes
+    // the same path, so the VM runs them 64 to a lane group, one dispatch
+    // per step for all 64; the fuel is sized for that. In a release build
+    // the whole sweep takes about four times the deadline, and the cut
+    // lands a few lane groups after it rather than minutes after it, in
+    // a debug build too.
     let mut slow = base_request(Op::Check, DIVERGING);
     slow.job = "slow".to_string();
-    slow.fuel = 125_000;
+    slow.fuel = 400_000;
     slow.span = 64;
     slow.deadline_ms = Some(1_500);
     let occupant = {
@@ -359,7 +407,7 @@ fn a_full_queue_sheds_with_retry_after() {
     // `overload_is_shed_with_retry_after`.
     let mut slow = base_request(Op::Check, DIVERGING);
     slow.tenant = "tenant-a".to_string();
-    slow.fuel = 125_000;
+    slow.fuel = 400_000;
     slow.span = 64;
     slow.deadline_ms = Some(1_500);
     let occupant = one_shot(slow);

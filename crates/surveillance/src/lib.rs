@@ -33,7 +33,9 @@
 //!   [`monitor::TraceEvent`] stream behind `explain` and `enforce trace`;
 //! * [`vm`] — the same disciplines fused onto the register-bytecode VM
 //!   (`enf_flowchart::bytecode`): per-instruction precompiled taint
-//!   sources, bit-identical verdicts, an order of magnitude faster.
+//!   sources, bit-identical verdicts, an order of magnitude faster; sweeps
+//!   run it on lane groups, up to 64 inputs that share a path per
+//!   dispatch.
 
 #![warn(missing_docs)]
 
@@ -55,4 +57,6 @@ pub use mechanism::{HighWater, Surveillance};
 pub use monitor::{run_trace, EventMonitor, TaintMonitor, TraceEvent, TraceKind};
 pub use state::TaintState;
 pub use timed::TimedMechanism;
-pub use vm::{explain_vm, run_surveillance_vm, run_trace_vm, VmSurveillance};
+pub use vm::{
+    explain_vm, run_surveillance_rows, run_surveillance_vm, run_trace_vm, VmSurveillance,
+};

@@ -130,6 +130,16 @@ fn check_reports_soundness() {
 }
 
 #[test]
+fn check_of_a_program_without_inputs_sweeps_its_one_empty_tuple() {
+    let (code, out, _) = enforce(
+        &["check", "-", "--allow", "", "--span", "3"],
+        "program(0) { y := 3; }",
+    );
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("sound over 1 inputs"), "{out}");
+}
+
+#[test]
 fn check_timed_flags_the_untimed_leak() {
     // Surveillance with HALT-only checks is sound untimed but the timed
     // mechanism's step count is policy-constant too (M′); both pass.
@@ -271,10 +281,12 @@ fn timed_checkpoint_is_a_usage_error() {
 #[cfg(unix)]
 #[test]
 fn sigint_yields_partial_coverage() {
-    // A sweep slow enough (~40k inputs, ~9k steps each) that the ^C we
+    // A sweep slow enough (~40k inputs, ~300k steps each) that the ^C we
     // send 250ms in always lands mid-scan; cooperative cancellation then
-    // reports partial coverage instead of dying on the signal.
-    let slow = "program(2) { r1 := 3000; while r1 != 0 { r1 := r1 - 1; } y := 0; }";
+    // reports partial coverage instead of dying on the signal. Every input
+    // takes the same path, so the VM runs them 64 to a lane group; the
+    // loop is sized for that.
+    let slow = "program(2) { r1 := 150000; while r1 != 0 { r1 := r1 - 1; } y := 0; }";
     let mut child = Command::new(env!("CARGO_BIN_EXE_enforce"))
         .args(["check", "-", "--allow", "2", "--span", "100"])
         .stdin(Stdio::piped())
@@ -1072,6 +1084,38 @@ fn client_refute_of_colliding_programs_reports_the_leak() {
     assert_eq!(code, 1, "{out}{err}");
     assert!(out.contains("\"leak\":true"), "{out}");
     assert!(out.contains("\"cached\":false"), "{out}");
+
+    let (code, report) = sigterm_drain(server, lines);
+    assert_eq!(code, 0, "{report}");
+}
+
+/// A job id names one request. Reusing it for a different program must
+/// not replay the first program's verdict.
+#[cfg(unix)]
+#[test]
+fn client_refute_under_a_reused_job_id_is_refused() {
+    let (server, addr, lines) = spawn_server(&[]);
+    let refute = |program: &str| {
+        enforce(
+            &[
+                "client", "refute", "-", "--addr", &addr, "--allow", "", "--span", "2", "--job",
+                "J2",
+            ],
+            program,
+        )
+    };
+
+    let (code, out, err) = refute("program(1) { y := 0; }");
+    assert_eq!(code, 0, "{out}{err}");
+    assert!(out.contains("\"leak\":false"), "{out}");
+
+    let (code, out, err) = refute("program(1) { y := x1; }");
+    assert!(!out.contains("\"leak\":false"), "{out}");
+    assert_eq!(code, 2, "{out}{err}");
+    assert!(
+        format!("{out}{err}").contains("job id reused with different content"),
+        "{out}{err}"
+    );
 
     let (code, report) = sigterm_drain(server, lines);
     assert_eq!(code, 0, "{report}");
