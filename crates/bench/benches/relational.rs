@@ -1,9 +1,9 @@
 //! Relational verification pricing: the self-composition fixed point as
 //! the CFG grows, and the certify-then-refute verifier as the searched
-//! grid grows — the one-off proof vs the quadratic sweep it avoids.
+//! grid grows — the one-off proof vs the linear sweep it avoids.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use enf_core::{EvalConfig, Grid, IndexSet, InputDomain};
+use enf_core::{CancelToken, EvalConfig, Grid, IndexSet, InputDomain};
 use enf_flowchart::generate::diamond_chain;
 use enf_flowchart::parse;
 use enf_static::refute::{refute, verify};
@@ -20,21 +20,23 @@ fn bench_relational(c: &mut Criterion) {
         });
     }
 
-    // The exhaustive pair sweep on a sound program: |grid|² executed
-    // pairs, the work a relational certificate makes unnecessary.
+    // The refutation sweep on a sound program: |grid| compiled runs, the
+    // work a relational certificate makes unnecessary.
     let fc = parse("program(2) { y := x2 * x2 + x2; }").unwrap();
     let cfg = EvalConfig::default();
     for span in [1i64, 2, 4] {
         let g = Grid::hypercube(2, -span..=span);
-        let pairs = g.len() * g.len();
-        group.bench_with_input(BenchmarkId::new("pair_sweep", pairs), &g, |b, g| {
-            b.iter(|| black_box(refute(&fc, IndexSet::single(2), g, 10_000, &cfg)))
+        group.bench_with_input(BenchmarkId::new("refute_sweep", g.len()), &g, |b, g| {
+            b.iter(|| {
+                let ctl = CancelToken::new();
+                black_box(refute(&fc, IndexSet::single(2), g, 10_000, &cfg, &ctl))
+            })
         });
     }
 
     // The three-valued verifier end to end on the two separating corpus
     // programs: a relational certificate (no sweep at all) and a leak
-    // refutation (sweep stops at the least witness).
+    // refutation (one sweep of the grid).
     for pp in enf_flowchart::corpus::all() {
         if pp.name != "cancelling" && pp.name != "two_path_leak" {
             continue;

@@ -3,7 +3,7 @@
 //! aligned terminal form. Also measures checker throughput (sequential vs
 //! parallel engine), the stepper-vs-seed-loop interpreter overhead, the
 //! checkpointed-sweep overhead (bar ≤3%), the relational-proof vs
-//! pair-sweep cost, the bytecode-VM vs stepper speedup (bar ≥5×), and the
+//! refutation-sweep cost, the bytecode-VM vs stepper speedup (bar ≥5×), and the
 //! class-partition vs view-partition speedup (bar ≥10×), and the
 //! lane-group vs one-input-at-a-time VM sweep speedup (bar ≥2×), and the
 //! dynamic-policy certificate vs bounded-schedule-sweep cost, and the
@@ -93,9 +93,9 @@ fn main() {
         };
         for r in &rel {
             println!(
-                "relational span {:>2} {:>9} pairs   analysis {:>12.9}s  sweep {:>10.6}s  ratio {:.0}x",
+                "relational span {:>2} {:>9} inputs  analysis {:>12.9}s  sweep {:>10.6}s  ratio {:.0}x",
                 r.span,
-                r.pairs,
+                r.inputs,
                 r.analysis_secs,
                 r.sweep_secs,
                 r.ratio()

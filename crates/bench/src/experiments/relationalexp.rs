@@ -47,7 +47,7 @@ pub fn e19_classification_matrix() -> Table {
         // Relational dominates the value-refined analysis on the corpus.
         ok &= refined == "rejected" || rel == "certified";
         let g = Grid::hypercube(fc.arity(), -2..=2);
-        let verdict = verify(fc, j, &g, fuel, &cfg);
+        let verdict = verify(fc, j, &g, fuel, &cfg).expect("every corpus run completes");
         // The three values are mutually consistent with certification and
         // with replay.
         match &verdict {

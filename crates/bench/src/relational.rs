@@ -1,13 +1,16 @@
 //! Relational verification cost: the self-composition fixed point vs the
-//! exhaustive pair sweep it replaces.
+//! exhaustive refutation sweep it makes redundant.
 //!
-//! The analysis runs once over the CFG; the refuter runs the program on
-//! every `J`-agreeing pair of a `[-S, S]^k` grid, i.e. `O(|grid|²)` work.
-//! Each row measures both on the same sound program (so the sweep never
-//! exits early) at a growing span. `exp_all` serializes the rows into the
-//! `"relational"` field of `BENCH_results.json`.
+//! The analysis runs once over the CFG; the refuter runs the compiled
+//! program once per input of a `[-S, S]^k` grid and reads the least
+//! witness pair off the policy's classes, i.e. `O(|grid|)` work. Each row
+//! measures both on the same sound program (so the sweep covers the whole
+//! grid, as every refutation without a pair from input 0 does) at a
+//! growing span. `exp_all`
+//! serializes the rows into the `"relational"` field of
+//! `BENCH_results.json`.
 
-use enf_core::{EvalConfig, Grid, IndexSet, InputDomain};
+use enf_core::{CancelToken, EvalConfig, Grid, IndexSet, InputDomain};
 use enf_flowchart::parse;
 use enf_static::refute::refute;
 use enf_static::relational::analyze_relational;
@@ -18,11 +21,11 @@ use std::time::Instant;
 pub struct RelationalRow {
     /// Grid half-width `S` (the grid is `[-S, S]^2`).
     pub span: i64,
-    /// Pair count swept by the refuter (`|grid|²`).
-    pub pairs: usize,
+    /// Input count swept by the refuter (`|grid|`).
+    pub inputs: usize,
     /// Relational fixed-point wall-clock seconds (grid-independent).
     pub analysis_secs: f64,
-    /// Exhaustive pair-sweep wall-clock seconds.
+    /// Refutation-sweep wall-clock seconds.
     pub sweep_secs: f64,
 }
 
@@ -39,8 +42,8 @@ fn time<R>(f: impl FnOnce() -> R) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// Measures the relational fixed point against the exhaustive pair sweep
-/// at growing grid spans.
+/// Measures the relational fixed point against the refutation sweep at
+/// growing grid spans.
 pub fn measure() -> Vec<RelationalRow> {
     measure_sized(&[1, 2, 4, 8])
 }
@@ -48,20 +51,19 @@ pub fn measure() -> Vec<RelationalRow> {
 /// [`measure`] at caller-chosen spans — short lists back the
 /// `exp_all --quick` CI smoke mode.
 pub fn measure_sized(spans: &[i64]) -> Vec<RelationalRow> {
-    // Sound for allow(2), so the refuter visits every pair: the sweep's
-    // worst case, and exactly the work the one-off proof makes redundant.
+    // Sound for allow(2): the refuter sweeps every input and finds no
+    // pair, exactly the work the one-off proof makes redundant.
     let fc = parse("program(2) { y := x2 * x2 + x2; }").unwrap();
     let allowed = IndexSet::single(2);
     let cfg = EvalConfig::default();
     let mut rows = Vec::new();
     for &span in spans {
         let g = Grid::hypercube(2, -span..=span);
-        let pairs = g.len() * g.len();
         rows.push(RelationalRow {
             span,
-            pairs,
+            inputs: g.len(),
             analysis_secs: time(|| analyze_relational(&fc)),
-            sweep_secs: time(|| refute(&fc, allowed, &g, 10_000, &cfg)),
+            sweep_secs: time(|| refute(&fc, allowed, &g, 10_000, &cfg, &CancelToken::new())),
         });
     }
     rows
@@ -72,10 +74,10 @@ pub fn to_json(rows: &[RelationalRow]) -> String {
     let mut s = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
-            "  {{\"span\": {}, \"pairs\": {}, \"analysis_secs\": {:.9}, \
+            "  {{\"span\": {}, \"inputs\": {}, \"analysis_secs\": {:.9}, \
              \"sweep_secs\": {:.9}, \"ratio\": {:.1}}}{}\n",
             r.span,
-            r.pairs,
+            r.inputs,
             r.analysis_secs,
             r.sweep_secs,
             r.ratio(),
@@ -94,14 +96,14 @@ mod tests {
     fn json_shape() {
         let rows = vec![RelationalRow {
             span: 3,
-            pairs: 2401,
+            inputs: 49,
             analysis_secs: 0.001,
             sweep_secs: 0.1,
         }];
         let j = to_json(&rows);
         assert!(j.starts_with('[') && j.ends_with(']'));
         assert!(j.contains("\"span\": 3"));
-        assert!(j.contains("\"pairs\": 2401"));
+        assert!(j.contains("\"inputs\": 49"));
         assert!(j.contains("\"ratio\": 100.0"));
     }
 
@@ -110,7 +112,7 @@ mod tests {
         let rows = measure();
         assert_eq!(rows.len(), 4);
         for w in rows.windows(2) {
-            assert!(w[0].pairs < w[1].pairs);
+            assert!(w[0].inputs < w[1].inputs);
         }
         // The program is sound, so every measurement covered the full grid.
         assert!(rows.iter().all(|r| r.sweep_secs > 0.0));

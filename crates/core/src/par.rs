@@ -170,7 +170,8 @@ pub const BLOCK_ROWS: usize = 64;
 ///
 /// Cancellation flags and index limits are checked on every tuple (they
 /// are a relaxed atomic load and an integer compare); only the
-/// `Instant::now()` syscall is amortized over this stride.
+/// `Instant::now()` syscall is amortized over this stride. The first
+/// tuple a worker is offered in each fold call polls too.
 pub const DEADLINE_STRIDE: usize = 256;
 
 /// Cooperative cancellation for long sweeps.
@@ -243,8 +244,10 @@ impl CancelToken {
     }
 
     /// Whether a worker should stop before evaluating `idx`: the flag or
-    /// the index limit fired, or the deadline passed. A worker polls the
-    /// clock once per [`DEADLINE_STRIDE`] inputs, counted in `since_poll`.
+    /// the index limit fired, or the deadline passed. A worker reads the
+    /// clock at the first input of each fold call (`since_poll` starts at
+    /// 0) and then once per [`DEADLINE_STRIDE`] inputs, so a sweep folded
+    /// in short blocks still sees its deadline.
     fn stop_requested(&self, idx: usize, since_poll: &mut usize) -> bool {
         if idx >= self.index_limit || self.flag.load(Ordering::Relaxed) {
             return true;
@@ -252,12 +255,9 @@ impl CancelToken {
         if self.deadline.is_none() {
             return false;
         }
-        *since_poll += 1;
-        if *since_poll < DEADLINE_STRIDE {
-            return false;
-        }
-        *since_poll = 0;
-        self.is_cancelled()
+        let poll = *since_poll == 0;
+        *since_poll = (*since_poll + 1) % DEADLINE_STRIDE;
+        poll && self.is_cancelled()
     }
 }
 
@@ -871,6 +871,32 @@ mod tests {
             let p = count_fold(&g, threads, &ctl);
             assert!(!p.complete, "threads={threads}");
             assert_eq!(p.checked, 137, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn an_expired_deadline_stops_every_fold_call_at_its_first_input() {
+        // Folds of one short span each, as a checkpointed sweep makes:
+        // the first input of every call reads the clock.
+        let g = Grid::hypercube(2, 0..=31);
+        let ctl = CancelToken::new().with_deadline(Duration::ZERO);
+        for threads in [1, 2, 8] {
+            for span in [0..64, 64..128, 1000..1024] {
+                let p = fold::<Guarded, _>(
+                    &g,
+                    span.clone(),
+                    &par_cfg(threads),
+                    &ctl,
+                    || 0usize,
+                    each(|n, _, _| {
+                        *n += 1;
+                        false
+                    }),
+                );
+                assert!(!p.complete, "threads={threads}, span {span:?}");
+                assert_eq!(p.checked, 0, "threads={threads}, span {span:?}");
+                assert_eq!(p.parts.iter().sum::<usize>(), 0);
+            }
         }
     }
 

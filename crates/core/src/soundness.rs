@@ -201,7 +201,63 @@ where
         config,
         ctl,
         None,
+        Pick::FirstConflict,
     )
+}
+
+/// Fail-closed refutation: the least pair `(a, b)` of `D × D`, by `a`'s
+/// index and then `b`'s, with `I(a) = I(b)` and `M(a) ≠ M(b)`.
+///
+/// `M` is sound exactly when it is constant on every class of `I`, so `a`
+/// is the least representative of a class that holds a conflict and `b`
+/// that class's first conflict, read off the [`try_check_soundness_with`]
+/// sweep (notices uncollapsed), which goes on past other classes'
+/// conflicts. Input 0's class has the least representative, so its first
+/// conflict ends the sweep with `checked` at `b`'s index plus one; any
+/// other leak needs the whole domain. A sweep that `ctl` cuts reports the
+/// least pair of the swept prefix `0..checked`, else `Unknown`; a panic
+/// is an error unless it lies past such a decided pair. The pair is the
+/// same for every thread count, under an index limit too.
+pub fn try_refute_with<M, P>(
+    mechanism: &M,
+    policy: &P,
+    domain: &dyn InputDomain,
+    config: &EvalConfig,
+    ctl: &CancelToken,
+) -> Result<Coverage<SoundnessReport<M::Out>>, EnfError>
+where
+    M: Mechanism + Sync,
+    M::Out: Eq + std::hash::Hash + Send,
+    P: Policy + Sync,
+    P::View: Send,
+{
+    guarded_sweep(
+        mechanism,
+        policy,
+        domain,
+        false,
+        config,
+        ctl,
+        None,
+        Pick::LeastPair,
+    )
+}
+
+/// Which conflict a sweep reports: the least-index one, or the least
+/// representative's (tables keep recording past other conflicts).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pick {
+    FirstConflict,
+    LeastPair,
+}
+
+impl Pick {
+    /// Whether a conflict in the class represented at `rep` is the pick
+    /// whatever later inputs hold: the first conflict always is, the least
+    /// pair only in input 0's class, as no representative is smaller.
+    fn settles(self, rep: usize) -> bool {
+        self == Pick::FirstConflict || rep == 0
+    }
 }
 
 /// Block-sequential checkpointing for [`guarded_sweep`].
@@ -217,8 +273,9 @@ pub(crate) struct Checkpoints<'s, 'a, O, W> {
 }
 
 /// The fail-closed sweep of one policy, checkpointed when asked: the body
-/// of [`try_check_soundness_with`] and
+/// of [`try_check_soundness_with`], [`try_refute_with`] and
 /// [`check_soundness_checkpointed`](crate::checkpoint::check_soundness_checkpointed).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn guarded_sweep<M, P>(
     mechanism: &M,
     policy: &P,
@@ -227,6 +284,7 @@ pub(crate) fn guarded_sweep<M, P>(
     config: &EvalConfig,
     ctl: &CancelToken,
     checkpoints: Option<Checkpoints<'_, '_, M::Out, P::View>>,
+    pick: Pick,
 ) -> Result<Coverage<SoundnessReport<M::Out>>, EnfError>
 where
     M: Mechanism + Sync,
@@ -242,9 +300,10 @@ where
         config,
         ctl,
         checkpoints,
+        pick,
     )?;
     let (checked, total, complete) = (swept.checked, swept.total, swept.complete);
-    Ok(match swept.into_reports(domain).pop() {
+    Ok(match swept.into_reports(domain, pick).pop() {
         Some(report @ SoundnessReport::Unsound(_)) => Coverage::refuted(checked, total, report),
         Some(report) if complete => Coverage::confirmed(total, report),
         _ => Coverage::unknown(checked, total),
@@ -276,39 +335,38 @@ where
         config,
         &CancelToken::new(),
         None,
+        Pick::FirstConflict,
     );
-    plain(swept).into_reports(domain)
+    plain(swept).into_reports(domain, Pick::FirstConflict)
 }
 
 /// What a sweep leaves behind: one merged table per policy plus coverage.
 struct Sweep<W, O> {
     tables: Vec<ClassTable<W, O>>,
-    /// Every index in `0..checked` was evaluated; after a refutation, no
+    /// Every index in `0..checked` was evaluated; after a settled pick, no
     /// more than the deciding conflict's index plus one.
     checked: usize,
     /// Every input was evaluated with nothing quarantined.
     complete: bool,
     total: usize,
+    /// Conflicts at this index or past it are not reported.
+    limit: usize,
 }
 
 impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> Sweep<W, O> {
-    /// One report per policy: the least-index conflict as a witness, else
+    /// One report per policy: the conflict `pick` names as a witness, else
     /// `Sound` with the class count.
-    fn into_reports(self, domain: &dyn InputDomain) -> Vec<SoundnessReport<O>> {
-        let total = self.total;
+    fn into_reports(self, domain: &dyn InputDomain, pick: Pick) -> Vec<SoundnessReport<O>> {
         self.tables
-            .into_iter()
-            .map(|table| {
-                let classes = table.classes();
-                match table.least_conflict() {
-                    Some((rep, conflict)) => {
-                        SoundnessReport::Unsound(decode_witness(domain, rep, conflict))
-                    }
-                    None => SoundnessReport::Sound {
-                        inputs: total,
-                        classes,
-                    },
+            .iter()
+            .map(|table| match table.pick(pick, self.limit) {
+                Some((rep, conflict)) => {
+                    SoundnessReport::Unsound(decode_witness(domain, rep, conflict))
                 }
+                None => SoundnessReport::Sound {
+                    inputs: self.total,
+                    classes: table.classes(),
+                },
             })
             .collect()
     }
@@ -320,13 +378,14 @@ impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> Sweep<W, O> {
 /// one unless checkpointing) through [`par::fold`]. Each worker runs the
 /// subject once per input, a fold block at a time through
 /// [`Mechanism::run_rows`], and records each output in one class table
-/// per policy; a table stops
-/// taking inputs once it holds a conflict in the worker's range, and the
-/// input that gives the last table its conflict decides the fold, so
-/// sibling workers stop past it. Partials merge in range order, so each
-/// class's representative is its globally first occurrence and each
-/// table's least conflict the one the sequential scan meets first. A
-/// quarantine ranks against the conflicts by input index.
+/// per policy. A table stops taking inputs once a conflict in the
+/// worker's range [settles](Pick::settles) its pick, and the input that
+/// settles the last table decides the fold, so sibling workers stop past
+/// it. Partials merge in range order, so each class's representative is
+/// its globally first occurrence and its conflict the first one the
+/// sequential scan meets. A quarantine ranks against the settled picks
+/// by input index.
+#[allow(clippy::too_many_arguments)]
 fn sweep<G, M, P>(
     mechanism: &M,
     policies: &[P],
@@ -335,6 +394,7 @@ fn sweep<G, M, P>(
     config: &EvalConfig,
     ctl: &CancelToken,
     mut checkpoints: Option<Checkpoints<'_, '_, M::Out, P::View>>,
+    pick: Pick,
 ) -> Result<Sweep<P::View, M::Out>, EnfError>
 where
     G: Guard,
@@ -381,9 +441,9 @@ where
                 assert_eq!(outs.len(), rows.len(), "run_rows gives one output per row");
                 // The policy is part of the subject, so its view is taken
                 // under the guard too. A view is taken before the record it
-                // keys, and a table that has a conflict takes nothing more,
-                // so a block stepped again after a panic records each input
-                // to the same effect.
+                // keys, and recording an input again changes no table, so a
+                // block stepped again after a panic records each input to
+                // the same effect.
                 for (k, (a, out)) in rows.iter().zip(outs.drain(..)).enumerate() {
                     let out = if collapse_notices {
                         out.collapse_notice()
@@ -392,7 +452,11 @@ where
                     };
                     let mut open = 0;
                     for (part, (table, taking)) in parts.iter().zip(lanes.iter_mut()) {
-                        if *taking && part.record(table, a, start + k, &out) {
+                        if *taking
+                            && part
+                                .record(table, a, start + k, &out)
+                                .is_some_and(|rep| pick.settles(rep))
+                        {
                             *taking = false;
                         }
                         open += usize::from(*taking);
@@ -410,19 +474,26 @@ where
                 m.merge(p);
             }
         }
-        // The sweep is decided once every table holds a conflict: no later
-        // input can change a verdict.
-        let decided = merged
-            .iter()
-            .try_fold(0, |acc, t| t.least_conflict_idx().map(|c| acc.max(c)));
-        partials.resolve_quarantine(decided)?;
+        // The sweep is decided once every table's pick is settled: no later
+        // input can change a verdict. Past the frontier a class's first
+        // conflict may be unseen, so the least pair is read below it.
         let frontier = span.start + partials.checked;
+        let limit = match pick {
+            Pick::FirstConflict => total,
+            Pick::LeastPair => frontier,
+        };
+        let decided = merged.iter().try_fold(0, |acc, t| {
+            let (rep, c) = t.pick(pick, limit)?;
+            pick.settles(rep.idx).then_some(acc.max(c.idx))
+        });
+        partials.resolve_quarantine(decided)?;
         if decided.is_some() || !partials.complete {
             return Ok(Sweep {
                 tables: merged,
                 checked: decided.map_or(frontier, |d| frontier.min(d + 1)),
                 complete: false,
                 total,
+                limit,
             });
         }
         start = span.end;
@@ -442,6 +513,7 @@ where
         checked: total,
         complete: true,
         total,
+        limit: total,
     })
 }
 
@@ -491,7 +563,7 @@ impl<'p, P: Policy> Partition<'p, P> {
         a: &[V],
         idx: usize,
         out: &MechOutput<O>,
-    ) -> bool {
+    ) -> Option<usize> {
         match self {
             Partition::Classes(layout) => {
                 table.record(ClassKey::Index(layout.class_of(a)), idx, out)
@@ -606,9 +678,10 @@ struct ClassTable<W, O> {
 impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> ClassTable<W, O> {
     /// Records input `idx` with output `out`: the first occurrence of a
     /// class becomes its representative, the first disagreeing one its
-    /// conflict. Returns `true` when this input became the conflict.
+    /// conflict. Returns the representative's index when this input
+    /// became the conflict.
     #[inline(always)]
-    fn record(&mut self, key: ClassKey<W>, idx: usize, out: &MechOutput<O>) -> bool {
+    fn record(&mut self, key: ClassKey<W>, idx: usize, out: &MechOutput<O>) -> Option<usize> {
         let first = || Class {
             rep: Occurrence {
                 idx,
@@ -622,7 +695,7 @@ impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> ClassTable<W, O> {
                     Some(class) => class,
                     slot => {
                         *slot = Some(first());
-                        return false;
+                        return None;
                     }
                 }
             }
@@ -630,7 +703,7 @@ impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> ClassTable<W, O> {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(e) => {
                     e.insert(first());
-                    return false;
+                    return None;
                 }
             },
         };
@@ -639,9 +712,9 @@ impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> ClassTable<W, O> {
                 idx,
                 out: out.clone(),
             });
-            return true;
+            return Some(class.rep.idx);
         }
-        false
+        None
     }
 
     /// Merges the table of the next range in order.
@@ -671,20 +744,17 @@ impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> ClassTable<W, O> {
         self.iter().count()
     }
 
-    fn least_conflict_idx(&self) -> Option<usize> {
-        self.iter()
-            .filter_map(|c| c.conflict.as_ref().map(|o| o.idx))
-            .min()
-    }
-
-    /// The least-index conflict with its class representative.
-    fn least_conflict(self) -> Option<(Occurrence<O>, Occurrence<O>)> {
-        self.flat
-            .into_iter()
-            .flatten()
-            .chain(self.hashed.into_values())
-            .filter_map(|c| c.conflict.map(|conflict| (c.rep, conflict)))
-            .min_by_key(|(_, c)| c.idx)
+    /// The conflict `pick` names among those below `limit`, with its
+    /// class representative.
+    fn pick(&self, pick: Pick, limit: usize) -> Option<(&Occurrence<O>, &Occurrence<O>)> {
+        let pairs = self.iter().filter_map(|c| {
+            let conflict = c.conflict.as_ref().filter(|o| o.idx < limit)?;
+            Some((&c.rep, conflict))
+        });
+        match pick {
+            Pick::FirstConflict => pairs.min_by_key(|(_, c)| c.idx),
+            Pick::LeastPair => pairs.min_by_key(|(rep, _)| rep.idx),
+        }
     }
 
     /// One checkpoint row per class, sorted by representative index. The
@@ -746,10 +816,10 @@ impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> ClassTable<W, O> {
 /// Materializes a witness from a `(representative, conflict)` pair by
 /// decoding the stored enumeration indices — one scratch buffer, two
 /// decodes, the only input allocations of an entire unsound sweep.
-fn decode_witness<O>(
+fn decode_witness<O: Clone>(
     domain: &dyn InputDomain,
-    rep: Occurrence<O>,
-    conflict: Occurrence<O>,
+    rep: &Occurrence<O>,
+    conflict: &Occurrence<O>,
 ) -> Witness<O> {
     let mut buf = Vec::new();
     domain.nth_input(rep.idx, &mut buf);
@@ -758,8 +828,8 @@ fn decode_witness<O>(
     Witness {
         a,
         b: buf,
-        out_a: rep.out,
-        out_b: conflict.out,
+        out_a: rep.out.clone(),
+        out_b: conflict.out.clone(),
     }
 }
 
@@ -1196,6 +1266,46 @@ mod tests {
                 panic!("refuted without witness");
             };
             assert_eq!((w.a.as_slice(), w.b.as_slice()), (&[0][..], &[1][..]));
+        }
+    }
+
+    #[test]
+    fn a_least_pair_outranks_only_the_panics_past_it() {
+        crate::chaos::silence_chaos_panics();
+        // Under allow(2) on [0, 3]^2 (input 4·x1 + x2) the class x2 = 1
+        // conflicts at input 5, input 0's class x2 = 0 at input 12.
+        let g = Grid::hypercube(2, 0..=3);
+        let leak = |a: &[V]| {
+            MechOutput::Value(match a[1] {
+                0 => V::from(a[0] == 3),
+                1 => a[0],
+                _ => 0,
+            })
+        };
+        for t in [1usize, 2, 4] {
+            let cfg = EvalConfig::with_threads(t).seq_threshold(0);
+            let refute = |at| {
+                let m = crate::chaos::PanicOn::at_index(FnMechanism::new(2, leak), &g, Some(at));
+                try_refute_with(&m, &Allow::new(2, [2]), &g, &cfg, &CancelToken::new())
+            };
+            // The pair at input 5 may not be the least until input 8 runs.
+            match refute(8) {
+                Err(EnfError::SubjectPanicked { input_index, .. }) => {
+                    assert_eq!(input_index, 8, "threads={t}")
+                }
+                other => panic!("expected quarantine, got {other:?} (threads={t})"),
+            }
+            // Input 0's pair is the least whatever follows it.
+            let r = refute(14).expect("the least pair precedes the fault");
+            assert_eq!(
+                (r.verdict, r.checked),
+                (Verdict::Refuted, 13),
+                "threads={t}"
+            );
+            let Some(SoundnessReport::Unsound(w)) = r.report else {
+                panic!("refuted without witness");
+            };
+            assert_eq!((w.a, w.b), (vec![0, 0], vec![3, 0]), "threads={t}");
         }
     }
 }

@@ -31,8 +31,8 @@ use enf_core::checkpoint::{
 use enf_core::label::{Classification, IntransitiveFlow, Level};
 use enf_core::{
     check_soundness_scheduled, fingerprint, try_check_soundness_with, validate_scheduled_witness,
-    Allow, CancelToken, Coverage, EnfError, EvalConfig, Grid, Identity, IndexSet, Json, Mechanism,
-    ScheduledReport, ScheduledWitness, Verdict, V,
+    Allow, CancelToken, Coverage, EnfError, EvalConfig, Grid, Identity, IndexSet, InputDomain,
+    Json, Mechanism, ScheduledReport, ScheduledWitness, Verdict, V,
 };
 use enf_flowchart::bytecode::Compiled;
 use enf_flowchart::interp::ExecValue;
@@ -708,10 +708,6 @@ impl Enforcer {
         })
     }
 
-    fn grid(&self, span: i64) -> Grid {
-        Grid::hypercube(self.arity, -span..=span)
-    }
-
     fn policy(&self) -> Allow {
         Allow::from_set(self.arity, self.allow)
     }
@@ -797,7 +793,7 @@ impl Enforcer {
         } else {
             "fixed"
         };
-        let grid = self.grid(span);
+        let grid = sweep_grid(self.arity, span)?;
         let policy = self.policy();
         let allow = self.allow;
         let coverage = match (self.discipline, self.engine) {
@@ -847,9 +843,9 @@ impl Enforcer {
         cap: Option<usize>,
         log: &mut AuditLog,
     ) -> Result<ScheduledOutcome, PolicyError> {
+        let grid = sweep_grid(self.arity, span)?;
         let program = self.program();
-        let report =
-            check_soundness_scheduled(&program, &self.policy(), &self.grid(span), eval, cap);
+        let report = check_soundness_scheduled(&program, &self.policy(), &grid, eval, cap);
         let outcome = match report {
             ScheduledReport::Sound { schedules, inputs } => {
                 ScheduledOutcome::Sound { schedules, inputs }
@@ -942,6 +938,24 @@ where
         &mut sink,
     )?;
     Ok(coverage.map(|_| ()))
+}
+
+/// The grid `[-span, span]^arity` that `check` and `refute` sweep, or a
+/// usage error when `span` is negative or the grid has more inputs than a
+/// `usize` counts.
+pub fn sweep_grid(arity: usize, span: i64) -> Result<Grid, PolicyError> {
+    let Some(low) = span.checked_neg().filter(|low| *low <= span) else {
+        return Err(PolicyError::Usage(format!(
+            "span {span} must be non-negative"
+        )));
+    };
+    let grid = Grid::hypercube(arity, low..=span);
+    match grid.len_checked() {
+        Some(_) => Ok(grid),
+        None => Err(PolicyError::Usage(format!(
+            "the grid [{low}, {span}]^{arity} has more inputs than a sweep can count"
+        ))),
+    }
 }
 
 /// Fingerprint salt for checkpointed sweeps: hashes the program text and

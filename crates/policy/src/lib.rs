@@ -88,8 +88,8 @@ pub mod verified;
 pub use audit::{verify_chain, AuditLog, ChainVerdict, FlushPolicy, GENESIS};
 pub use capability::Capability;
 pub use enforcer::{
-    check_salt, Certificate, CertifyOutcome, Discipline, Enforcer, Engine, PolicyError, Refusal,
-    RunVerdict, ScheduledOutcome, SoundnessWarrant, SweepOutcome,
+    check_salt, sweep_grid, Certificate, CertifyOutcome, Discipline, Enforcer, Engine, PolicyError,
+    Refusal, RunVerdict, ScheduledOutcome, SoundnessWarrant, SweepOutcome,
 };
 pub use evidence::Evidence;
 pub use ingest::{

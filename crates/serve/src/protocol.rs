@@ -149,7 +149,8 @@ pub enum Op {
     Certify,
     /// Exhaustive soundness sweep (checkpointable, cacheable).
     Check,
-    /// Witness search: the same sweep, reported from the refuter's side.
+    /// Witness search on the bare program: the least pair of policy-
+    /// indistinguishable inputs with different outputs, as `enforce refute`.
     Refute,
 }
 

@@ -44,17 +44,15 @@ use crate::protocol::{
 };
 use crate::tenant::{lock, Tenant, TenantStore};
 use enf_core::chaos::CHAOS_MARKER;
-use enf_core::{
-    try_check_soundness_with, Allow, CancelToken, EvalConfig, Grid, Identity, Json, MechOutput,
-    Program, SoundnessReport, Verdict,
-};
-use enf_flowchart::{ExecValue, Flowchart, FlowchartProgram};
+use enf_core::{CancelToken, EvalConfig, Json, Verdict};
+use enf_flowchart::Flowchart;
 use enf_policy::proof::Proof;
 use enf_policy::{
-    check_salt, AuditLog, Auditable, CertifyOutcome, Enforcer, PolicyError, Refusal, RunVerdict,
-    Sink, Tainted, Verified,
+    check_salt, sweep_grid, AuditLog, Auditable, CertifyOutcome, Enforcer, PolicyError, Refusal,
+    RunVerdict, Sink, Tainted, Verified,
 };
 use enf_static::certify::Analysis;
+use enf_static::refute::refute;
 use std::io::{self, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
@@ -890,7 +888,12 @@ fn run_sweep(shared: &Shared, req: &Request, key: &str, enforcer: &Enforcer, fue
         Err(e) => return policy_reply(shared, key, e),
     };
     let (checked, total, verdict) = (outcome.checked(), outcome.total(), outcome.verdict());
-    let tag = verdict.tag().to_string();
+    let tag = verdict.tag();
+    let mut fields = vec![
+        ("verdict".to_string(), Json::Str(tag.to_string())),
+        ("checked".to_string(), Json::Int(checked as i128)),
+        ("total".to_string(), Json::Int(total as i128)),
+    ];
     if matches!(verdict, Verdict::Confirmed | Verdict::Refuted) {
         if let Some(p) = &ckpt {
             let _ = std::fs::remove_file(p);
@@ -904,25 +907,11 @@ fn run_sweep(shared: &Shared, req: &Request, key: &str, enforcer: &Enforcer, fue
             Counters::bump(&shared.counters.internal_errors);
             return reply_err(key, ErrorKind::Internal, &e.to_string(), None);
         }
-        shared.cache.insert(
-            cache_key,
-            Json::Obj(vec![
-                ("verdict".to_string(), Json::Str(tag.clone())),
-                ("checked".to_string(), Json::Int(checked as i128)),
-                ("total".to_string(), Json::Int(total as i128)),
-            ]),
-        );
+        shared.cache.insert(cache_key, Json::Obj(fields.clone()));
     }
-    reply_ok(
-        key,
-        vec![
-            ("verdict".to_string(), Json::Str(tag)),
-            ("checked".to_string(), Json::Int(checked as i128)),
-            ("total".to_string(), Json::Int(total as i128)),
-            ("cached".to_string(), Json::Bool(false)),
-            ("resumed".to_string(), Json::Bool(resumed)),
-        ],
-    )
+    fields.push(("cached".to_string(), Json::Bool(false)));
+    fields.push(("resumed".to_string(), Json::Bool(resumed)));
+    reply_ok(key, fields)
 }
 
 /// Witness search against the *unprotected* program.
@@ -930,18 +919,15 @@ fn run_sweep(shared: &Shared, req: &Request, key: &str, enforcer: &Enforcer, fue
 /// `check` asks whether the surveillance monitor is a sound mechanism — a
 /// monitor that consistently refuses a leaky run is sound, so a leaky
 /// program under a good monitor still confirms. `refute` asks the prior
-/// question: does the raw program leak at all? It sweeps the identity
-/// mechanism over the bare flowchart, so a leak surfaces as the paper's
-/// unsoundness witness — two inputs the policy view cannot distinguish
-/// whose outputs differ — which is reported back to the caller.
+/// question, does the raw program leak at all, with the CLI's [`refute`]:
+/// the least pair of policy-indistinguishable inputs with different outputs.
 fn run_refute(shared: &Shared, req: &Request, key: &str, fc: Flowchart, fuel: u64) -> Json {
     let cache_key = VerdictKey::of(req, fuel);
     if let Some(cached) = shared.cache.lookup(&cache_key) {
         Counters::bump(&shared.counters.cache_hits);
         return cached_reply(key, &cached);
     }
-    let program = FlowchartProgram::with_fuel(fc, fuel);
-    let arity = program.arity();
+    let arity = fc.arity();
     if let Some(bad) = req.allow.iter().find(|&i| i == 0 || i > arity) {
         Counters::bump(&shared.counters.usage_errors);
         return reply_err(
@@ -951,21 +937,16 @@ fn run_refute(shared: &Shared, req: &Request, key: &str, fc: Flowchart, fuel: u6
             None,
         );
     }
+    let grid = match sweep_grid(arity, req.span) {
+        Ok(g) => g,
+        Err(e) => return policy_reply(shared, key, e),
+    };
     let tenant = match shared.tenants.get(&req.tenant) {
         Ok(t) => t,
         Err(e) => return policy_reply(shared, key, e),
     };
-    let policy = Allow::from_set(arity, req.allow);
-    let grid = Grid::hypercube(arity, -req.span..=req.span);
     let ctl = cancel_token(req);
-    let cov = match try_check_soundness_with(
-        &Identity::new(program),
-        &policy,
-        &grid,
-        false,
-        &EvalConfig::new(),
-        &ctl,
-    ) {
+    let cov = match refute(&fc, req.allow, &grid, fuel, &EvalConfig::new(), &ctl) {
         Ok(c) => c,
         Err(e) => {
             Counters::bump(&shared.counters.internal_errors);
@@ -982,11 +963,11 @@ fn run_refute(shared: &Shared, req: &Request, key: &str, fc: Flowchart, fuel: u6
             Json::Bool(cov.verdict == Verdict::Refuted),
         ),
     ];
-    if let Some(SoundnessReport::Unsound(w)) = &cov.report {
+    if let Some(w) = &cov.report {
         fields.push(("witness_a".to_string(), int_array(&w.a)));
         fields.push(("witness_b".to_string(), int_array(&w.b)));
-        fields.push(("out_a".to_string(), Json::Str(mech_out_str(&w.out_a))));
-        fields.push(("out_b".to_string(), Json::Str(mech_out_str(&w.out_b))));
+        fields.push(("out_a".to_string(), Json::Str(w.out_a.to_string())));
+        fields.push(("out_b".to_string(), Json::Str(w.out_b.to_string())));
     }
     if matches!(cov.verdict, Verdict::Confirmed | Verdict::Refuted) {
         // The note's salt is distinct from `check`'s: the two ops sweep
@@ -1002,7 +983,12 @@ fn run_refute(shared: &Shared, req: &Request, key: &str, fc: Flowchart, fuel: u6
             Counters::bump(&shared.counters.internal_errors);
             return reply_err(key, ErrorKind::Internal, &e.to_string(), None);
         }
-        shared.cache.insert(cache_key, Json::Obj(fields.clone()));
+        // A cut sweep's pair is only its prefix's least, so a reply that a
+        // budget or deadline may have cut is cached only when it swept all.
+        let uncut = req.budget.is_none() && req.deadline_ms.is_none();
+        if uncut || cov.checked == cov.total {
+            shared.cache.insert(cache_key, Json::Obj(fields.clone()));
+        }
     }
     fields.push(("cached".to_string(), Json::Bool(false)));
     fields.push(("resumed".to_string(), Json::Bool(false)));
@@ -1011,13 +997,6 @@ fn run_refute(shared: &Shared, req: &Request, key: &str, fc: Flowchart, fuel: u6
 
 fn int_array(values: &[enf_core::V]) -> Json {
     Json::Arr(values.iter().map(|&v| Json::Int(i128::from(v))).collect())
-}
-
-fn mech_out_str(out: &MechOutput<ExecValue>) -> String {
-    match out {
-        MechOutput::Value(v) => v.to_string(),
-        MechOutput::Violation(_) => "violation".to_string(),
-    }
 }
 
 /// Rebuilds a reply from a cached verdict document: the stored decisive

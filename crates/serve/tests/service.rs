@@ -157,6 +157,100 @@ const COLLIDING_SOUND: &str = "program(2) { r1 := 7475292257068709919; y := x1; 
 const COLLIDING_LEAKY: &str = "program(2) { r1 := 2780062302222203760; y := x2; }";
 
 #[test]
+fn a_grid_too_large_to_count_is_a_usage_reply() {
+    // 129^30 inputs overflow every usize: answered `usage` on the first
+    // attempt, with nothing quarantined.
+    let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    for op in [Op::Check, Op::Refute] {
+        let mut req = base_request(op, "program(30) { y := x2; }");
+        req.span = 64;
+        let reply = raw_exchange(&addr, &req);
+        assert_eq!(str_field(&reply, "error"), "usage", "{}", reply.render());
+        assert!(str_field(&reply, "detail").contains("more inputs than"));
+    }
+    let stats = server.stop();
+    assert_eq!(stats.quarantined, 0, "{stats:?}");
+    assert_eq!(stats.usage_errors, 2, "{stats:?}");
+    assert!(!stats.degraded(), "{stats:?}");
+}
+
+/// Two `if`s under allow(2) at span 2: the class x2 = -1 conflicts first
+/// (at input 6), the class x2 = -2 of input 0 holds the least pair (its
+/// conflict is input 20).
+const TWO_IFS: &str = "program(2) {
+  if x2 == -2 { if x1 == 2 { y := 1; } else { y := 0; } }
+  else { if x2 == -1 { if x1 == -1 { y := 1; } else { y := 0; } } else { y := 0; } }
+}";
+
+fn witness(reply: &Json) -> (Vec<i128>, Vec<i128>) {
+    let ints = |name: &str| {
+        let arr = reply.get(name).and_then(Json::as_arr).unwrap();
+        arr.iter().map(|j| j.as_int().unwrap()).collect::<Vec<_>>()
+    };
+    (ints("witness_a"), ints("witness_b"))
+}
+
+#[test]
+fn a_refute_cut_by_its_budget_is_not_cached() {
+    let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
+    let client = quick_client(&server.addr().to_string());
+    let mut req = base_request(Op::Refute, TWO_IFS);
+    req.allow = parse_allow("2").unwrap();
+    // Cut at input 10, the least pair of the prefix is the early class's.
+    req.job = "cut".to_string();
+    req.budget = Some(10);
+    let reply = client.request(&req).unwrap();
+    assert_eq!(
+        str_field(&reply, "verdict"),
+        "refuted",
+        "{}",
+        reply.render()
+    );
+    assert_eq!(witness(&reply), (vec![-2, -1], vec![-1, -1]));
+    assert_eq!(int_field(&reply, "checked"), 10);
+    // Uncut, the same key gets the whole grid's least pair, not the cut
+    // reply; input 0's class holds it, so the sweep ends at its conflict.
+    for (job, cached) in [("whole", false), ("again", true)] {
+        req.job = job.to_string();
+        req.budget = None;
+        let reply = client.request(&req).unwrap();
+        assert_eq!(witness(&reply), (vec![-2, -2], vec![2, -2]), "{job}");
+        assert_eq!(str_field(&reply, "out_a"), "0");
+        assert_eq!(str_field(&reply, "out_b"), "1");
+        let counts = (int_field(&reply, "checked"), int_field(&reply, "total"));
+        assert_eq!(counts, (21, 25), "{job}");
+        assert_eq!(reply.get("cached"), Some(&Json::Bool(cached)), "{job}");
+    }
+    let stats = server.stop();
+    assert_eq!(stats.cache_hits, 1, "{stats:?}");
+    assert!(!stats.degraded(), "{stats:?}");
+}
+
+#[test]
+fn a_leak_in_input_0s_class_ends_the_refutation_at_its_conflict() {
+    // 21^8 inputs, more than the client waits for: the pair of inputs 0
+    // and 1 decides the sweep at once.
+    let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
+    let client = quick_client(&server.addr().to_string());
+    let mut req = base_request(Op::Refute, "program(8) { y := x8; }");
+    req.span = 10;
+    let reply = client.request(&req).unwrap();
+    assert_eq!(
+        str_field(&reply, "verdict"),
+        "refuted",
+        "{}",
+        reply.render()
+    );
+    let counts = (int_field(&reply, "checked"), int_field(&reply, "total"));
+    assert_eq!(counts, (2, 21i128.pow(8)));
+    let (a, b) = witness(&reply);
+    assert_eq!(a, vec![-10; 8]);
+    assert_eq!(b, [vec![-10; 7], vec![-9]].concat());
+    assert!(!server.stop().degraded());
+}
+
+#[test]
 fn colliding_fingerprints_never_share_a_cached_verdict() {
     let fuel = ServerConfig::default().default_fuel;
     let allow = parse_allow("1").unwrap();

@@ -66,7 +66,7 @@ pub use equiv::equivalent_on;
 pub use framework::{solve, DataflowProblem, Direction, Solution};
 pub use label::certify_lattice;
 pub use lint::{lint, lint_labeled, Lint, LintKind, LintReport};
-pub use refute::{refute, verify, LeakWitness, PairDomain, RelationalVerdict};
+pub use refute::{refute, verify, LeakWitness, RelationalVerdict};
 pub use relational::{analyze_relational, analyze_relational_with, RelFacts};
 pub use schedule::{
     analyze_schedules, analyze_schedules_with, certify_dynamic, PolicySet, SchedFact, ScheduleFacts,

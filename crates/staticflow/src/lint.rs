@@ -637,27 +637,27 @@ fn redundant_policy_changes(
 }
 
 /// Search bound for the [`LintKind::ProvableLeak`] lint: the per-input
-/// range of the refutation grid and the largest pair count worth
-/// enumerating inside a lint pass.
+/// range of the refutation grid and the largest input count worth
+/// sweeping inside a lint pass (arity 8 at span 2).
 const REFUTE_SPAN: enf_core::V = 2;
 const REFUTE_FUEL: u64 = 10_000;
-const REFUTE_MAX_PAIRS: usize = 1 << 20;
+const REFUTE_MAX_INPUTS: usize = 1 << 20;
 
 /// Runs the relational certify-then-refute pipeline and renders a found
 /// witness pair as a two-event carrier chain (one event per run). Programs
-/// whose pair domain exceeds the search bound produce no finding.
+/// whose grid exceeds the search bound produce no finding. A run that
+/// panics is a fault of the engine, not a finding, and unwinds.
 fn provable_leak(fc: &Flowchart, allowed: &IndexSet) -> Option<Lint> {
-    use crate::refute::{verify, PairDomain, RelationalVerdict};
+    use crate::refute::{verify, RelationalVerdict};
     use enf_core::{EvalConfig, Grid, InputDomain};
     use enf_flowchart::interp::{run, ExecConfig, ExecValue, Outcome};
 
     let grid = Grid::hypercube(fc.arity(), -REFUTE_SPAN..=REFUTE_SPAN);
-    let pairs = PairDomain::new(&grid);
-    if pairs.len_checked().is_none_or(|n| n > REFUTE_MAX_PAIRS) {
+    if grid.len_checked().is_none_or(|n| n > REFUTE_MAX_INPUTS) {
         return None;
     }
     let verdict = verify(fc, *allowed, &grid, REFUTE_FUEL, &EvalConfig::default());
-    let RelationalVerdict::Leak { witness } = verdict else {
+    let RelationalVerdict::Leak { witness } = verdict.unwrap_or_else(|e| panic!("{e}")) else {
         return None;
     };
     // The disagreeing denied inputs are the demonstrated leak channel.
@@ -876,6 +876,31 @@ mod tests {
             rendered.contains("provably release different outcomes"),
             "{rendered}"
         );
+    }
+
+    #[test]
+    fn provable_leak_reaches_arity_eight() {
+        // 5^5 = 3 125 inputs: past a cap of 2^20 *pairs* (3 125² ≈ 9.8 M),
+        // inside the same cap on inputs, which admits arity 8 (390 625).
+        for k in [5usize, 8] {
+            let src = format!("program({k}) {{ y := x{k} + x1 - x1; }}");
+            let fc = parse(&src).unwrap();
+            assert!(
+                !crate::certify::certify(&fc, IndexSet::single(1), crate::Analysis::Relational)
+                    .is_certified(),
+                "{src}"
+            );
+            let r = lint(&fc, &IndexSet::single(1));
+            let leak = r
+                .lints
+                .iter()
+                .find(|l| l.kind == LintKind::ProvableLeak)
+                .unwrap_or_else(|| panic!("{src}: {:?}", kinds(&r)));
+            assert_eq!(leak.offending, IndexSet::single(k), "{src}");
+        }
+        // Arity 9 (1 953 125 inputs) is past the cap.
+        let r = lints_of("program(9) { y := x9; }", IndexSet::single(1));
+        assert!(!kinds(&r).contains(&LintKind::ProvableLeak), "{r:?}");
     }
 
     #[test]

@@ -3,17 +3,20 @@
 //! Certification ([`mod@crate::certify`]) can only answer "certified" or
 //! "don't know" — a rejection names a suspicious taint, not a proof that
 //! the program actually leaks. This module decides the third case on a
-//! finite domain: it enumerates **pairs** of inputs that agree exactly on
-//! `J` and looks for one whose two runs release different values (or show
-//! different divergence behaviour). A hit is a constructive refutation of
-//! soundness — precisely a [`Witness`](enf_core::soundness) in the sense
-//! of `check_soundness`, but found by the static layer and replayable on
-//! demand.
+//! finite domain: it looks for the least pair of inputs that agree on `J`
+//! and whose runs release different values (or show different divergence
+//! behaviour). A hit is a constructive refutation of soundness — precisely
+//! a [`Witness`](enf_core::soundness) in the sense of `check_soundness`,
+//! but found by the static layer and replayable on demand.
 //!
-//! The search is driven through [`enf_core::par::find_first`] over a
-//! [`PairDomain`], so the reported witness is the least-index pair in
-//! enumeration order — bit-identical for any thread count, the same
-//! determinism contract the rest of the workspace's parallel sweeps keep.
+//! The program is sound for `allow(J)` exactly when it is constant on
+//! every `J`-class (PAPER.md §1, item 2), so [`refute`] needs no pair
+//! domain: one class sweep ([`enf_core::try_refute_with`]) of the compiled
+//! program finds the least pair in `D × D` order. Its first run is the
+//! least representative of a class that is not constant, its second that
+//! class's first member with another outcome. The witness is bit-identical
+//! for any thread count, the determinism contract the rest of the
+//! workspace's parallel sweeps keep, and the sweep is linear in `|D|`.
 //!
 //! [`verify`] combines both layers into the three-valued verdict
 //! [`RelationalVerdict`]: `Certified` (relational analysis proves
@@ -24,76 +27,13 @@
 //! `check_soundness`).
 
 use crate::certify::{certify, Analysis, Certification};
-use enf_core::par::find_first;
-use enf_core::{EvalConfig, IndexSet, InputDomain, V};
+use enf_core::{
+    try_refute_with, Allow, CancelToken, Coverage, EnfError, EvalConfig, FnMechanism, IndexSet,
+    InputDomain, MechOutput, SoundnessReport, V,
+};
+use enf_flowchart::bytecode::Compiled;
 use enf_flowchart::graph::Flowchart;
 use enf_flowchart::interp::{run, ExecConfig, ExecValue, Outcome};
-
-/// The product domain `D × D`: pair index `i·|D| + j` decodes to the
-/// concatenation of tuples `i` and `j` of the base domain.
-///
-/// This is the self-composition view at the domain level: one enumeration
-/// index per *pair of runs*, so the parallel engine's first-match contract
-/// applies to pairs directly.
-pub struct PairDomain<'a> {
-    base: &'a dyn InputDomain,
-}
-
-impl<'a> PairDomain<'a> {
-    /// Wraps a base domain.
-    pub fn new(base: &'a dyn InputDomain) -> Self {
-        PairDomain { base }
-    }
-}
-
-impl InputDomain for PairDomain<'_> {
-    fn arity(&self) -> usize {
-        self.base.arity() * 2
-    }
-
-    fn len(&self) -> usize {
-        self.len_checked()
-            .expect("pair domain size overflows usize")
-    }
-
-    fn len_checked(&self) -> Option<usize> {
-        let n = self.base.len_checked()?;
-        n.checked_mul(n)
-    }
-
-    fn iter_inputs(&self) -> Box<dyn Iterator<Item = Vec<V>> + '_> {
-        Box::new(self.base.iter_inputs().flat_map(move |a| {
-            self.base.iter_inputs().map(move |b| {
-                let mut t = a.clone();
-                t.extend_from_slice(&b);
-                t
-            })
-        }))
-    }
-
-    fn nth_input(&self, idx: usize, buf: &mut Vec<V>) {
-        let n = self.base.len();
-        let (i, j) = (idx / n, idx % n);
-        self.base.nth_input(i, buf);
-        let mut second = Vec::with_capacity(self.base.arity());
-        self.base.nth_input(j, &mut second);
-        buf.extend_from_slice(&second);
-    }
-
-    fn visit_range(
-        &self,
-        range: std::ops::Range<usize>,
-        visit: &mut dyn FnMut(usize, &[V]) -> bool,
-    ) {
-        let mut buf = Vec::new();
-        for idx in range {
-            self.nth_input(idx, &mut buf);
-            if !visit(idx, &buf) {
-                return;
-            }
-        }
-    }
-}
 
 /// A replay-validated counterexample to soundness under `allow(J)`: two
 /// inputs agreeing on `J` with observably different outcomes.
@@ -133,38 +73,46 @@ fn released(outcome: &Outcome) -> ExecValue {
     }
 }
 
-/// Searches `domain × domain` for the least-index pair of `J`-agreeing
-/// inputs with different released outcomes.
+/// The least-index pair of `J`-agreeing inputs of `domain` with different
+/// released outcomes, in the order of `domain × domain`.
 ///
 /// Runs with budget `fuel` that do not halt count as the distinct
 /// observable `Diverged`, so divergence leaks (one run halts, the other
-/// does not) are found too. Returns `None` when no pair on the domain
-/// leaks — on an exhaustive grid that is a soundness proof for the grid.
+/// does not) are found too. The program runs once per input on the
+/// compiled VM, and the sweep stops early only when the pair starts at
+/// input 0 (see [`try_refute_with`]). A cut (`ctl`) reports the least pair
+/// of the swept prefix, or `Unknown`; `Confirmed` means no pair on the
+/// domain leaks.
 pub fn refute(
     fc: &Flowchart,
     allowed: IndexSet,
     domain: &dyn InputDomain,
     fuel: u64,
     config: &EvalConfig,
-) -> Option<LeakWitness> {
-    let k = fc.arity();
-    let pairs = PairDomain::new(domain);
-    let cfg = ExecConfig::with_fuel(fuel);
-    find_first(&pairs, config, |_, pair| {
-        let (a, b) = pair.split_at(k);
-        if a == b || !allowed.iter().all(|i| a.get(i - 1) == b.get(i - 1)) {
-            return None;
-        }
-        let out_a = released(&run(fc, a, &cfg));
-        let out_b = released(&run(fc, b, &cfg));
-        (out_a != out_b).then(|| LeakWitness {
-            a: a.to_vec(),
-            b: b.to_vec(),
-            out_a,
-            out_b,
-        })
+    ctl: &CancelToken,
+) -> Result<Coverage<LeakWitness>, EnfError> {
+    let vm = Compiled::new(fc);
+    let exec = ExecConfig::with_fuel(fuel);
+    let program = FnMechanism::new(fc.arity(), move |a: &[V]| {
+        MechOutput::Value(released(&vm.run(a, &exec)))
+    });
+    let policy = Allow::from_set(fc.arity(), allowed);
+    let found = try_refute_with(&program, &policy, domain, config, ctl)?;
+    let value = |out: MechOutput<ExecValue>| *out.value().expect("a bare program refuses nothing");
+    Ok(Coverage {
+        checked: found.checked,
+        total: found.total,
+        verdict: found.verdict,
+        report: match found.report {
+            Some(SoundnessReport::Unsound(w)) => Some(LeakWitness {
+                a: w.a,
+                b: w.b,
+                out_a: value(w.out_a),
+                out_b: value(w.out_b),
+            }),
+            _ => None,
+        },
     })
-    .map(|(_, w)| w)
 }
 
 /// The three-valued outcome of relational verification.
@@ -200,26 +148,26 @@ impl RelationalVerdict {
 
 /// Certify-then-refute: the complete three-valued verifier.
 ///
-/// A `Leak` verdict is always replay-validated before being returned; a
-/// witness that fails replay (impossible unless the interpreter is
-/// nondeterministic) degrades to `Unknown` rather than report a false
-/// proof.
+/// A `Leak` verdict is always replay-validated on the AST interpreter
+/// before being returned; a witness that fails replay (impossible unless
+/// the two engines disagree) degrades to `Unknown` rather than report a
+/// false proof. A run that panics is the sweep's quarantine error.
 pub fn verify(
     fc: &Flowchart,
     allowed: IndexSet,
     domain: &dyn InputDomain,
     fuel: u64,
     config: &EvalConfig,
-) -> RelationalVerdict {
-    match certify(fc, allowed, Analysis::Relational) {
-        Certification::Certified => RelationalVerdict::Certified,
-        Certification::Rejected { taint } => match refute(fc, allowed, domain, fuel, config) {
-            Some(witness) if witness.replays(fc, allowed, fuel) => {
-                RelationalVerdict::Leak { witness }
-            }
-            _ => RelationalVerdict::Unknown { taint },
-        },
-    }
+) -> Result<RelationalVerdict, EnfError> {
+    let taint = match certify(fc, allowed, Analysis::Relational) {
+        Certification::Certified => return Ok(RelationalVerdict::Certified),
+        Certification::Rejected { taint } => taint,
+    };
+    let found = refute(fc, allowed, domain, fuel, config, &CancelToken::new())?;
+    Ok(match found.report {
+        Some(witness) if witness.replays(fc, allowed, fuel) => RelationalVerdict::Leak { witness },
+        _ => RelationalVerdict::Unknown { taint },
+    })
 }
 
 #[cfg(test)]
@@ -237,25 +185,7 @@ mod tests {
     fn verdict(src: &str, allowed: IndexSet) -> RelationalVerdict {
         let fc = parse(src).unwrap();
         let g = grid(fc.arity());
-        verify(&fc, allowed, &g, FUEL, &EvalConfig::default())
-    }
-
-    #[test]
-    fn pair_domain_enumerates_the_square() {
-        let g = Grid::hypercube(1, 0..=2);
-        let p = PairDomain::new(&g);
-        assert_eq!(p.arity(), 2);
-        assert_eq!(p.len(), 9);
-        let all: Vec<_> = p.iter_inputs().collect();
-        assert_eq!(all[0], vec![0, 0]);
-        assert_eq!(all[1], vec![0, 1]);
-        assert_eq!(all[3], vec![1, 0]);
-        // nth_input agrees with the iterator at every index.
-        let mut buf = Vec::new();
-        for (idx, tuple) in all.iter().enumerate() {
-            p.nth_input(idx, &mut buf);
-            assert_eq!(&buf, tuple, "index {idx}");
-        }
+        verify(&fc, allowed, &g, FUEL, &EvalConfig::default()).unwrap()
     }
 
     #[test]
@@ -317,16 +247,23 @@ mod tests {
         }
     }
 
+    fn witness(src: &str, allowed: IndexSet, config: &EvalConfig) -> Option<LeakWitness> {
+        let fc = parse(src).unwrap();
+        let g = grid(fc.arity());
+        refute(&fc, allowed, &g, FUEL, config, &CancelToken::new())
+            .unwrap()
+            .report
+    }
+
     #[test]
     fn witness_is_identical_for_every_thread_count() {
-        let fc = parse("program(2) { y := x1 * x2; }").unwrap();
-        let g = grid(2);
-        let baseline = refute(&fc, IndexSet::single(2), &g, FUEL, &EvalConfig::default());
+        let src = "program(2) { y := x1 * x2; }";
+        let baseline = witness(src, IndexSet::single(2), &EvalConfig::default());
         assert!(baseline.is_some());
         for t in 1..=8 {
             let cfg = EvalConfig::with_threads(t).seq_threshold(0);
             assert_eq!(
-                refute(&fc, IndexSet::single(2), &g, FUEL, &cfg),
+                witness(src, IndexSet::single(2), &cfg),
                 baseline,
                 "threads = {t}"
             );
@@ -341,8 +278,7 @@ mod tests {
         ] {
             let fc = parse(src).unwrap();
             let allowed = IndexSet::single(j);
-            let g = grid(2);
-            let w = refute(&fc, allowed, &g, FUEL, &EvalConfig::default()).expect("leak");
+            let w = witness(src, allowed, &EvalConfig::default()).expect("leak");
             assert!(w.replays(&fc, allowed, FUEL), "{src}: {w:?}");
             assert!(!w.replays(&fc, allowed.union(&IndexSet::single(1)), FUEL));
         }

@@ -10,23 +10,26 @@
 //! enforce compile   <file.fc> [--dump]
 //! enforce certify   <file.fc> --allow 2 [--scoped | --value | --relational | --dynamic]
 //!                   | --lattice [--clearance LEVEL]
-//! enforce refute    <file.fc> --allow 2 [--span S] [--threads N] [--json]
+//! enforce refute    <file.fc> --allow 2 [--span S] [--threads N] [--fuel N] [--json]
 //! enforce lint      <file.fc> --allow 2 [--json] | --lattice [--clearance LEVEL] [--json]
-//! enforce explain   <file.fc> --allow 2 --input 3,4
+//! enforce explain   <file.fc> --allow 2 --input 3,4 [--timed] [--highwater]
 //! enforce improve   <file.fc> --allow 2 --span 3 [--rounds N]
 //! enforce instrument <file.fc> --allow 2 [--timed] [--highwater] [--dot]
-//! enforce dot       <file.fc> [--taint [--scoped | --input 3,4 [--allow 2]]]
+//! enforce dot       <file.fc> [--taint [--scoped | --input 3,4 [--allow 2] [--timed] [--highwater]]]
 //! enforce serve     [--listen H:P | --unix PATH] [--workers N] [--queue N] [--quota N]
 //!                   [--state DIR] [--cache N] [--fuel N] [--retry-after MS] [--chaos]
 //! enforce client    <op> [file.fc|-] --addr H:P|unix:PATH [--tenant T] [--job ID] [--allow J]
-//!                   [--input a,b] [--span S] [--deadline-ms N] [--budget N] [--fuel N]
+//!                   [--input a,b] [--span S] [--deadline-ms N] [--budget N] [--block N] [--fuel N]
 //!                   [--attempts N] [--timeout-ms N] [--chaos-kill]
 //! ```
 //!
 //! `<file.fc>` contains a program in the DSL (see the crate docs); `-` reads
 //! from stdin. `--allow` lists the allowed input indices (comma separated;
 //! empty string for `allow()`), `--input` an input tuple, `--span S` checks
-//! over the hypercube `[-S, S]^k`.
+//! over the hypercube `[-S, S]^k`. A command refuses every flag its line
+//! above does not give; `--fuel N` also bounds `surveil`, `trace`,
+//! `check`, `explain` and `dot --input` runs, and `--audit F` appends
+//! `surveil`, `certify` and `check` records to a trail.
 //!
 //! Exit codes: `0` success, `1` a violation or refuted/unestablished
 //! verdict, `2` usage or parse error, `3` internal fault (panicking
@@ -41,7 +44,9 @@ use enforcement::flowchart::dot::{to_dot, to_dot_decorated, NodeDecor};
 use enforcement::flowchart::interp::ExecValue;
 use enforcement::flowchart::pretty::flowchart_to_string;
 use enforcement::policy::audit::hash_hex;
-use enforcement::policy::{check_salt, Discipline, Engine, PolicyError, ScheduledOutcome};
+use enforcement::policy::{
+    check_salt, sweep_grid, Discipline, Engine, PolicyError, ScheduledOutcome,
+};
 use enforcement::prelude::*;
 use enforcement::staticflow::certify::certify;
 use enforcement::staticflow::dataflow::PcDiscipline;
@@ -107,19 +112,23 @@ fn usage() -> &'static str {
        \x20                                  | --lattice [--clearance LEVEL]\n\
        refute     leak witness search        --allow J [--span S] [--threads N] [--fuel N] [--json]\n\
        lint       static diagnostics         --allow J [--json] | --lattice [--clearance LEVEL]\n\
-       explain    why a run violates         --allow J --input a,b\n\
+       explain    why a run violates         --allow J --input a,b [--timed] [--highwater]\n\
        improve    transform search           --allow J --span S [--rounds N]\n\
        instrument emit the mechanism         --allow J [--timed] [--highwater] [--dot]\n\
-       dot        emit Graphviz of program   [--taint [--scoped | --input a,b [--allow J]]]\n\
+       dot        emit Graphviz of program   [--taint [--scoped | --input a,b [--allow J]\n\
+       \x20                                  [--timed] [--highwater]]]\n\
        audit      verify an audit trail      audit verify <log.jsonl> [--json]\n\
        serve      run the policy server      [--listen H:P | --unix PATH] [--workers N] [--queue N]\n\
        \x20                                  [--quota N] [--state DIR] [--cache N] [--fuel N]\n\
        \x20                                  [--retry-after MS] [--chaos]\n\
        client     send one job to a server   <op> [file.fc|-] --addr H:P|unix:PATH [--tenant T]\n\
        \x20                                  [--job ID] [--allow J] [--input a,b] [--span S]\n\
-       \x20                                  [--deadline-ms N] [--budget N] [--fuel N]\n\
+       \x20                                  [--deadline-ms N] [--budget N] [--block N] [--fuel N]\n\
        \x20                                  [--attempts N] [--timeout-ms N] [--chaos-kill]\n\
      J is a comma list of allowed input indices ('' = allow()).\n\
+     run, surveil, trace, check, refute, explain and dot take --fuel N,\n\
+     the step budget of each run (default 1000000). A command refuses\n\
+     every flag its line does not give (exit 2).\n\
      surveil, certify and check accept --audit F: every grant, attest,\n\
      refusal, sweep and release is appended to a hash-chained JSONL trail\n\
      at F (created or chain-verified and extended); audit verify re-derives\n\
@@ -147,10 +156,10 @@ fn usage() -> &'static str {
      sweep: soundness is checked under every bounded policy schedule (at\n\
      most K of the canonical enumeration); a failing schedule is reported\n\
      with its replay-validated witness pair.\n\
-     refute runs the relational certifier and, on rejection, searches\n\
-     [-S, S]^k x [-S, S]^k (--span S, default 3) for a pair of J-agreeing\n\
-     inputs with different released outcomes; the least-index witness is\n\
-     deterministic for every --threads count. On programs with policy\n\
+     refute runs the relational certifier and, on rejection, sweeps\n\
+     [-S, S]^k (--span S, default 3) once for the least pair of J-agreeing\n\
+     inputs with different released outcomes; the witness is the same\n\
+     for every --threads count. On programs with policy\n\
      boxes refute runs the --dynamic certifier instead and searches for a\n\
      replay-validated scheduled witness (input pair + schedule).\n\
      trace and check run on the register-bytecode VM by default\n\
@@ -286,8 +295,48 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags each command takes: those its usage text gives. Any other
+/// flag is a usage error, so a misspelt or misplaced flag cannot be
+/// silently ignored. `None` for an unknown command.
+fn flags_of(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "run" => "input fuel",
+        "surveil" => "allow input timed highwater fuel audit",
+        "trace" => "input allow json timed highwater engine fuel",
+        "check" => {
+            "allow span timed highwater threads engine deadline budget checkpoint resume \
+             block schedules fuel audit"
+        }
+        "compile" => "dump",
+        "certify" => "allow scoped value relational dynamic lattice clearance audit",
+        "refute" => "allow span threads fuel json",
+        "lint" => "allow json lattice clearance",
+        "explain" => "allow input timed highwater fuel",
+        "improve" => "allow span rounds",
+        "instrument" => "allow timed highwater dot",
+        "dot" => "taint scoped input allow timed highwater fuel",
+        "audit" => "json",
+        "serve" => "listen unix workers queue quota state cache fuel retry-after chaos",
+        "client" => {
+            "addr tenant job allow input span deadline-ms budget block fuel attempts \
+             timeout-ms chaos-kill"
+        }
+        _ => return None,
+    })
+}
+
 fn run_cli(argv: Vec<String>) -> Result<(String, u8), CliError> {
     let args = Args::parse(argv);
+    if let Some((cmd, takes)) = args
+        .positional
+        .first()
+        .and_then(|c| Some((c, flags_of(c)?)))
+    {
+        let takes = |name: &String| takes.split_whitespace().any(|f| f == name);
+        if let Some((name, _)) = args.flags.iter().find(|(name, _)| !takes(name)) {
+            return Err(format!("{cmd} does not take --{name}").into());
+        }
+    }
     let (cmd, path) = match args.positional.as_slice() {
         [cmd, sub, path] if cmd == "audit" && sub == "verify" => {
             return audit_verify(path, &args);
@@ -682,7 +731,7 @@ fn run_cli(argv: Vec<String>) -> Result<(String, u8), CliError> {
             };
             use enforcement::flowchart::interp::ExecValue;
             use enforcement::staticflow::refute::{verify, RelationalVerdict};
-            let grid = Grid::hypercube(arity, -span..=span);
+            let grid = sweep_grid(arity, span).map_err(CliError::from)?;
             if fc.has_policy_nodes() {
                 // Dynamic-policy programs: the relational analysis cannot
                 // model policy boxes, so refutation runs the policy-schedule
@@ -773,7 +822,7 @@ fn run_cli(argv: Vec<String>) -> Result<(String, u8), CliError> {
                 }
                 return Ok((out, code));
             }
-            let verdict = verify(&fc, allow, &grid, fuel, &eval);
+            let verdict = verify(&fc, allow, &grid, fuel, &eval)?;
             let json_out = |v: &ExecValue| match v {
                 ExecValue::Value(n) => n.to_string(),
                 ExecValue::Diverged => "null".to_string(),
@@ -878,7 +927,7 @@ fn run_cli(argv: Vec<String>) -> Result<(String, u8), CliError> {
             };
             let sp =
                 enforcement::flowchart::restructure::restructure(&fc).map_err(|e| e.to_string())?;
-            let grid = Grid::hypercube(arity, -span..=span);
+            let grid = sweep_grid(arity, span).map_err(CliError::from)?;
             let r = improve(&sp, allow, &grid, rounds);
             let _ = writeln!(
                 out,

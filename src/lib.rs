@@ -133,7 +133,7 @@ mod tests {
             100,
             &EvalConfig::default(),
         );
-        assert!(matches!(verdict, RelationalVerdict::Certified));
+        assert!(matches!(verdict, Ok(RelationalVerdict::Certified)));
         let report = check_soundness_scheduled(
             &FlowchartProgram::new(fc.clone()),
             &Allow::new(1, [1]),

@@ -620,6 +620,100 @@ fn refute_witness_is_thread_count_independent() {
 }
 
 #[test]
+fn refute_of_a_large_grid_ends_at_the_first_pair_from_input_0() {
+    // 7^12 inputs at the default span: inputs 0 and 1 already leak x12,
+    // and no pair starts before input 0, so the sweep stops at input 1.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_enforce"))
+        .args(["refute", "-", "--allow", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn enforce");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    stdin
+        .write_all(b"program(12) { y := x12; }")
+        .expect("write stdin");
+    drop(stdin);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while child.try_wait().expect("poll enforce").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("refute still sweeping after 30 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("wait");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{text}");
+    let b = [vec![-3; 11], vec![-2]].concat();
+    assert!(
+        text.contains(&format!("run a: {:?} -> -3", [-3; 12])),
+        "{text}"
+    );
+    assert!(text.contains(&format!("run b: {b:?} -> -2")), "{text}");
+}
+
+#[test]
+fn a_grid_too_large_to_count_is_a_usage_error() {
+    // 7^30 inputs overflow every usize; a negative span has no grid.
+    for (cmd, span) in [("check", "3"), ("refute", "3"), ("check", "-1")] {
+        let (code, out, err) = enforce(
+            &[cmd, "-", "--allow", "1", "--span", span],
+            "program(30) { y := x1; }",
+        );
+        assert_eq!(code, 2, "{cmd} --span {span}: {out}{err}");
+        assert!(err.contains("span") || err.contains("grid"), "{err}");
+    }
+}
+
+#[test]
+fn commands_refuse_flags_they_do_not_take() {
+    let (code, out, err) = enforce(
+        &[
+            "surveil", "-", "--allow", "1", "--input", "1,2", "--engine", "bogus",
+        ],
+        FORGETTING,
+    );
+    assert_eq!(code, 2, "{out}{err}");
+    assert!(err.contains("--engine"), "{err}");
+    let (code, out, err) = enforce(
+        &["refute", "-", "--allow", "1", "--bogus-flag", "3"],
+        FORGETTING,
+    );
+    assert_eq!(code, 2, "{out}{err}");
+    assert!(err.contains("--bogus-flag"), "{err}");
+}
+
+#[test]
+fn an_expired_deadline_cuts_a_checkpointed_sweep() {
+    // Blocks of 64 inputs are fewer than the deadline stride of 256, so
+    // each block's first input must read the clock.
+    let ck = scratch("deadline");
+    let (code, out, _) = enforce(
+        &[
+            "check",
+            "-",
+            "--allow",
+            "2",
+            "--span",
+            "20",
+            "--threads",
+            "1",
+            "--deadline",
+            "0",
+            "--checkpoint",
+            ck.to_str().expect("utf8 temp path"),
+            "--block",
+            "64",
+        ],
+        FORGETTING,
+    );
+    let _ = std::fs::remove_file(&ck);
+    assert_eq!(code, 1, "{out}");
+    assert!(out.contains("unknown: 0 of 1681 inputs checked"), "{out}");
+}
+
+#[test]
 fn compile_dump_is_a_stable_listing() {
     // Golden snapshot of the bytecode lowering for the forgetting program:
     // slot layout, fused compare-and-branch, instruction indices = node ids.
@@ -1119,6 +1213,58 @@ fn client_refute_under_a_reused_job_id_is_refused() {
 
     let (code, report) = sigterm_drain(server, lines);
     assert_eq!(code, 0, "{report}");
+}
+
+/// Two `if`s under allow(2) at span 2: the class x2 = -1 conflicts first
+/// (at input 6), the class x2 = -2 holds the least pair.
+#[cfg(unix)]
+const TWO_IFS: &str = "program(2) {
+  if x2 == -2 { if x1 == 2 { y := 1; } else { y := 0; } }
+  else { if x2 == -1 { if x1 == -1 { y := 1; } else { y := 0; } } else { y := 0; } }
+}";
+
+/// `refute` reports the least pair, not the first conflict, and `client
+/// refute` runs the same refutation.
+#[cfg(unix)]
+#[test]
+fn refute_and_client_refute_report_the_same_least_pair() {
+    let (code, out, _) = enforce(&["refute", "-", "--allow", "2", "--span", "2"], TWO_IFS);
+    assert_eq!(code, 1, "{out}");
+    assert!(out.contains("run a: [-2, -2] -> 0"), "{out}");
+    assert!(out.contains("run b: [2, -2] -> 1"), "{out}");
+    let (server, addr, lines) = spawn_server(&[]);
+    let (code, out, err) = enforce(
+        &[
+            "client", "refute", "-", "--addr", &addr, "--allow", "2", "--span", "2",
+        ],
+        TWO_IFS,
+    );
+    assert_eq!(code, 1, "{out}{err}");
+    assert!(out.contains("\"witness_a\":[-2,-2]"), "{out}");
+    assert!(out.contains("\"witness_b\":[2,-2]"), "{out}");
+    let (code, report) = sigterm_drain(server, lines);
+    assert_eq!(code, 0, "{report}");
+}
+
+/// A grid past `usize` is a usage reply, not a quarantined panic, so the
+/// server drains clean.
+#[cfg(unix)]
+#[test]
+fn client_sweeps_of_an_uncountable_grid_are_usage_errors() {
+    let (server, addr, lines) = spawn_server(&[]);
+    for op in ["check", "refute"] {
+        let (code, out, err) = enforce(
+            &[
+                "client", op, "-", "--addr", &addr, "--allow", "1", "--span", "64",
+            ],
+            "program(30) { y := x2; }",
+        );
+        assert_eq!(code, 2, "{op}: {out}{err}");
+        assert!(out.contains("usage"), "{op}: {out}");
+    }
+    let (code, report) = sigterm_drain(server, lines);
+    assert_eq!(code, 0, "{report}");
+    assert!(report.contains("\"quarantined\":0"), "{report}");
 }
 
 #[cfg(unix)]

@@ -1,12 +1,21 @@
 //! Acceptance properties for the three-valued relational verifier: the
 //! verdict never contradicts the exhaustive soundness oracle on the same
-//! grid, every `Leak` witness replays, and the least-index witness is
-//! bit-identical at every thread count.
+//! grid, every `Leak` witness replays, and the refuter's class sweep
+//! reports exactly the least-index pair of the pair domain `D × D`, at
+//! every thread count and under index limits.
+//!
+//! The pair search the refuter replaced lives here as the oracle: a
+//! self-composition domain whose index `i·|D| + j` is the pair of inputs
+//! `i` and `j`, scanned for the first `J`-agreeing pair whose two AST runs
+//! release different outcomes.
 
-use enforcement::core::{EvalConfig, Identity, IndexSet};
+use enforcement::core::par::find_first;
+use enforcement::core::{CancelToken, EvalConfig, Identity, IndexSet, InputDomain, Verdict, V};
 use enforcement::flowchart::generate::{random_flowchart, GenConfig};
+use enforcement::flowchart::graph::Flowchart;
+use enforcement::flowchart::interp::{run, ExecConfig, ExecValue, Outcome};
 use enforcement::prelude::*;
-use enforcement::staticflow::{refute, verify, RelationalVerdict};
+use enforcement::staticflow::{refute, verify, LeakWitness, RelationalVerdict};
 use proptest::prelude::*;
 
 /// Shared fuel bound: the verifier and the oracle must observe the same
@@ -15,11 +24,10 @@ const FUEL: u64 = 10_000;
 
 fn policy_from_mask(mask: u8) -> IndexSet {
     let mut j = IndexSet::empty();
-    if mask & 1 != 0 {
-        j.insert(1);
-    }
-    if mask & 2 != 0 {
-        j.insert(2);
+    for i in 1..=3 {
+        if mask & (1 << (i - 1)) != 0 {
+            j.insert(i);
+        }
     }
     j
 }
@@ -27,6 +35,156 @@ fn policy_from_mask(mask: u8) -> IndexSet {
 /// Forced-parallel configuration with exactly `t` workers.
 fn par(t: usize) -> EvalConfig {
     EvalConfig::with_threads(t).seq_threshold(0)
+}
+
+/// The first `len` inputs of a base domain: the prefix an index limit
+/// leaves a sweep.
+struct Prefix<'a> {
+    base: &'a dyn InputDomain,
+    len: usize,
+}
+
+impl InputDomain for Prefix<'_> {
+    fn arity(&self) -> usize {
+        self.base.arity()
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn iter_inputs(&self) -> Box<dyn Iterator<Item = Vec<V>> + '_> {
+        Box::new(self.base.iter_inputs().take(self.len))
+    }
+
+    fn nth_input(&self, idx: usize, buf: &mut Vec<V>) {
+        assert!(idx < self.len, "index {idx} past the prefix");
+        self.base.nth_input(idx, buf);
+    }
+}
+
+/// The product domain `D × D`: pair index `i·|D| + j` decodes to the
+/// concatenation of tuples `i` and `j` of the base domain.
+struct PairDomain<'a> {
+    base: &'a dyn InputDomain,
+}
+
+impl InputDomain for PairDomain<'_> {
+    fn arity(&self) -> usize {
+        self.base.arity() * 2
+    }
+
+    fn len(&self) -> usize {
+        self.base.len() * self.base.len()
+    }
+
+    fn iter_inputs(&self) -> Box<dyn Iterator<Item = Vec<V>> + '_> {
+        Box::new(self.base.iter_inputs().flat_map(move |a| {
+            self.base.iter_inputs().map(move |b| {
+                let mut t = a.clone();
+                t.extend_from_slice(&b);
+                t
+            })
+        }))
+    }
+
+    fn nth_input(&self, idx: usize, buf: &mut Vec<V>) {
+        let n = self.base.len();
+        self.base.nth_input(idx / n, buf);
+        let mut second = Vec::with_capacity(self.base.arity());
+        self.base.nth_input(idx % n, &mut second);
+        buf.extend_from_slice(&second);
+    }
+}
+
+fn released(outcome: &Outcome) -> ExecValue {
+    match outcome {
+        Outcome::Halted(h) => ExecValue::Value(h.y),
+        Outcome::OutOfFuel => ExecValue::Diverged,
+    }
+}
+
+/// The pair search: the least-index pair of `J`-agreeing inputs of
+/// `domain` whose AST runs release different outcomes, with the index of
+/// its second input when the first is input 0.
+fn least_pair(
+    fc: &Flowchart,
+    allowed: IndexSet,
+    domain: &dyn InputDomain,
+) -> Option<(LeakWitness, Option<usize>)> {
+    let (k, n) = (fc.arity(), domain.len());
+    let cfg = ExecConfig::with_fuel(FUEL);
+    find_first(&PairDomain { base: domain }, &par(1), |_, pair| {
+        let (a, b) = pair.split_at(k);
+        if a == b || !allowed.iter().all(|i| a.get(i - 1) == b.get(i - 1)) {
+            return None;
+        }
+        let out_a = released(&run(fc, a, &cfg));
+        let out_b = released(&run(fc, b, &cfg));
+        (out_a != out_b).then(|| LeakWitness {
+            a: a.to_vec(),
+            b: b.to_vec(),
+            out_a,
+            out_b,
+        })
+    })
+    .map(|(idx, w)| (w, (idx < n).then_some(idx)))
+}
+
+/// Refutes `fc` at threads 1–8, uncut and under the index limits in
+/// `limits`, and compares every report with the pair search over the
+/// same prefix.
+fn assert_refute_matches_the_pair_search(
+    fc: &Flowchart,
+    allowed: IndexSet,
+    g: &Grid,
+    limits: &[usize],
+) -> Result<(), TestCaseError> {
+    let total = g.len();
+    for &limit in [total].iter().chain(limits) {
+        let limit = limit.min(total);
+        let found = least_pair(
+            fc,
+            allowed,
+            &Prefix {
+                base: g,
+                len: limit,
+            },
+        );
+        let verdict = match (&found, limit == total) {
+            (Some(_), _) => Verdict::Refuted,
+            (None, true) => Verdict::Confirmed,
+            (None, false) => Verdict::Unknown,
+        };
+        // A pair from input 0 ends the sweep at its second input.
+        let checked = match &found {
+            Some((_, Some(b))) => b + 1,
+            _ => limit,
+        };
+        let want = found.map(|(w, _)| w);
+        for t in 1..=8usize {
+            let ctl = CancelToken::new().with_index_limit(limit);
+            let got = refute(fc, allowed, g, FUEL, &par(t), &ctl)
+                .map_err(|e| TestCaseError::fail(format!("quarantined: {e}")))?;
+            prop_assert_eq!(
+                (got.verdict, got.checked, got.total),
+                (verdict, checked, total),
+                "J = {}, limit {}, threads {}",
+                allowed,
+                limit,
+                t
+            );
+            prop_assert_eq!(
+                &got.report,
+                &want,
+                "J = {}, limit {}, threads {}: not the least pair",
+                allowed,
+                limit,
+                t
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -43,7 +201,8 @@ proptest! {
         let fc = random_flowchart(seed, &GenConfig::default());
         let allowed = policy_from_mask(mask);
         let g = Grid::hypercube(fc.arity(), -2..=2);
-        let verdict = verify(&fc, allowed, &g, FUEL, &EvalConfig::default());
+        let verdict = verify(&fc, allowed, &g, FUEL, &EvalConfig::default())
+            .map_err(|e| TestCaseError::fail(format!("quarantined: {e}")))?;
         let oracle = check_soundness(
             &Identity::new(FlowchartProgram::with_fuel(fc.clone(), FUEL)),
             &Allow::from_set(fc.arity(), allowed),
@@ -73,23 +232,60 @@ proptest! {
         }
     }
 
-    /// `find_first` semantics carry over: the refuter returns the same
-    /// least-index witness pair for every worker count 1..=8.
+    /// The refuter's witness is the pair search's least-index pair, value
+    /// for value, for every worker count 1..=8; under an index limit it is
+    /// the least pair inside the prefix, and a prefix without one is
+    /// `Unknown`. At arity 3 a policy that leaves out `x1` has classes
+    /// whose members interleave, so a class's first conflict can come
+    /// after another class's.
     #[test]
     fn witness_is_bit_identical_at_every_thread_count(
         seed in 0u64..20_000,
-        mask in 0u8..4,
+        arity in 2usize..=3,
+        mask in 0u8..8,
+        limits in proptest::collection::vec(0usize..=27, 2),
     ) {
-        let fc = random_flowchart(seed, &GenConfig::default());
-        let allowed = policy_from_mask(mask);
-        let g = Grid::hypercube(fc.arity(), -2..=2);
-        let reference = refute(&fc, allowed, &g, FUEL, &par(1));
-        for t in 2..=8usize {
-            let w = refute(&fc, allowed, &g, FUEL, &par(t));
-            prop_assert_eq!(
-                &w, &reference,
-                "seed {}, J = {}, threads {}: witness drifted", seed, allowed, t
+        let fc = random_flowchart(seed, &GenConfig { arity, ..GenConfig::default() });
+        let span = if arity == 2 { 2 } else { 1 };
+        let g = Grid::hypercube(arity, -span..=span);
+        let allowed = policy_from_mask(mask & ((1 << arity) - 1));
+        assert_refute_matches_the_pair_search(&fc, allowed, &g, &limits)?;
+    }
+
+    /// The same on programs built so that the classes of allow(2) conflict
+    /// in any order: the class `x2 = c` releases `x1 >= t_c`, so it first
+    /// conflicts at `x1 = t_c`, and the least pair is often not the first
+    /// conflict.
+    #[test]
+    fn refute_reports_the_least_pair_when_classes_conflict_out_of_order(
+        thresholds in proptest::collection::vec(-2i64..=3, 5),
+        mask in 0u8..4,
+        limits in proptest::collection::vec(0usize..=25, 2),
+    ) {
+        let mut body = "y := 0;".to_string();
+        for (c, t) in (-2i8..=2).zip(&thresholds).rev() {
+            body = format!(
+                "if x2 == {c} {{ if x1 >= {t} {{ y := 1; }} else {{ y := 0; }} }} else {{ {body} }}"
             );
+        }
+        let fc = enforcement::flowchart::parse(&format!("program(2) {{ {body} }}")).unwrap();
+        let g = Grid::hypercube(2, -2..=2);
+        assert_refute_matches_the_pair_search(&fc, policy_from_mask(mask), &g, &limits)?;
+    }
+}
+
+/// The same differential on every corpus program under its policy and
+/// under `allow()`.
+#[test]
+fn refute_reports_the_least_pair_on_the_corpus() {
+    for pp in enforcement::flowchart::corpus::all() {
+        let fc = &pp.flowchart;
+        let span = if fc.arity() <= 2 { 2 } else { 1 };
+        let g = Grid::hypercube(fc.arity(), -span..=span);
+        let limits = [g.len() / 3, g.len() / 2 + 1];
+        for allowed in [pp.policy.allowed(), IndexSet::empty()] {
+            assert_refute_matches_the_pair_search(fc, allowed, &g, &limits)
+                .unwrap_or_else(|e| panic!("{}: {e}", pp.name));
         }
     }
 }
