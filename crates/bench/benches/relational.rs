@@ -45,7 +45,12 @@ fn bench_relational(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("verify", pp.name),
             &pp.flowchart,
-            |b, fc| b.iter(|| black_box(verify(fc, pp.policy.allowed(), &g, 10_000, &cfg))),
+            |b, fc| {
+                b.iter(|| {
+                    let ctl = CancelToken::new();
+                    black_box(verify(fc, pp.policy.allowed(), &g, 10_000, &cfg, &ctl))
+                })
+            },
         );
     }
     group.finish();

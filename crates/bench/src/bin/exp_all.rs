@@ -3,7 +3,9 @@
 //! aligned terminal form. Also measures checker throughput (sequential vs
 //! parallel engine), the stepper-vs-seed-loop interpreter overhead, the
 //! checkpointed-sweep overhead (bar ≤3%), the relational-proof vs
-//! refutation-sweep cost, the bytecode-VM vs stepper speedup (bar ≥5×), and the
+//! refutation-sweep cost, the certification cost per node as programs grow
+//! (bar: the largest within 2× of the smallest), the bytecode-VM vs stepper
+//! speedup (bar ≥5×), and the
 //! class-partition vs view-partition speedup (bar ≥10×), and the
 //! lane-group vs one-input-at-a-time VM sweep speedup (bar ≥2×), and the
 //! dynamic-policy certificate vs bounded-schedule-sweep cost, and the
@@ -11,9 +13,10 @@
 //! and the typed-pipeline (audit-trail) overhead (bar ≤5%), and the
 //! durable audit append at 10²–10⁵ records (bar: slowest within 2× of
 //! fastest), and the enforcement-service load (fault-free vs
-//! chaos-proxied throughput), writing all twelve to `BENCH_results.json`
+//! chaos-proxied throughput), writing all thirteen to `BENCH_results.json`
 //! (`{"throughput": [...], "stepper_overhead": [...],
-//! "checkpoint_overhead": [...], "relational": [...], "bytecode": [...],
+//! "checkpoint_overhead": [...], "relational": [...],
+//! "certify_scaling": [...], "bytecode": [...],
 //! "class_eval": [...], "lanes": [...], "schedule": [...], "lattice": [...],
 //! "audit": [...], "audit_append": [...], "serve": [...]}`); skip with
 //! `--no-bench`, or pass `--quick` for the small-size CI smoke run (same
@@ -101,6 +104,21 @@ fn main() {
                 r.ratio()
             );
         }
+        let scaling = if quick {
+            enf_bench::certify_scaling::measure_sized(&[15, 240], 2)
+        } else {
+            enf_bench::certify_scaling::measure()
+        };
+        for r in &scaling {
+            println!(
+                "certify_scaling {:>4} stmts {:>6.1} nodes  surveillance {:>8.1} ns/node  value_refined {:>8.1} ns/node  relational {:>8.1} ns/node",
+                r.stmts, r.nodes, r.ns_per_node[0], r.ns_per_node[1], r.ns_per_node[2]
+            );
+        }
+        let [surv, value, rel_growth] = enf_bench::certify_scaling::growth(&scaling);
+        println!(
+            "certify_scaling largest/smallest per node: surveillance {surv:.2}x  value_refined {value:.2}x  relational {rel_growth:.2}x (bar <= 2x)"
+        );
         let bytecode = if quick {
             enf_bench::vmspeed::measure_bytecode(3, &[100, 1_000])
         } else {
@@ -225,11 +243,12 @@ fn main() {
             );
         }
         let json = format!(
-            "{{\n\"throughput\": {},\n\"stepper_overhead\": {},\n\"checkpoint_overhead\": {},\n\"relational\": {},\n\"bytecode\": {},\n\"class_eval\": {},\n\"lanes\": {},\n\"schedule\": {},\n\"lattice\": {},\n\"audit\": {},\n\"audit_append\": {},\n\"serve\": {}\n}}\n",
+            "{{\n\"throughput\": {},\n\"stepper_overhead\": {},\n\"checkpoint_overhead\": {},\n\"relational\": {},\n\"certify_scaling\": {},\n\"bytecode\": {},\n\"class_eval\": {},\n\"lanes\": {},\n\"schedule\": {},\n\"lattice\": {},\n\"audit\": {},\n\"audit_append\": {},\n\"serve\": {}\n}}\n",
             enf_bench::throughput::to_json(&rows),
             enf_bench::stepper::to_json(&overhead),
             enf_bench::checkpoint::to_json(&ckpt),
             enf_bench::relational::to_json(&rel),
+            enf_bench::certify_scaling::to_json(&scaling),
             enf_bench::vmspeed::bytecode_to_json(&bytecode),
             enf_bench::vmspeed::class_eval_to_json(&class_eval),
             enf_bench::vmspeed::lanes_to_json(&lanes),

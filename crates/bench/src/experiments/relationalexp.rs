@@ -2,7 +2,7 @@
 //! over the corpus, and the three-valued certify-then-refute verifier.
 
 use crate::report::Table;
-use enf_core::{EvalConfig, Grid};
+use enf_core::{CancelToken, EvalConfig, Grid};
 use enf_static::certify::{certify, Analysis};
 use enf_static::refute::{verify, RelationalVerdict};
 
@@ -47,7 +47,8 @@ pub fn e19_classification_matrix() -> Table {
         // Relational dominates the value-refined analysis on the corpus.
         ok &= refined == "rejected" || rel == "certified";
         let g = Grid::hypercube(fc.arity(), -2..=2);
-        let verdict = verify(fc, j, &g, fuel, &cfg).expect("every corpus run completes");
+        let verdict =
+            verify(fc, j, &g, fuel, &cfg, &CancelToken::new()).expect("every corpus run completes");
         // The three values are mutually consistent with certification and
         // with replay.
         match &verdict {

@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+pub mod certify_scaling;
 pub mod checkpoint;
 pub mod experiments;
 pub mod lattice_eval;

@@ -36,14 +36,26 @@ impl RelationalRow {
     }
 }
 
-fn time<R>(f: impl FnOnce() -> R) -> f64 {
-    let start = Instant::now();
+/// Timed repetitions per column; a row reports their median.
+const REPS: usize = 5;
+
+/// The median wall-clock seconds of [`REPS`] runs of `f`, after one
+/// untimed run, so that no column measures a cold start.
+fn time<R>(mut f: impl FnMut() -> R) -> f64 {
     std::hint::black_box(f());
-    start.elapsed().as_secs_f64()
+    let mut secs: Vec<f64> = (0..REPS)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[REPS / 2]
 }
 
 /// Measures the relational fixed point against the refutation sweep at
-/// growing grid spans.
+/// growing grid spans: each column is the median of five warm runs.
 pub fn measure() -> Vec<RelationalRow> {
     measure_sized(&[1, 2, 4, 8])
 }

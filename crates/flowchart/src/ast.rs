@@ -189,20 +189,24 @@ impl Expr {
         }
     }
 
-    /// Collects every variable occurring in the expression.
+    /// Every variable occurring in the expression, sorted and
+    /// deduplicated.
     pub fn vars(&self) -> Vec<Var> {
         let mut out = Vec::new();
-        self.collect_vars(&mut out);
+        self.for_each_var(&mut |v| out.push(v));
         out.sort();
         out.dedup();
         out
     }
 
-    fn collect_vars(&self, out: &mut Vec<Var>) {
+    /// Calls `f` on every variable occurrence in the expression, left to
+    /// right and repeats included, without allocating: the walk behind
+    /// [`vars`](Self::vars) for callers that only fold over the variables.
+    pub fn for_each_var(&self, f: &mut impl FnMut(Var)) {
         match self {
             Expr::Const(_) => {}
-            Expr::Var(v) => out.push(*v),
-            Expr::Neg(e) => e.collect_vars(out),
+            Expr::Var(v) => f(*v),
+            Expr::Neg(e) => e.for_each_var(f),
             Expr::Add(a, b)
             | Expr::Sub(a, b)
             | Expr::Mul(a, b)
@@ -210,13 +214,13 @@ impl Expr {
             | Expr::Mod(a, b)
             | Expr::BOr(a, b)
             | Expr::BAnd(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
+                a.for_each_var(f);
+                b.for_each_var(f);
             }
             Expr::Ite(p, t, e) => {
-                p.collect_vars(out);
-                t.collect_vars(out);
-                e.collect_vars(out);
+                p.for_each_var(f);
+                t.for_each_var(f);
+                e.for_each_var(f);
             }
         }
     }
@@ -329,26 +333,30 @@ impl Pred {
         }
     }
 
-    /// Collects every variable occurring in the predicate.
+    /// Every variable occurring in the predicate, sorted and
+    /// deduplicated.
     pub fn vars(&self) -> Vec<Var> {
         let mut out = Vec::new();
-        self.collect_vars(&mut out);
+        self.for_each_var(&mut |v| out.push(v));
         out.sort();
         out.dedup();
         out
     }
 
-    pub(crate) fn collect_vars(&self, out: &mut Vec<Var>) {
+    /// Calls `f` on every variable occurrence in the predicate, left to
+    /// right and repeats included, without allocating (see
+    /// [`Expr::for_each_var`]).
+    pub fn for_each_var(&self, f: &mut impl FnMut(Var)) {
         match self {
             Pred::True | Pred::False => {}
             Pred::Cmp(_, a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
+                a.for_each_var(f);
+                b.for_each_var(f);
             }
-            Pred::Not(p) => p.collect_vars(out),
+            Pred::Not(p) => p.for_each_var(f),
             Pred::And(a, b) | Pred::Or(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
+                a.for_each_var(f);
+                b.for_each_var(f);
             }
         }
     }
@@ -426,6 +434,73 @@ mod tests {
         let e = ite(Pred::eq(Expr::x(1), Expr::c(0)), Expr::x(2), Expr::x(3));
         assert_eq!(e.vars(), vec![Var::Input(1), Var::Input(2), Var::Input(3)]);
         assert_eq!(e.direct_inputs(), enf_core::IndexSet::from_iter([1, 2, 3]));
+    }
+
+    #[test]
+    fn visitor_reaches_every_listed_var_and_vars_stays_sorted() {
+        // Every constructor, with repeats and out-of-order occurrences.
+        let p = Pred::Or(
+            Box::new(Pred::Not(Box::new(Pred::eq(Expr::r(2), Expr::x(3))))),
+            Box::new(Pred::And(
+                Box::new(Pred::True),
+                Box::new(Pred::lt(Expr::y(), Expr::x(1))),
+            )),
+        );
+        let e = bor(
+            band(
+                Expr::Neg(Box::new(Expr::x(3))),
+                Expr::Div(
+                    Box::new(Expr::r(1)),
+                    Box::new(Expr::Mod(Box::new(Expr::x(3)), Box::new(Expr::c(2)))),
+                ),
+            ),
+            ite(
+                p.clone(),
+                sub(Expr::y(), Expr::c(1)),
+                mul(Expr::r(2), Expr::x(1)),
+            ),
+        );
+        let mut seen = Vec::new();
+        e.for_each_var(&mut |v| seen.push(v));
+        let (x1, x3, r1, r2, y) = (
+            Var::Input(1),
+            Var::Input(3),
+            Var::Reg(1),
+            Var::Reg(2),
+            Var::Out,
+        );
+        assert_eq!(seen, vec![x3, r1, x3, r2, x3, y, x1, y, r2, x1]);
+        assert_eq!(e.vars(), vec![x1, x3, r1, r2, y]);
+        let mut seen = Vec::new();
+        p.for_each_var(&mut |v| seen.push(v));
+        assert_eq!(seen, vec![r2, x3, y, x1]);
+        assert_eq!(p.vars(), vec![x1, x3, r2, y]);
+
+        // On generated programs the visitor reaches exactly the listed
+        // variables, and the list stays sorted and deduplicated.
+        let cfg = crate::generate::GenConfig::default();
+        for seed in 0..200 {
+            let fc = crate::generate::random_flowchart(seed, &cfg);
+            for node in fc.nodes() {
+                let (listed, mut seen) = match node {
+                    crate::graph::Node::Assign { expr, .. } => {
+                        let mut seen = Vec::new();
+                        expr.for_each_var(&mut |v| seen.push(v));
+                        (expr.vars(), seen)
+                    }
+                    crate::graph::Node::Decision { pred } => {
+                        let mut seen = Vec::new();
+                        pred.for_each_var(&mut |v| seen.push(v));
+                        (pred.vars(), seen)
+                    }
+                    _ => continue,
+                };
+                assert!(listed.windows(2).all(|w| w[0] < w[1]), "seed {seed}");
+                seen.sort();
+                seen.dedup();
+                assert_eq!(seen, listed, "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -248,21 +248,20 @@ impl Flowchart {
     /// The largest register index mentioned anywhere, or 0 if none.
     pub fn max_reg(&self) -> usize {
         let mut max = 0;
+        let mut note = |v: Var| {
+            if let Var::Reg(j) = v {
+                max = max.max(j);
+            }
+        };
         for node in &self.nodes {
-            let vars: Vec<Var> = match node {
+            match node {
                 Node::Assign { var, expr } => {
-                    let mut v = expr.vars();
-                    v.push(*var);
-                    v
+                    expr.for_each_var(&mut note);
+                    note(*var);
                 }
-                Node::Decision { pred } => pred.vars(),
-                Node::Declassify { var, .. } => vec![*var],
-                _ => Vec::new(),
-            };
-            for v in vars {
-                if let Var::Reg(j) = v {
-                    max = max.max(j);
-                }
+                Node::Decision { pred } => pred.for_each_var(&mut note),
+                Node::Declassify { var, .. } => note(*var),
+                _ => {}
             }
         }
         max
@@ -341,24 +340,33 @@ impl Flowchart {
                     return Err(GraphError::DanglingEdge(id, t));
                 }
             }
-            let vars: Vec<Var> = match node {
-                Node::Assign { var, expr } => {
-                    let mut v = expr.vars();
-                    v.push(*var);
-                    v
+            // The variables a box reads are checked in `Var` order, so the
+            // least bad input index is reported, ahead of `r0`; the
+            // variable it writes is checked after them.
+            let bad =
+                |v: Var| matches!(v, Var::Input(i) if i == 0 || i > self.arity) || v == Var::Reg(0);
+            let mut first_bad: Option<Var> = None;
+            let mut note = |v: Var| {
+                if bad(v) && first_bad.is_none_or(|b| v < b) {
+                    first_bad = Some(v);
                 }
-                Node::Decision { pred } => pred.vars(),
-                Node::Declassify { var, .. } => vec![*var],
-                _ => Vec::new(),
             };
-            for v in vars {
-                match v {
-                    Var::Input(i) if i == 0 || i > self.arity => {
-                        return Err(GraphError::BadInputIndex(id, i));
-                    }
-                    Var::Reg(0) => return Err(GraphError::BadRegIndex(id)),
-                    _ => {}
+            let written = match node {
+                Node::Assign { var, expr } => {
+                    expr.for_each_var(&mut note);
+                    Some(*var)
                 }
+                Node::Decision { pred } => {
+                    pred.for_each_var(&mut note);
+                    None
+                }
+                Node::Declassify { var, .. } => Some(*var),
+                _ => None,
+            };
+            match first_bad.or(written.filter(|&v| bad(v))) {
+                Some(Var::Input(i)) => return Err(GraphError::BadInputIndex(id, i)),
+                Some(_) => return Err(GraphError::BadRegIndex(id)),
+                None => {}
             }
             // Policy index sets may only name real inputs; slots are
             // 1-based like registers.
@@ -383,12 +391,21 @@ impl Flowchart {
             // Assignments to inputs are allowed by the paper's definition
             // (inputs are initialized registers); nothing to check.
         }
-        // Some HALT must be reachable from START.
-        let reach = crate::analysis::reachable(self);
-        if !self.halts().iter().any(|h| reach.contains(h)) {
-            return Err(GraphError::NoReachableHalt);
+        // Some HALT must be reachable from START. Every edge is in range
+        // and only HALT boxes lack a successor, checked above.
+        let mut seen = vec![false; self.nodes.len()];
+        let mut stack = vec![self.start()];
+        while let Some(n) = stack.pop() {
+            if std::mem::replace(&mut seen[n.0], true) {
+                continue;
+            }
+            match self.succs[n.0] {
+                Succ::None => return Ok(()),
+                Succ::One(t) => stack.push(t),
+                Succ::Cond { then_, else_ } => stack.extend([then_, else_]),
+            }
         }
-        Ok(())
+        Err(GraphError::NoReachableHalt)
     }
 }
 
@@ -529,6 +546,77 @@ mod tests {
             ],
         );
         assert_eq!(fc.validate(), Err(GraphError::NoReachableHalt));
+    }
+
+    /// `y := e` at arity 2, checked.
+    fn assigning(e: Expr) -> Result<(), GraphError> {
+        Flowchart::from_parts(
+            2,
+            vec![
+                Node::Start,
+                Node::Assign {
+                    var: Var::Out,
+                    expr: e,
+                },
+                Node::Halt,
+            ],
+            vec![Succ::One(NodeId(1)), Succ::One(NodeId(2)), Succ::None],
+        )
+        .validate()
+    }
+
+    #[test]
+    fn validate_reports_the_least_bad_variable_first() {
+        use crate::ast::add;
+        // Two bad inputs: the least index is reported, wherever it occurs.
+        assert_eq!(
+            assigning(add(Expr::x(9), Expr::x(5))),
+            Err(GraphError::BadInputIndex(NodeId(1), 5))
+        );
+        assert_eq!(
+            assigning(add(Expr::x(5), Expr::x(9))),
+            Err(GraphError::BadInputIndex(NodeId(1), 5))
+        );
+        // A bad input outranks `r0` on either side of it.
+        assert_eq!(
+            assigning(add(Expr::r(0), Expr::x(3))),
+            Err(GraphError::BadInputIndex(NodeId(1), 3))
+        );
+        assert_eq!(
+            assigning(add(Expr::x(3), Expr::r(0))),
+            Err(GraphError::BadInputIndex(NodeId(1), 3))
+        );
+        assert_eq!(
+            assigning(add(Expr::r(0), Expr::x(1))),
+            Err(GraphError::BadRegIndex(NodeId(1)))
+        );
+        // The written variable is checked after every variable read.
+        let fc = Flowchart::from_parts(
+            2,
+            vec![
+                Node::Start,
+                Node::Assign {
+                    var: Var::Input(7),
+                    expr: add(Expr::r(0), Expr::x(4)),
+                },
+                Node::Halt,
+            ],
+            vec![Succ::One(NodeId(1)), Succ::One(NodeId(2)), Succ::None],
+        );
+        assert_eq!(fc.validate(), Err(GraphError::BadInputIndex(NodeId(1), 4)));
+        let fc = Flowchart::from_parts(
+            2,
+            vec![
+                Node::Start,
+                Node::Assign {
+                    var: Var::Input(7),
+                    expr: Expr::r(0),
+                },
+                Node::Halt,
+            ],
+            vec![Succ::One(NodeId(1)), Succ::One(NodeId(2)), Succ::None],
+        );
+        assert_eq!(fc.validate(), Err(GraphError::BadRegIndex(NodeId(1))));
     }
 
     #[test]

@@ -89,14 +89,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum Tok {
+/// A token; an identifier borrows its text from the source.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Tok<'a> {
     Int(V),
-    Ident(String),
+    Ident(&'a str),
     Sym(&'static str),
 }
 
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
 }
@@ -104,6 +106,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
         }
@@ -131,7 +134,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next(&mut self) -> Result<Option<(usize, Tok)>, ParseError> {
+    fn next(&mut self) -> Result<Option<(usize, Tok<'a>)>, ParseError> {
         self.skip_ws();
         if self.pos >= self.src.len() {
             return Ok(None);
@@ -158,14 +161,13 @@ impl<'a> Lexer<'a> {
                 Tok::Int(n as V)
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                let mut s = String::new();
                 while self.pos < self.src.len()
                     && (self.src[self.pos].is_ascii_alphanumeric() || self.src[self.pos] == b'_')
                 {
-                    s.push(self.src[self.pos] as char);
                     self.pos += 1;
                 }
-                Tok::Ident(s)
+                // ASCII bytes only, so both ends are character boundaries.
+                Tok::Ident(&self.text[start..self.pos])
             }
             b':' if two(self) == Some(b'=') => {
                 self.pos += 2;
@@ -275,17 +277,17 @@ impl<'a> Lexer<'a> {
     }
 }
 
-struct Parser {
-    toks: Vec<(usize, Tok)>,
+struct Parser<'a> {
+    toks: Vec<(usize, Tok<'a>)>,
     at: usize,
     src_len: usize,
     /// Current nesting level, against [`MAX_DEPTH`].
     depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.at).map(|(_, t)| t)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.at).map(|&(_, t)| t)
     }
 
     fn offset(&self) -> usize {
@@ -323,8 +325,8 @@ impl Parser {
         parsed
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.at).map(|(_, t)| t.clone());
+    fn bump(&mut self) -> Option<Tok<'a>> {
+        let t = self.toks.get(self.at).map(|&(_, t)| t);
         if t.is_some() {
             self.at += 1;
         }
@@ -333,7 +335,7 @@ impl Parser {
 
     fn expect_sym(&mut self, sym: &str) -> Result<(), ParseError> {
         match self.peek() {
-            Some(Tok::Sym(s)) if *s == sym => {
+            Some(Tok::Sym(s)) if s == sym => {
                 self.at += 1;
                 Ok(())
             }
@@ -342,7 +344,7 @@ impl Parser {
     }
 
     fn eat_sym(&mut self, sym: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Sym(s)) if *s == sym) {
+        if matches!(self.peek(), Some(Tok::Sym(s)) if s == sym) {
             self.at += 1;
             true
         } else {
@@ -375,7 +377,7 @@ impl Parser {
 
     fn program(&mut self) -> Result<(StructuredProgram, ParsedLabels), ParseError> {
         match self.bump() {
-            Some(Tok::Ident(ref s)) if s == "program" => {}
+            Some(Tok::Ident("program")) => {}
             other => return Err(self.error(format!("expected `program`, found {other:?}"))),
         }
         self.expect_sym("(")?;
@@ -399,21 +401,21 @@ impl Parser {
         let mut labels = vec![Level::Unclassified; k];
         let mut declared = vec![false; k];
         let mut edges = Vec::new();
-        if !matches!(self.peek(), Some(Tok::Ident(s)) if s == "labels") {
+        if !matches!(self.peek(), Some(Tok::Ident("labels"))) {
             return Ok(ParsedLabels { labels, edges });
         }
         self.at += 1;
         self.expect_sym("{")?;
         while !self.eat_sym("}") {
             match self.bump() {
-                Some(Tok::Ident(ref s)) if s == "flow" => {
+                Some(Tok::Ident("flow")) => {
                     let from = self.level_name()?;
                     self.expect_sym("~>")?;
                     let to = self.level_name()?;
                     self.expect_sym(";")?;
                     edges.push((from, to));
                 }
-                Some(Tok::Ident(ref s)) => {
+                Some(Tok::Ident(s)) => {
                     let Some(Var::Input(i)) = self.ident_to_var(s) else {
                         return Err(self.error(format!(
                             "labels section expects `x<i>: LEVEL;` or `flow LEVEL ~> LEVEL;`, found `{s}`"
@@ -439,7 +441,7 @@ impl Parser {
     /// A classification level by its lowercase name.
     fn level_name(&mut self) -> Result<Level, ParseError> {
         match self.bump() {
-            Some(Tok::Ident(ref s)) => {
+            Some(Tok::Ident(s)) => {
                 Level::parse_name(s).ok_or_else(|| self.error(format!("unknown level `{s}`")))
             }
             other => Err(self.error(format!("expected level name, found {other:?}"))),
@@ -462,11 +464,11 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
         match self.peek() {
-            Some(Tok::Ident(s)) if s == "if" => {
+            Some(Tok::Ident("if")) => {
                 self.at += 1;
                 let pred = self.scoped(Self::pred)?;
                 let then_ = self.block()?;
-                let else_ = if matches!(self.peek(), Some(Tok::Ident(s)) if s == "else") {
+                let else_ = if matches!(self.peek(), Some(Tok::Ident("else"))) {
                     self.at += 1;
                     self.block()?
                 } else {
@@ -474,24 +476,24 @@ impl Parser {
                 };
                 Ok(Stmt::If(pred, then_, else_))
             }
-            Some(Tok::Ident(s)) if s == "while" => {
+            Some(Tok::Ident("while")) => {
                 self.at += 1;
                 let pred = self.scoped(Self::pred)?;
                 let body = self.block()?;
                 Ok(Stmt::While(pred, body))
             }
-            Some(Tok::Ident(s)) if s == "setpolicy" => {
+            Some(Tok::Ident("setpolicy")) => {
                 self.at += 1;
                 let spec = self.policy_spec()?;
                 self.expect_sym(";")?;
                 Ok(Stmt::SetPolicy(spec))
             }
-            Some(Tok::Ident(s)) if s == "declassify" => {
+            Some(Tok::Ident("declassify")) => {
                 self.at += 1;
                 self.expect_sym("(")?;
                 let var = match self.bump() {
                     Some(Tok::Ident(s)) => self
-                        .ident_to_var(&s)
+                        .ident_to_var(s)
                         .ok_or_else(|| self.error(format!("unknown variable `{s}`")))?,
                     other => return Err(self.error(format!("expected variable, found {other:?}"))),
                 };
@@ -503,20 +505,19 @@ impl Parser {
                 self.expect_sym(";")?;
                 Ok(Stmt::Declassify(var, from, to))
             }
-            Some(Tok::Ident(s)) if s == "halt" => {
+            Some(Tok::Ident("halt")) => {
                 self.at += 1;
                 self.expect_sym(";")?;
                 Ok(Stmt::Halt)
             }
-            Some(Tok::Ident(s)) if s == "skip" => {
+            Some(Tok::Ident("skip")) => {
                 self.at += 1;
                 self.expect_sym(";")?;
                 Ok(Stmt::Skip)
             }
             Some(Tok::Ident(s)) => {
-                let s = s.clone();
                 let var = self
-                    .ident_to_var(&s)
+                    .ident_to_var(s)
                     .ok_or_else(|| self.error(format!("unknown variable `{s}`")))?;
                 self.at += 1;
                 self.expect_sym(":=")?;
@@ -554,7 +555,7 @@ impl Parser {
     /// `allow(i1, …, im)` or a symbolic slot `p<n>`.
     fn policy_spec(&mut self) -> Result<PolicySpec, ParseError> {
         match self.bump() {
-            Some(Tok::Ident(ref s)) if s == "allow" => {
+            Some(Tok::Ident("allow")) => {
                 self.expect_sym("(")?;
                 let set = if self.eat_sym(")") {
                     IndexSet::empty()
@@ -565,7 +566,7 @@ impl Parser {
                 };
                 Ok(PolicySpec::Concrete(set))
             }
-            Some(Tok::Ident(ref s)) if s.starts_with('p') => {
+            Some(Tok::Ident(s)) if s.starts_with('p') => {
                 let slot: usize = s[1..]
                     .parse()
                     .map_err(|_| self.error(format!("unknown policy `{s}`")))?;
@@ -641,7 +642,7 @@ impl Parser {
         }
         match self.bump() {
             Some(Tok::Int(n)) => Ok(Expr::Const(n)),
-            Some(Tok::Ident(s)) if s == "ite" => {
+            Some(Tok::Ident("ite")) => {
                 self.deeper()?;
                 self.expect_sym("(")?;
                 let p = self.pred()?;
@@ -653,7 +654,7 @@ impl Parser {
                 Ok(Expr::Ite(Box::new(p), Box::new(t), Box::new(e)))
             }
             Some(Tok::Ident(s)) => self
-                .ident_to_var(&s)
+                .ident_to_var(s)
                 .map(Expr::Var)
                 .ok_or_else(|| self.error(format!("unknown variable `{s}`"))),
             other => Err(self.error(format!("expected expression, found {other:?}"))),
@@ -683,11 +684,11 @@ impl Parser {
             self.deeper()?;
             return Ok(Pred::Not(Box::new(self.atom()?)));
         }
-        if matches!(self.peek(), Some(Tok::Ident(s)) if s == "true") {
+        if matches!(self.peek(), Some(Tok::Ident("true"))) {
             self.at += 1;
             return Ok(Pred::True);
         }
-        if matches!(self.peek(), Some(Tok::Ident(s)) if s == "false") {
+        if matches!(self.peek(), Some(Tok::Ident("false"))) {
             self.at += 1;
             return Ok(Pred::False);
         }

@@ -735,6 +735,48 @@ fn a_bound_sized_frame_is_answered_promptly() {
 }
 
 #[test]
+fn a_large_certify_is_answered_promptly() {
+    // 16 000 straight-line assignments, about 320 KB: one frame. A solver
+    // that rebuilt its least fact at every node spent time quadratic in
+    // the program's length here, over 11 s of CPU in a release build.
+    use std::fmt::Write as _;
+    let mut program = String::from("program(4) {\n");
+    for k in 0..16_000 {
+        let _ = writeln!(
+            program,
+            "  r{} := r{} + x{};",
+            k % 50 + 1,
+            (k + 7) % 50 + 1,
+            k % 4 + 1
+        );
+    }
+    program.push_str("  y := r1;\n}\n");
+    let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
+    let mut conn = std::net::TcpStream::connect(server.addr().to_string()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let start = std::time::Instant::now();
+    enf_serve::write_frame(&mut conn, &base_request(Op::Certify, &program).to_json()).unwrap();
+    let reply = enf_serve::read_frame(&mut conn)
+        .expect("a whole reply")
+        .expect("a reply before EOF");
+    let elapsed = start.elapsed();
+    assert_eq!(
+        str_field(&reply, "verdict"),
+        "rejected",
+        "{}",
+        reply.render()
+    );
+    assert_eq!(str_field(&reply, "taint"), "2,3,4", "{}", reply.render());
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "answered after {elapsed:?}"
+    );
+    let stats = server.stop();
+    assert!(!stats.degraded(), "{stats:?}");
+}
+
+#[test]
 fn every_reply_fits_in_one_frame() {
     let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
     let addr = server.addr().to_string();

@@ -46,7 +46,7 @@ use crate::schedule::{PolicySet, SchedFact};
 use crate::value::ValueFacts;
 use enf_core::IndexSet;
 use enf_flowchart::analysis::{decision_targets, PostDominators};
-use enf_flowchart::ast::Var;
+use enf_flowchart::ast::{Pred, Var};
 use enf_flowchart::graph::{Flowchart, Node, NodeId, PolicySpec};
 use std::collections::HashSet;
 
@@ -169,11 +169,10 @@ impl TaintEnv {
         changed
     }
 
-    pub(crate) fn taint_of_vars(&self, vars: &[Var]) -> IndexSet {
+    /// The union of the taints of the variables a predicate reads.
+    pub(crate) fn taint_of_pred(&self, pred: &Pred) -> IndexSet {
         let mut t = IndexSet::empty();
-        for v in vars {
-            t.union_with(&self.get(*v));
-        }
+        pred.for_each_var(&mut |v| t.union_with(&self.get(v)));
         t
     }
 
@@ -190,13 +189,13 @@ impl TaintEnv {
         match node {
             Node::Start | Node::Halt | Node::SetPolicy { .. } => {}
             Node::Assign { var, expr } => {
-                let pc = scoped_pc.unwrap_or(self.pc);
-                let t = self.taint_of_vars(&expr.vars()).union(&pc);
+                let mut t = scoped_pc.unwrap_or(self.pc);
+                expr.for_each_var(&mut |v| t.union_with(&self.get(v)));
                 self.set(*var, t);
             }
             Node::Decision { pred } => {
                 if scoped_pc.is_none() {
-                    let t = self.taint_of_vars(&pred.vars());
+                    let t = self.taint_of_pred(pred);
                     self.pc.union_with(&t);
                 }
             }
@@ -370,13 +369,10 @@ fn analyze_with(
             .collect();
         let mut changed = false;
         for (d, nodes) in &regions {
-            let pred_vars = match fc.node(*d) {
-                Node::Decision { pred } => pred.vars(),
-                _ => unreachable!(),
+            let Node::Decision { pred } = fc.node(*d) else {
+                unreachable!()
             };
-            let t = at_entry[d.0]
-                .taint_of_vars(&pred_vars)
-                .union(&scoped_pc[d.0]);
+            let t = at_entry[d.0].taint_of_pred(pred).union(&scoped_pc[d.0]);
             for m in nodes {
                 let u = scoped_pc[m.0].union(&t);
                 if u != scoped_pc[m.0] {
@@ -424,6 +420,18 @@ mod oracles {
     use enf_core::label::{Classification, IntransitiveFlow, Level};
     use enf_flowchart::generate::{random_flowchart, random_policy_flowchart, GenConfig, SplitMix};
     use proptest::prelude::*;
+
+    impl TaintEnv {
+        /// The union of the taints of the variables in `vars`, the helper
+        /// the replaced implementations read expressions with.
+        fn taint_of_vars(&self, vars: &[Var]) -> IndexSet {
+            let mut t = IndexSet::empty();
+            for v in vars {
+                t.union_with(&self.get(*v));
+            }
+            t
+        }
+    }
 
     /// The pre-framework implementation, preserved verbatim as a regression
     /// oracle: the workspace proptests assert [`analyze`] and

@@ -72,7 +72,9 @@ pub trait DataflowProblem {
         Direction::Forward
     }
 
-    /// The least fact, assigned to every node before solving.
+    /// The least fact, assigned to every node before solving. The solver
+    /// builds it once per solve and clones it into every node, so it may
+    /// walk the whole flowchart.
     fn bottom(&self, fc: &Flowchart) -> Self::Fact;
 
     /// Boundary fact seeded (joined) at `n` before solving — typically
@@ -282,7 +284,7 @@ pub fn solve_in_order<P: DataflowProblem>(
 ) -> Solution<P::Fact> {
     let n = fc.len();
     let edges = Edges::new(fc, problem, order);
-    let mut facts: Vec<P::Fact> = (0..n).map(|_| problem.bottom(fc)).collect();
+    let mut facts: Vec<P::Fact> = vec![problem.bottom(fc); n];
     let mut dirty = Worklist::new(n);
     for (id, fact) in facts.iter_mut().enumerate() {
         if let Some(seed) = problem.boundary(fc, NodeId(id)) {
@@ -346,7 +348,7 @@ pub fn narrow<P: DataflowProblem>(
     if !loops {
         return post;
     }
-    let mut facts: Vec<P::Fact> = (0..n).map(|_| problem.bottom(fc)).collect();
+    let mut facts: Vec<P::Fact> = vec![problem.bottom(fc); n];
     for (id, fact) in facts.iter_mut().enumerate() {
         if let Some(seed) = problem.boundary(fc, NodeId(id)) {
             problem.join(fact, &seed);
@@ -443,6 +445,61 @@ mod tests {
         ) -> Option<bool> {
             Some(*fact)
         }
+    }
+
+    /// [`Reach`] counting its [`DataflowProblem::bottom`] calls.
+    #[derive(Default)]
+    struct CountsBottom {
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl DataflowProblem for CountsBottom {
+        type Fact = bool;
+
+        fn bottom(&self, fc: &Flowchart) -> bool {
+            self.calls.set(self.calls.get() + 1);
+            Reach.bottom(fc)
+        }
+
+        fn boundary(&self, fc: &Flowchart, n: NodeId) -> Option<bool> {
+            Reach.boundary(fc, n)
+        }
+
+        fn join(&self, into: &mut bool, from: &bool) -> bool {
+            Reach.join(into, from)
+        }
+
+        fn flow(
+            &self,
+            fc: &Flowchart,
+            n: NodeId,
+            edge: usize,
+            to: NodeId,
+            fact: &bool,
+        ) -> Option<bool> {
+            Reach.flow(fc, n, edge, to, fact)
+        }
+    }
+
+    #[test]
+    fn bottom_is_built_once_per_solve_and_per_narrow() {
+        // A loop, so that `narrow` runs its pass instead of returning
+        // `post` untouched.
+        let fc = parse(
+            "program(2) { while x1 > 0 { x1 := x1 - 1; r1 := r1 + x2; } if r1 > 2 { y := 1; } }",
+        )
+        .unwrap();
+        assert!(fc.len() > 5);
+        let problem = CountsBottom::default();
+        let post = solve(&fc, &problem);
+        assert_eq!(problem.calls.get(), 1, "solve");
+        let ids: Vec<NodeId> = (0..fc.len()).map(NodeId).collect();
+        solve_in_order(&fc, &problem, &ids);
+        assert_eq!(problem.calls.get(), 2, "solve_in_order");
+        let narrowed = narrow(&fc, &problem, post.clone());
+        assert_eq!(problem.calls.get(), 3, "narrow");
+        assert!(narrowed.iterations > post.iterations, "narrow ran its pass");
+        assert_eq!(narrowed.facts, post.facts);
     }
 
     #[test]

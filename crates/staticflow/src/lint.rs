@@ -649,14 +649,21 @@ const REFUTE_MAX_INPUTS: usize = 1 << 20;
 /// panics is a fault of the engine, not a finding, and unwinds.
 fn provable_leak(fc: &Flowchart, allowed: &IndexSet) -> Option<Lint> {
     use crate::refute::{verify, RelationalVerdict};
-    use enf_core::{EvalConfig, Grid, InputDomain};
+    use enf_core::{CancelToken, EvalConfig, Grid, InputDomain};
     use enf_flowchart::interp::{run, ExecConfig, ExecValue, Outcome};
 
     let grid = Grid::hypercube(fc.arity(), -REFUTE_SPAN..=REFUTE_SPAN);
     if grid.len_checked().is_none_or(|n| n > REFUTE_MAX_INPUTS) {
         return None;
     }
-    let verdict = verify(fc, *allowed, &grid, REFUTE_FUEL, &EvalConfig::default());
+    let verdict = verify(
+        fc,
+        *allowed,
+        &grid,
+        REFUTE_FUEL,
+        &EvalConfig::default(),
+        &CancelToken::new(),
+    );
     let RelationalVerdict::Leak { witness } = verdict.unwrap_or_else(|e| panic!("{e}")) else {
         return None;
     };

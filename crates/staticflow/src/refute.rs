@@ -24,7 +24,9 @@
 //! (rejected but no counterexample on the searched domain — on an
 //! exhaustively enumerated grid this means the program *is* sound there,
 //! which is what makes the verdict differentially honest against
-//! `check_soundness`).
+//! `check_soundness`). A sweep cut short by its [`CancelToken`] reports
+//! the pair of the prefix it swept, or `Unknown` with the inputs it
+//! checked.
 
 use crate::certify::{certify, Analysis, Certification};
 use enf_core::{
@@ -127,10 +129,17 @@ pub enum RelationalVerdict {
         witness: LeakWitness,
     },
     /// Certification failed but no counterexample exists on the searched
-    /// domain (at the given fuel): sound there, undecided beyond it.
+    /// domain (at the given fuel): sound there, undecided beyond it. When
+    /// `checked < total` the sweep was cut short and only its first
+    /// `checked` inputs were searched.
     Unknown {
         /// The static disagreement the certifier could not discharge.
         taint: IndexSet,
+        /// Inputs the sweep covered: `total` unless it was cut short, or
+        /// stopped at a pair that then failed replay.
+        checked: usize,
+        /// Inputs in the searched domain.
+        total: usize,
     },
 }
 
@@ -151,22 +160,28 @@ impl RelationalVerdict {
 /// A `Leak` verdict is always replay-validated on the AST interpreter
 /// before being returned; a witness that fails replay (impossible unless
 /// the two engines disagree) degrades to `Unknown` rather than report a
-/// false proof. A run that panics is the sweep's quarantine error.
+/// false proof. A run that panics is the sweep's quarantine error. `ctl`
+/// cuts the sweep as in [`refute`].
 pub fn verify(
     fc: &Flowchart,
     allowed: IndexSet,
     domain: &dyn InputDomain,
     fuel: u64,
     config: &EvalConfig,
+    ctl: &CancelToken,
 ) -> Result<RelationalVerdict, EnfError> {
     let taint = match certify(fc, allowed, Analysis::Relational) {
         Certification::Certified => return Ok(RelationalVerdict::Certified),
         Certification::Rejected { taint } => taint,
     };
-    let found = refute(fc, allowed, domain, fuel, config, &CancelToken::new())?;
+    let found = refute(fc, allowed, domain, fuel, config, ctl)?;
     Ok(match found.report {
         Some(witness) if witness.replays(fc, allowed, fuel) => RelationalVerdict::Leak { witness },
-        _ => RelationalVerdict::Unknown { taint },
+        _ => RelationalVerdict::Unknown {
+            taint,
+            checked: found.checked,
+            total: found.total,
+        },
     })
 }
 
@@ -185,7 +200,15 @@ mod tests {
     fn verdict(src: &str, allowed: IndexSet) -> RelationalVerdict {
         let fc = parse(src).unwrap();
         let g = grid(fc.arity());
-        verify(&fc, allowed, &g, FUEL, &EvalConfig::default()).unwrap()
+        verify(
+            &fc,
+            allowed,
+            &g,
+            FUEL,
+            &EvalConfig::default(),
+            &CancelToken::new(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -242,8 +265,41 @@ mod tests {
         // rejected statically, no witness on the grid.
         let v = verdict("program(1) { y := x1 / 3; }", IndexSet::empty());
         match v {
-            RelationalVerdict::Unknown { taint } => assert_eq!(taint, IndexSet::single(1)),
+            RelationalVerdict::Unknown {
+                taint,
+                checked,
+                total,
+            } => {
+                assert_eq!(taint, IndexSet::single(1));
+                assert_eq!((checked, total), (5, 5), "an uncut sweep covers the grid");
+            }
             other => panic!("expected unknown, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_cut_sweep_is_unknown_with_its_coverage_or_a_leak_of_its_prefix() {
+        // Input 0's class (x1 = -2) releases 0 throughout; the leak lies
+        // in a later class.
+        let fc = parse("program(2) { if x1 == -2 { y := 0; } else { y := x2; } }").unwrap();
+        let allowed = IndexSet::single(1);
+        let cut = |limit| {
+            let ctl = CancelToken::new().with_index_limit(limit);
+            verify(&fc, allowed, &grid(2), FUEL, &EvalConfig::default(), &ctl).unwrap()
+        };
+        assert_eq!(
+            cut(5),
+            RelationalVerdict::Unknown {
+                taint: IndexSet::single(2),
+                checked: 5,
+                total: 25,
+            }
+        );
+        match cut(7) {
+            RelationalVerdict::Leak { witness } => {
+                assert_eq!((witness.a, witness.b), (vec![-1, -2], vec![-1, -1]));
+            }
+            other => panic!("expected the prefix's leak, got {other:?}"),
         }
     }
 

@@ -54,18 +54,14 @@ impl TaintState {
     /// predicates — data-flow selection carries the selector's taint).
     pub fn expr_taint(&self, e: &Expr) -> IndexSet {
         let mut t = IndexSet::empty();
-        for v in e.vars() {
-            t.union_with(&self.get(v));
-        }
+        e.for_each_var(&mut |v| t.union_with(&self.get(v)));
         t
     }
 
     /// The taint of a predicate's variables.
     pub fn pred_taint(&self, p: &Pred) -> IndexSet {
         let mut t = IndexSet::empty();
-        for v in p.vars() {
-            t.union_with(&self.get(v));
-        }
+        p.for_each_var(&mut |v| t.union_with(&self.get(v)));
         t
     }
 

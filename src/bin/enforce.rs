@@ -11,6 +11,7 @@
 //! enforce certify   <file.fc> --allow 2 [--scoped | --value | --relational | --dynamic]
 //!                   | --lattice [--clearance LEVEL]
 //! enforce refute    <file.fc> --allow 2 [--span S] [--threads N] [--fuel N] [--json]
+//!                   [--deadline SECS] [--budget N]
 //! enforce lint      <file.fc> --allow 2 [--json] | --lattice [--clearance LEVEL] [--json]
 //! enforce explain   <file.fc> --allow 2 --input 3,4 [--timed] [--highwater]
 //! enforce improve   <file.fc> --allow 2 --span 3 [--rounds N]
@@ -111,6 +112,7 @@ fn usage() -> &'static str {
        certify    static certification       --allow J [--scoped | --value | --relational | --dynamic]\n\
        \x20                                  | --lattice [--clearance LEVEL]\n\
        refute     leak witness search        --allow J [--span S] [--threads N] [--fuel N] [--json]\n\
+       \x20                                  [--deadline SECS] [--budget N]\n\
        lint       static diagnostics         --allow J [--json] | --lattice [--clearance LEVEL]\n\
        explain    why a run violates         --allow J --input a,b [--timed] [--highwater]\n\
        improve    transform search           --allow J --span S [--rounds N]\n\
@@ -159,9 +161,13 @@ fn usage() -> &'static str {
      refute runs the relational certifier and, on rejection, sweeps\n\
      [-S, S]^k (--span S, default 3) once for the least pair of J-agreeing\n\
      inputs with different released outcomes; the witness is the same\n\
-     for every --threads count. On programs with policy\n\
+     for every --threads count. --deadline, --budget and SIGINT cut the\n\
+     sweep as they cut check's: the least pair of the swept prefix is\n\
+     still reported, and without one refute prints unknown with the\n\
+     inputs checked. On programs with policy\n\
      boxes refute runs the --dynamic certifier instead and searches for a\n\
-     replay-validated scheduled witness (input pair + schedule).\n\
+     replay-validated scheduled witness (input pair + schedule); that\n\
+     search takes no --deadline or --budget.\n\
      trace and check run on the register-bytecode VM by default\n\
      (--engine vm); --engine ast selects the flowchart stepper. The two\n\
      engines are bit-identical: same events, verdicts and witnesses.\n\
@@ -309,7 +315,7 @@ fn flags_of(cmd: &str) -> Option<&'static str> {
         }
         "compile" => "dump",
         "certify" => "allow scoped value relational dynamic lattice clearance audit",
-        "refute" => "allow span threads fuel json",
+        "refute" => "allow span threads fuel json deadline budget",
         "lint" => "allow json lattice clearance",
         "explain" => "allow input timed highwater fuel",
         "improve" => "allow span rounds",
@@ -737,6 +743,12 @@ fn run_cli(argv: Vec<String>) -> Result<(String, u8), CliError> {
                 // model policy boxes, so refutation runs the policy-schedule
                 // certifier and, on rejection, searches for a replay-
                 // validated scheduled witness (input pair + schedule).
+                if args.has("deadline") || args.has("budget") {
+                    return Err("refute of a program with policy boxes runs the scheduled \
+                                oracle, which takes no --deadline or --budget"
+                        .to_string()
+                        .into());
+                }
                 use enforcement::staticflow::Certification;
                 let cert = certify(&fc, allow, Analysis::DynamicPolicy);
                 let suspect = match &cert {
@@ -822,7 +834,9 @@ fn run_cli(argv: Vec<String>) -> Result<(String, u8), CliError> {
                 }
                 return Ok((out, code));
             }
-            let verdict = verify(&fc, allow, &grid, fuel, &eval)?;
+            let ctl = build_cancel_token(&args)?;
+            install_sigint(&ctl);
+            let verdict = verify(&fc, allow, &grid, fuel, &eval, &ctl)?;
             let json_out = |v: &ExecValue| match v {
                 ExecValue::Value(n) => n.to_string(),
                 ExecValue::Diverged => "null".to_string(),
@@ -844,8 +858,16 @@ fn run_cli(argv: Vec<String>) -> Result<(String, u8), CliError> {
                             json_out(&witness.out_b)
                         );
                     }
-                    RelationalVerdict::Unknown { taint } => {
+                    RelationalVerdict::Unknown {
+                        taint,
+                        checked,
+                        total,
+                    } => {
                         let _ = write!(out, ",\n  \"taint\": {}", json_set(taint));
+                        if checked < total {
+                            let _ =
+                                write!(out, ",\n  \"checked\": {checked},\n  \"total\": {total}");
+                        }
                     }
                 }
                 let _ = writeln!(out, "\n}}");
@@ -865,7 +887,19 @@ fn run_cli(argv: Vec<String>) -> Result<(String, u8), CliError> {
                         let _ = writeln!(out, "  run a: {:?} -> {}", witness.a, witness.out_a);
                         let _ = writeln!(out, "  run b: {:?} -> {}", witness.b, witness.out_b);
                     }
-                    RelationalVerdict::Unknown { taint } => {
+                    RelationalVerdict::Unknown {
+                        taint,
+                        checked,
+                        total,
+                    } if checked < total => {
+                        let _ = writeln!(
+                            out,
+                            "unknown: rejected statically (suspect taint {taint}) and no \
+                             witness pair in the {checked} of {total} inputs checked before \
+                             the sweep was cut short"
+                        );
+                    }
+                    RelationalVerdict::Unknown { taint, .. } => {
                         let _ = writeln!(
                             out,
                             "unknown: rejected statically (suspect taint {taint}) but no \

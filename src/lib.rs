@@ -132,6 +132,7 @@ mod tests {
             &Grid::hypercube(1, -1..=1),
             100,
             &EvalConfig::default(),
+            &CancelToken::new(),
         );
         assert!(matches!(verdict, Ok(RelationalVerdict::Certified)));
         let report = check_soundness_scheduled(

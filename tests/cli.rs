@@ -623,34 +623,112 @@ fn refute_witness_is_thread_count_independent() {
 fn refute_of_a_large_grid_ends_at_the_first_pair_from_input_0() {
     // 7^12 inputs at the default span: inputs 0 and 1 already leak x12,
     // and no pair starts before input 0, so the sweep stops at input 1.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_enforce"))
-        .args(["refute", "-", "--allow", "1"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn enforce");
-    let mut stdin = child.stdin.take().expect("stdin piped");
-    stdin
-        .write_all(b"program(12) { y := x12; }")
-        .expect("write stdin");
-    drop(stdin);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while child.try_wait().expect("poll enforce").is_none() {
-        if std::time::Instant::now() > deadline {
-            let _ = child.kill();
-            panic!("refute still sweeping after 30 s");
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-    let out = child.wait_with_output().expect("wait");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(1), "{text}");
+    let (code, text, err) = enforce_within(
+        &["refute", "-", "--allow", "1"],
+        "program(12) { y := x12; }",
+        std::time::Duration::from_secs(30),
+    );
+    assert_eq!(code, 1, "{text}{err}");
     let b = [vec![-3; 11], vec![-2]].concat();
     assert!(
         text.contains(&format!("run a: {:?} -> -3", [-3; 12])),
         "{text}"
     );
     assert!(text.contains(&format!("run b: {b:?} -> -2")), "{text}");
+}
+
+/// Runs `enforce` on `stdin` like [`enforce`], but fails the test if it
+/// has not exited within `limit`.
+fn enforce_within(args: &[&str], stdin: &str, limit: std::time::Duration) -> (i32, String, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_enforce"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn enforce");
+    let mut pipe = child.stdin.take().expect("stdin piped");
+    pipe.write_all(stdin.as_bytes()).expect("write stdin");
+    drop(pipe);
+    let deadline = std::time::Instant::now() + limit;
+    while child.try_wait().expect("poll enforce").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("enforce {args:?} still running after {limit:?}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("wait");
+    (
+        out.status.code().unwrap_or(-1),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// 7^12 inputs at the default span. Input 0's class (x1 = -3) releases 0
+/// on all of its 7^11 inputs, so no pair from input 0 ends the sweep
+/// early, and the leak through x2 lies in later classes.
+const BIG12: &str = "program(12) { if x1 == -3 { y := 0; } else { y := x2; } }";
+
+#[test]
+fn refute_of_a_large_grid_is_cut_by_budget_and_deadline() {
+    // Uncut, this sweep runs for hours; cut, it ends within seconds.
+    let limit = std::time::Duration::from_secs(10);
+    for cut in [["--budget", "1000"], ["--deadline", "0.5"]] {
+        let (code, out, err) = enforce_within(
+            &["refute", "-", "--allow", "1", cut[0], cut[1]],
+            BIG12,
+            limit,
+        );
+        assert_eq!(code, 1, "{cut:?}: {out}{err}");
+        assert!(
+            out.starts_with("unknown: rejected statically (suspect taint {2})"),
+            "{cut:?}: {out}"
+        );
+        assert!(
+            out.contains(" of 13841287201 inputs checked before the sweep was cut short"),
+            "{cut:?}: {out}"
+        );
+    }
+    let (code, out, err) = enforce_within(
+        &["refute", "-", "--allow", "1", "--budget", "1000", "--json"],
+        BIG12,
+        limit,
+    );
+    assert_eq!(code, 1, "{out}{err}");
+    assert!(out.contains("\"verdict\": \"unknown\""), "{out}");
+    assert!(
+        out.contains("\"taint\": [2],\n  \"checked\": 1000,\n  \"total\": 13841287201"),
+        "{out}"
+    );
+    // A pair within the swept prefix is still reported, replay-validated:
+    // here the class of input 1 conflicts at input 8, while input 0's
+    // class would need the whole grid to clear.
+    let (code, out, err) = enforce_within(
+        &["refute", "-", "--allow", "12", "--budget", "1000"],
+        "program(12) { if x12 == -3 { y := 0; } else { y := x11; } }",
+        limit,
+    );
+    assert_eq!(code, 1, "{out}{err}");
+    assert!(
+        out.starts_with("leak: inputs agreeing on allow({12})"),
+        "{out}"
+    );
+    let a = [vec![-3; 11], vec![-2]].concat();
+    let b = [vec![-3; 10], vec![-2, -2]].concat();
+    assert!(out.contains(&format!("run a: {a:?} -> -3")), "{out}");
+    assert!(out.contains(&format!("run b: {b:?} -> -2")), "{out}");
+}
+
+#[test]
+fn refute_refuses_cut_flags_on_a_policy_program() {
+    let (code, out, err) = enforce(
+        &["refute", "-", "--allow", "1", "--budget", "10"],
+        "program(2) { setpolicy allow(1); y := x2; }",
+    );
+    assert_eq!(code, 2, "{out}{err}");
+    assert!(err.contains("--budget"), "{err}");
 }
 
 #[test]

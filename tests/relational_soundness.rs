@@ -201,7 +201,7 @@ proptest! {
         let fc = random_flowchart(seed, &GenConfig::default());
         let allowed = policy_from_mask(mask);
         let g = Grid::hypercube(fc.arity(), -2..=2);
-        let verdict = verify(&fc, allowed, &g, FUEL, &EvalConfig::default())
+        let verdict = verify(&fc, allowed, &g, FUEL, &EvalConfig::default(), &CancelToken::new())
             .map_err(|e| TestCaseError::fail(format!("quarantined: {e}")))?;
         let oracle = check_soundness(
             &Identity::new(FlowchartProgram::with_fuel(fc.clone(), FUEL)),
