@@ -26,7 +26,7 @@ use enf_flowchart::interp::{run, ExecConfig};
 use enf_flowchart::program::FlowchartProgram;
 use enf_surveillance::dynamic::{run_surveillance, SurvConfig};
 use enf_surveillance::instrument;
-use enf_surveillance::mechanism::{HighWater, Surveillance};
+use enf_surveillance::mechanism::Surveillance;
 use enf_surveillance::run_surveillance_vm;
 use std::hint::black_box;
 
@@ -105,7 +105,7 @@ fn bench_overhead(c: &mut Criterion) {
     let fc = loop_program(500, 2);
     let p = FlowchartProgram::new(fc);
     let ms = Surveillance::new(p.clone(), IndexSet::single(1));
-    let mh = HighWater::new(p, IndexSet::single(1));
+    let mh = Surveillance::highwater(p, IndexSet::single(1));
     group.bench_function("surveillance_adapter", |b| {
         b.iter(|| black_box(ms.run(&[0])))
     });

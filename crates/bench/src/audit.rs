@@ -6,6 +6,9 @@
 //! The acceptance bar is ≤5% overhead on monitor-dominated runs: the
 //! typed surface adds bookkeeping per *run*, not per *step*, so a loop of
 //! a few hundred thousand steps must price the engine, not the wrapper.
+//! Both paths are timed in paired rounds, as `checkpoint_overhead` is
+//! (the median of per-round ratios, sides alternated), so host drift
+//! cancels within a round instead of deciding the bar.
 //! `exp_all` records the rows in the `"audit"` field of
 //! `BENCH_results.json`; the matching Criterion group lives in
 //! `benches/audit.rs` (`audit_overhead`).
@@ -17,6 +20,7 @@
 //! the fastest. `exp_all` records these rows in the `"audit_append"`
 //! field.
 
+use crate::checkpoint::paired_rounds;
 use enf_core::{IndexSet, V};
 use enf_flowchart::bytecode::Compiled;
 use enf_flowchart::generate::loop_program;
@@ -32,42 +36,28 @@ pub struct AuditRow {
     pub iters: V,
     /// Executed boxes per monitored run.
     pub steps: u64,
-    /// Runs timed on each side.
-    pub reps: usize,
-    /// Raw `run_surveillance_vm` wall-clock seconds (all reps).
+    /// Paired rounds timed; each times one run of each side.
+    pub rounds: u32,
+    /// Raw `run_surveillance_vm` wall-clock seconds, median run.
     pub raw_secs: f64,
     /// Typed `Enforcer::surveil` + `Sink::release` wall-clock seconds
-    /// (all reps, audit records included).
+    /// (audit records included), median run.
     pub typed_secs: f64,
-}
-
-impl AuditRow {
-    /// Fractional overhead of the typed pipeline over the raw call
-    /// (0.05 = 5%).
-    pub fn overhead(&self) -> f64 {
-        self.typed_secs / self.raw_secs.max(1e-12) - 1.0
-    }
+    /// Fractional overhead of the typed pipeline over the raw call: the
+    /// median of the per-round ratios, less one (0.05 = 5%).
+    pub overhead: f64,
 }
 
 const FUEL: u64 = 100_000_000;
 
-fn time<R>(f: impl FnMut() -> R, reps: usize) -> f64 {
-    let mut f = f;
-    let start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_secs_f64()
-}
-
 /// Measures the typed-pipeline overhead at the publication sizes.
-pub fn measure(reps: usize) -> Vec<AuditRow> {
-    measure_sized(reps, &[10_000, 100_000])
+pub fn measure(rounds: u32) -> Vec<AuditRow> {
+    measure_sized(rounds, &[10_000, 100_000])
 }
 
 /// [`measure`] at caller-chosen loop sizes — short lists back the
 /// `exp_all --quick` CI smoke mode.
-pub fn measure_sized(reps: usize, iter_counts: &[V]) -> Vec<AuditRow> {
+pub fn measure_sized(rounds: u32, iter_counts: &[V]) -> Vec<AuditRow> {
     let allow = IndexSet::single(1);
     let input = vec![0];
     let mut rows = Vec::new();
@@ -77,43 +67,40 @@ pub fn measure_sized(reps: usize, iter_counts: &[V]) -> Vec<AuditRow> {
 
         // The raw path is exactly what Enforcer::surveil runs inside:
         // compile, then execute under the surveillance monitor.
-        let raw_secs = time(
-            || run_surveillance_vm(&Compiled::new(&fc), &input, &cfg),
-            reps,
-        );
-        let steps = match run_surveillance_vm(&Compiled::new(&fc), &input, &cfg) {
+        let raw = || run_surveillance_vm(&Compiled::new(&fc), &input, &cfg);
+        let steps = match raw() {
             enf_surveillance::dynamic::SurvOutcome::Accepted { steps, .. } => steps,
             other => unreachable!("loop program accepted: {other:?}"),
         };
 
-        let enforcer = Enforcer::new(fc, allow)
+        let enforcer = Enforcer::new(fc.clone(), allow)
             .expect("valid policy")
             .with_fuel(FUEL);
         let mut log = AuditLog::in_memory();
         let mut cap = Some(Capability::issue("bench", &mut log).expect("issue"));
-        let typed_secs = time(
-            || {
-                let verdict = enforcer
-                    .surveil(Tainted::new(input.clone()), &mut log)
-                    .expect("arity matches");
-                let v = match verdict {
-                    RunVerdict::Released(v) => v,
-                    RunVerdict::Refused(r) => unreachable!("loop program accepted: {r:?}"),
-                };
-                let mut sink = Sink::new(cap.take().expect("capability"), &mut log);
-                let y = sink.release(v).expect("release");
-                cap = Some(sink.into_capability());
-                y
-            },
-            reps,
-        );
-
+        let mut typed = || {
+            let verdict = enforcer
+                .surveil(Tainted::new(input.clone()), &mut log)
+                .expect("arity matches");
+            let v = match verdict {
+                RunVerdict::Released(v) => v,
+                RunVerdict::Refused(r) => unreachable!("loop program accepted: {r:?}"),
+            };
+            let mut sink = Sink::new(cap.take().expect("capability"), &mut log);
+            let y = sink.release(v).expect("release");
+            cap = Some(sink.into_capability());
+            y
+        };
+        // One untimed run warms the typed path as `steps` warmed the raw.
+        typed();
+        let (raw_secs, typed_secs, ratio) = paired_rounds(rounds, raw, &mut typed);
         rows.push(AuditRow {
             iters,
             steps,
-            reps,
+            rounds,
             raw_secs,
             typed_secs,
+            overhead: ratio - 1.0,
         });
     }
     rows
@@ -124,15 +111,15 @@ pub fn to_json(rows: &[AuditRow]) -> String {
     let mut s = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
-            "  {{\"iters\": {}, \"steps\": {}, \"reps\": {}, \
+            "  {{\"iters\": {}, \"steps\": {}, \"rounds\": {}, \
              \"raw_secs\": {:.9}, \"typed_secs\": {:.9}, \
              \"overhead\": {:.4}}}{}\n",
             r.iters,
             r.steps,
-            r.reps,
+            r.rounds,
             r.raw_secs,
             r.typed_secs,
-            r.overhead(),
+            r.overhead,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -248,9 +235,10 @@ mod tests {
         let rows = vec![AuditRow {
             iters: 100,
             steps: 703,
-            reps: 3,
+            rounds: 3,
             raw_secs: 0.001,
             typed_secs: 0.00102,
+            overhead: 0.02,
         }];
         let j = to_json(&rows);
         assert!(j.starts_with('[') && j.ends_with(']'));

@@ -207,7 +207,7 @@ fn main() {
                 r.steps,
                 r.raw_secs,
                 r.typed_secs,
-                r.overhead() * 100.0
+                r.overhead * 100.0
             );
         }
         let audit_append = if quick {

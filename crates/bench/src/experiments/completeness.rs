@@ -8,7 +8,7 @@ use enf_core::{
 };
 use enf_flowchart::corpus;
 use enf_flowchart::program::FlowchartProgram;
-use enf_surveillance::mechanism::{HighWater, Surveillance};
+use enf_surveillance::mechanism::Surveillance;
 
 /// E5: the Section 4 forgetting program — M_h always Λ, M_s accepts
 /// exactly the x2 = 0 runs.
@@ -22,7 +22,7 @@ pub fn e5_forgetting() -> Table {
     let p = FlowchartProgram::new(pp.flowchart);
     let j = pp.policy.allowed();
     let ms = Surveillance::new(p.clone(), j);
-    let mh = HighWater::new(p, j);
+    let mh = Surveillance::highwater(p, j);
     let mut ok = true;
     for x2 in -2..=2 {
         let a = [7, x2];
@@ -126,7 +126,7 @@ pub fn corpus_acceptance() -> Table {
         let p = FlowchartProgram::new(pp.flowchart.clone());
         let j = pp.policy.allowed();
         let ms = Surveillance::new(p.clone(), j);
-        let mh = HighWater::new(p.clone(), j);
+        let mh = Surveillance::highwater(p.clone(), j);
         let maximal = MaximalMechanism::build(&p, &pp.policy, &g);
         let count = |m: &dyn Mechanism<Out = enf_flowchart::interp::ExecValue>| {
             g.iter_inputs().filter(|a| m.run(a).is_value()).count()
@@ -205,7 +205,7 @@ mod tests {
     use enf_core::{compare, Grid, MaximalMechanism, Policy as _};
     use enf_flowchart::corpus;
     use enf_flowchart::program::FlowchartProgram;
-    use enf_surveillance::mechanism::{HighWater, Surveillance};
+    use enf_surveillance::mechanism::Surveillance;
 
     #[test]
     fn family_reproduces() {
@@ -228,7 +228,7 @@ mod tests {
             let p = FlowchartProgram::new(pp.flowchart.clone());
             let j = pp.policy.allowed();
             let ms = Surveillance::new(p.clone(), j);
-            let mh = HighWater::new(p.clone(), j);
+            let mh = Surveillance::highwater(p.clone(), j);
             let maximal = MaximalMechanism::build(&p, &pp.policy, &g);
             assert!(
                 compare(&ms, &mh, &g).first_as_complete(),

@@ -9,7 +9,7 @@ use enf_core::{
 };
 use enf_flowchart::generate::{random_flowchart, GenConfig};
 use enf_flowchart::program::FlowchartProgram;
-use enf_surveillance::mechanism::{HighWater, Surveillance};
+use enf_surveillance::mechanism::Surveillance;
 use std::time::Instant;
 
 /// E1: join soundness and completeness on a family of sound mechanisms.
@@ -156,7 +156,7 @@ pub fn e3_soundness_sweep() -> Table {
             let fc = random_flowchart(seed, &cfg);
             let p = FlowchartProgram::new(fc);
             let ms = Surveillance::new(p.clone(), j);
-            let mh = HighWater::new(p, j);
+            let mh = Surveillance::highwater(p, j);
             if check_soundness(&ms, &policy, &g, false).is_sound() {
                 sound_s += 1;
             }

@@ -10,10 +10,9 @@
 //! decisions, a release verdict at HALT, and an associated outcome type.
 //!
 //! Combinators compose observers without a second pass over the program:
-//! [`Pair`] runs two monitors in lockstep (e.g. taint tracking plus a
-//! structured event stream — the basis of the one-pass `explain`), [`Fleet`]
-//! runs any number of homogeneous monitors (e.g. one taint monitor per MLS
-//! clearance).
+//! [`Pair`] runs two monitors in lockstep (e.g. plain interpretation plus
+//! a trace, [`crate::interp::run_traced`]), [`Fleet`] runs any number of homogeneous
+//! monitors (e.g. one taint monitor per MLS clearance).
 //!
 //! # Hook contract
 //!

@@ -30,9 +30,9 @@ use enf_core::checkpoint::{
 };
 use enf_core::label::{Classification, IntransitiveFlow, Level};
 use enf_core::{
-    check_soundness_scheduled, fingerprint, try_check_soundness_with, validate_scheduled_witness,
-    Allow, CancelToken, Coverage, EnfError, EvalConfig, Grid, Identity, IndexSet, InputDomain,
-    Json, Mechanism, ScheduledReport, ScheduledWitness, Verdict, V,
+    fingerprint, try_check_soundness_scheduled, try_check_soundness_with,
+    validate_scheduled_witness, Allow, CancelToken, Coverage, EnfError, EvalConfig, Grid, Identity,
+    IndexSet, InputDomain, Json, Mechanism, ScheduledReport, ScheduledWitness, Verdict, V,
 };
 use enf_flowchart::bytecode::Compiled;
 use enf_flowchart::interp::ExecValue;
@@ -40,8 +40,9 @@ use enf_flowchart::{Flowchart, FlowchartProgram, LabeledProgram, NodeId};
 use enf_static::certify::{certify, Analysis, Certification};
 use enf_surveillance::dynamic::{run_surveillance, SurvConfig, SurvOutcome};
 use enf_surveillance::vm::run_surveillance_vm;
-use enf_surveillance::{HighWater, Surveillance, TimedMechanism, VmSurveillance};
+use enf_surveillance::{Surveillance, TimedMechanism, VmSurveillance};
 use std::path::Path;
+use std::sync::Arc;
 
 /// A failure of the typed pipeline, classified by blame.
 #[derive(Debug)]
@@ -80,8 +81,7 @@ pub enum Discipline {
     Surveillance,
     /// Observable time: the M′ wrapper that releases step counts.
     Timed,
-    /// High-water accumulation: taints only grow, checked at every
-    /// decision.
+    /// High-water accumulation: taints only grow, checked at HALT.
     HighWater,
 }
 
@@ -299,6 +299,15 @@ pub enum ScheduledOutcome {
         /// Whether an independent replay reproduced the witness.
         validated: bool,
     },
+    /// The token cut the sweep before any schedule failed; nothing is
+    /// claimed.
+    Unknown {
+        /// Schedules swept in full: the prefix `0..checked` of the
+        /// canonical enumeration.
+        checked: usize,
+        /// Schedules the sweep would have covered.
+        total: usize,
+    },
 }
 
 impl ScheduledOutcome {
@@ -482,8 +491,8 @@ impl Enforcer {
     }
 
     /// The shared prefix of every pipeline record: program, policy, and
-    /// mode.
-    fn base_fields(&self) -> Vec<(String, Json)> {
+    /// mode, with the `engine` that ran.
+    fn base_fields(&self, engine: Engine) -> Vec<(String, Json)> {
         vec![
             (
                 "program".to_string(),
@@ -495,10 +504,7 @@ impl Enforcer {
                 "discipline".to_string(),
                 Json::Str(self.discipline.name().to_string()),
             ),
-            (
-                "engine".to_string(),
-                Json::Str(self.engine.name().to_string()),
-            ),
+            ("engine".to_string(), Json::Str(engine.name().to_string())),
         ]
     }
 
@@ -508,14 +514,14 @@ impl Enforcer {
         proof: &str,
         evidence: &Evidence,
     ) -> Result<(), EnfError> {
-        let mut fields = self.base_fields();
+        let mut fields = self.base_fields(self.engine);
         fields.push(("proof".to_string(), Json::Str(proof.to_string())));
         fields.push(("evidence".to_string(), evidence.to_json()));
         log.append("attest", fields)
     }
 
     fn append_refuse(&self, log: &mut AuditLog, refusal: &Refusal) -> Result<(), EnfError> {
-        let mut fields = self.base_fields();
+        let mut fields = self.base_fields(self.engine);
         match refusal {
             Refusal::Violation {
                 site,
@@ -600,7 +606,7 @@ impl Enforcer {
         log: &mut AuditLog,
     ) -> Result<CertifyOutcome<'_>, PolicyError> {
         let cert = certify(&self.fc, self.allow, analysis);
-        let mut fields = self.base_fields();
+        let mut fields = self.base_fields(self.engine);
         fields.push((
             "analysis".to_string(),
             Json::Str(analysis.name().to_string()),
@@ -648,7 +654,7 @@ impl Enforcer {
             &binding.flow,
             &binding.clearance,
         );
-        let mut fields = self.base_fields();
+        let mut fields = self.base_fields(self.engine);
         fields.push((
             "analysis".to_string(),
             Json::Str(Analysis::LatticeCertified.name().to_string()),
@@ -715,11 +721,12 @@ impl Enforcer {
     fn append_sweep(
         &self,
         log: &mut AuditLog,
+        engine: Engine,
         mode: &str,
         span: i64,
         extra: Vec<(String, Json)>,
     ) -> Result<(), EnfError> {
-        let mut fields = self.base_fields();
+        let mut fields = self.base_fields(engine);
         fields.push(("mode".to_string(), Json::Str(mode.to_string())));
         fields.push(("span".to_string(), Json::Int(i128::from(span))));
         fields.extend(extra);
@@ -779,7 +786,9 @@ impl Enforcer {
 
     /// The one body of [`Enforcer::sweep`] and
     /// [`Enforcer::sweep_checkpointed`]: picks the mechanism, sweeps, and
-    /// audits the outcome.
+    /// audits the outcome with the engine that ran. A timed sweep runs the
+    /// AST stepper whatever the bound engine: its output is the run's step
+    /// count, which only [`TimedMechanism`] observes.
     fn sweep_with(
         &self,
         span: i64,
@@ -795,8 +804,8 @@ impl Enforcer {
         };
         let grid = sweep_grid(self.arity, span)?;
         let policy = self.policy();
-        let allow = self.allow;
-        let coverage = match (self.discipline, self.engine) {
+        let cfg = self.surv_config();
+        let (engine, coverage) = match (self.discipline, self.engine) {
             (Discipline::Timed, _) => {
                 if persist.is_some() {
                     return Err(PolicyError::Usage(
@@ -804,28 +813,24 @@ impl Enforcer {
                             .to_string(),
                     ));
                 }
-                let m = TimedMechanism::new(self.fc.clone(), allow).with_fuel(self.fuel);
-                coverage_of(&Identity::new(&m), &policy, &grid, eval, ctl)?
+                let m = TimedMechanism::from_config(self.fc.clone(), cfg);
+                let coverage = coverage_of(&Identity::new(&m), &policy, &grid, eval, ctl)?;
+                (Engine::Ast, coverage)
             }
-            (Discipline::HighWater, Engine::Vm) => {
-                let m = VmSurveillance::highwater(self.program(), allow);
-                exec_coverage(&m, &policy, &grid, eval, ctl, persist)?
+            (_, Engine::Vm) => {
+                let m = VmSurveillance::from_compiled(Arc::new(Compiled::new(&self.fc)), cfg);
+                let coverage = exec_coverage(&m, &policy, &grid, eval, ctl, persist)?;
+                (Engine::Vm, coverage)
             }
-            (Discipline::HighWater, Engine::Ast) => {
-                let m = HighWater::new(self.program(), allow);
-                exec_coverage(&m, &policy, &grid, eval, ctl, persist)?
-            }
-            (Discipline::Surveillance, Engine::Vm) => {
-                let m = VmSurveillance::new(self.program(), allow);
-                exec_coverage(&m, &policy, &grid, eval, ctl, persist)?
-            }
-            (Discipline::Surveillance, Engine::Ast) => {
-                let m = Surveillance::new(self.program(), allow);
-                exec_coverage(&m, &policy, &grid, eval, ctl, persist)?
+            (_, Engine::Ast) => {
+                let m = Surveillance::from_config(self.program(), cfg);
+                let coverage = exec_coverage(&m, &policy, &grid, eval, ctl, persist)?;
+                (Engine::Ast, coverage)
             }
         };
         self.append_sweep(
             log,
+            engine,
             mode,
             span,
             sweep_fields(coverage.checked, coverage.total, coverage.verdict),
@@ -836,24 +841,36 @@ impl Enforcer {
     /// The scheduled oracle: soundness under every bounded policy schedule
     /// (at most `cap` of the canonical enumeration). Runs on the stepper;
     /// an unsound schedule's witness is independently replay-validated.
+    ///
+    /// `ctl` is read between schedules, never inside one schedule's input
+    /// sweep, and its deadline once every [`enf_core::par::DEADLINE_STRIDE`]
+    /// schedules; its index limit counts schedules. A cut sweep is
+    /// [`ScheduledOutcome::Unknown`], and a subject panic is
+    /// [`PolicyError::Engine`].
     pub fn sweep_scheduled(
         &self,
         span: i64,
         eval: &EvalConfig,
         cap: Option<usize>,
+        ctl: &CancelToken,
         log: &mut AuditLog,
     ) -> Result<ScheduledOutcome, PolicyError> {
         let grid = sweep_grid(self.arity, span)?;
         let program = self.program();
-        let report = check_soundness_scheduled(&program, &self.policy(), &grid, eval, cap);
-        let outcome = match report {
-            ScheduledReport::Sound { schedules, inputs } => {
+        let coverage =
+            try_check_soundness_scheduled(&program, &self.policy(), &grid, eval, cap, ctl)?;
+        let outcome = match coverage.report {
+            Some(ScheduledReport::Sound { schedules, inputs }) => {
                 ScheduledOutcome::Sound { schedules, inputs }
             }
-            ScheduledReport::Unsound(witness) => {
+            Some(ScheduledReport::Unsound(witness)) => {
                 let validated = validate_scheduled_witness(&program, &witness);
                 ScheduledOutcome::Unsound { witness, validated }
             }
+            None => ScheduledOutcome::Unknown {
+                checked: coverage.checked,
+                total: coverage.total,
+            },
         };
         let extra = match &outcome {
             ScheduledOutcome::Sound { schedules, inputs } => vec![
@@ -869,8 +886,11 @@ impl Enforcer {
                 ),
                 ("validated".to_string(), Json::Bool(*validated)),
             ],
+            ScheduledOutcome::Unknown { checked, total } => {
+                sweep_fields(*checked, *total, Verdict::Unknown)
+            }
         };
-        self.append_sweep(log, "scheduled", span, extra)?;
+        self.append_sweep(log, self.engine, "scheduled", span, extra)?;
         Ok(outcome)
     }
 }
@@ -1250,7 +1270,13 @@ mod tests {
         let e = enforcer(LEAKY, &[1, 2]);
         let mut log = AuditLog::in_memory();
         let outcome = e
-            .sweep_scheduled(1, &EvalConfig::default(), Some(4), &mut log)
+            .sweep_scheduled(
+                1,
+                &EvalConfig::default(),
+                Some(4),
+                &CancelToken::new(),
+                &mut log,
+            )
             .unwrap();
         assert!(outcome.is_sound());
         assert!(log.lines()[0].contains("\"mode\":\"scheduled\""));

@@ -3,9 +3,11 @@
 //!
 //! The paper's surveillance mechanism applies one rule per box: an
 //! assignment sets `v̄ ← w̄ ∪ C̄`, a decision sets `C̄ ← C̄ ∪ p̄`, and a
-//! `declassify(v: A ~> B)` box relabels `v̄ ← (v̄ \ A) ∪ B`. That rule is
-//! the transfer of [`TaintEnv`], and one [`framework`](crate::framework)
-//! problem solves it with the refinements each certifier already holds:
+//! `declassify(v: A ~> B)` box relabels `v̄ ← (v̄ \ A) ∪ B`. The dynamic
+//! monitor and this analysis share that rule and its state:
+//! [`TaintState::transfer`] is the transfer, a [`TaintState`] is the fact,
+//! and one [`framework`](crate::framework) problem solves it with the
+//! refinements each certifier already holds:
 //!
 //! * scoped-PC facts — [`PcDiscipline::Scoped`];
 //! * value facts ([`crate::value`]) — [`analyze_refined`], and the
@@ -16,7 +18,8 @@
 //!   [`crate::schedule`].
 //!
 //! The lint pass's must-taint analysis keeps its meet join and calls the
-//! same transfer.
+//! same transfer; the relational analysis keeps the same state under a
+//! relational reading.
 //!
 //! Two program-counter disciplines, matching the two enforcement styles the
 //! paper discusses:
@@ -46,8 +49,9 @@ use crate::schedule::{PolicySet, SchedFact};
 use crate::value::ValueFacts;
 use enf_core::IndexSet;
 use enf_flowchart::analysis::{decision_targets, PostDominators};
-use enf_flowchart::ast::{Pred, Var};
+use enf_flowchart::ast::Var;
 use enf_flowchart::graph::{Flowchart, Node, NodeId, PolicySpec};
+use enf_surveillance::TaintState;
 use std::collections::HashSet;
 
 /// How implicit (program-counter) flows are scoped.
@@ -60,159 +64,13 @@ pub enum PcDiscipline {
     Scoped,
 }
 
-/// A variable valuation of taints at one program point.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TaintEnv {
-    inputs: Vec<IndexSet>,
-    regs: Vec<IndexSet>,
-    out: IndexSet,
-    /// PC taint on entry to the node (monotone discipline only; scoped PC
-    /// is computed separately from regions).
-    pub pc: IndexSet,
-}
-
-impl TaintEnv {
-    pub(crate) fn bottom(arity: usize, regs: usize) -> Self {
-        TaintEnv {
-            inputs: vec![IndexSet::empty(); arity],
-            regs: vec![IndexSet::empty(); regs],
-            out: IndexSet::empty(),
-            pc: IndexSet::empty(),
-        }
-    }
-
-    pub(crate) fn init(arity: usize, regs: usize) -> Self {
-        TaintEnv {
-            inputs: (1..=arity).map(IndexSet::single).collect(),
-            regs: vec![IndexSet::empty(); regs],
-            out: IndexSet::empty(),
-            pc: IndexSet::empty(),
-        }
-    }
-
-    /// The taint of a variable in this environment.
-    pub fn get(&self, var: Var) -> IndexSet {
-        match var {
-            Var::Input(i) => self.inputs[i - 1],
-            Var::Reg(j) => self.regs.get(j - 1).copied().unwrap_or_default(),
-            Var::Out => self.out,
-        }
-    }
-
-    pub(crate) fn set(&mut self, var: Var, t: IndexSet) {
-        match var {
-            Var::Input(i) => self.inputs[i - 1] = t,
-            Var::Reg(j) => {
-                if j > self.regs.len() {
-                    self.regs.resize(j, IndexSet::empty());
-                }
-                self.regs[j - 1] = t;
-            }
-            Var::Out => self.out = t,
-        }
-    }
-
-    pub(crate) fn join_from(&mut self, other: &TaintEnv) -> bool {
-        let mut changed = false;
-        for (a, b) in self.inputs.iter_mut().zip(&other.inputs) {
-            let u = a.union(b);
-            if u != *a {
-                *a = u;
-                changed = true;
-            }
-        }
-        if other.regs.len() > self.regs.len() {
-            self.regs.resize(other.regs.len(), IndexSet::empty());
-            changed = true;
-        }
-        for (j, b) in other.regs.iter().enumerate() {
-            let u = self.regs[j].union(b);
-            if u != self.regs[j] {
-                self.regs[j] = u;
-                changed = true;
-            }
-        }
-        let u = self.out.union(&other.out);
-        if u != self.out {
-            self.out = u;
-            changed = true;
-        }
-        let u = self.pc.union(&other.pc);
-        if u != self.pc {
-            self.pc = u;
-            changed = true;
-        }
-        changed
-    }
-
-    /// Pointwise intersection (the *must*-taint meet used by the
-    /// `always-violating` lint); registers absent on either side count as
-    /// untainted.
-    pub(crate) fn meet_from(&mut self, other: &TaintEnv) -> bool {
-        let mut changed = false;
-        let mut down = |a: &mut IndexSet, b: &IndexSet| {
-            let i = a.intersection(b);
-            if i != *a {
-                *a = i;
-                changed = true;
-            }
-        };
-        for (j, a) in self.inputs.iter_mut().enumerate() {
-            down(a, &other.inputs[j]);
-        }
-        for (j, a) in self.regs.iter_mut().enumerate() {
-            let b = other.regs.get(j).copied().unwrap_or_default();
-            down(a, &b);
-        }
-        down(&mut self.out, &other.out);
-        down(&mut self.pc, &other.pc);
-        changed
-    }
-
-    /// The union of the taints of the variables a predicate reads.
-    pub(crate) fn taint_of_pred(&self, pred: &Pred) -> IndexSet {
-        let mut t = IndexSet::empty();
-        pred.for_each_var(&mut |v| t.union_with(&self.get(v)));
-        t
-    }
-
-    /// The surveillance rule for one box, applied in place: the one
-    /// transfer every taint analysis in this crate shares. An assignment
-    /// sets `v̄ ← w̄ ∪ C̄`, a decision sets `C̄ ← C̄ ∪ p̄`, and a
-    /// `declassify(v: A ~> B)` box relabels `v̄ ← (v̄ \ A) ∪ B`.
-    ///
-    /// `scoped_pc` is the box's region PC taint under
-    /// [`PcDiscipline::Scoped`]: assignments read it in place of `C̄`, and
-    /// decisions leave `C̄` alone. Without `relabel` a `declassify` box only
-    /// accumulates, `v̄ ← v̄ ∪ B`. Policy boxes move no data.
-    pub(crate) fn transfer(&mut self, node: &Node, scoped_pc: Option<IndexSet>, relabel: bool) {
-        match node {
-            Node::Start | Node::Halt | Node::SetPolicy { .. } => {}
-            Node::Assign { var, expr } => {
-                let mut t = scoped_pc.unwrap_or(self.pc);
-                expr.for_each_var(&mut |v| t.union_with(&self.get(v)));
-                self.set(*var, t);
-            }
-            Node::Decision { pred } => {
-                if scoped_pc.is_none() {
-                    let t = self.taint_of_pred(pred);
-                    self.pc.union_with(&t);
-                }
-            }
-            Node::Declassify { var, from, to } => {
-                let t = self.get(*var);
-                let kept = if relabel { t.difference(from) } else { t };
-                self.set(*var, kept.union(to));
-            }
-        }
-    }
-}
-
 /// The result of the analysis.
 #[derive(Clone, Debug)]
 pub struct FlowFacts {
-    /// Entry environment per node (index = node id).
-    pub at_entry: Vec<TaintEnv>,
+    /// Entry state per node (index = node id); under the monotone
+    /// discipline its `pc` is the PC fact, under the scoped one it stays
+    /// empty.
+    pub at_entry: Vec<TaintState>,
     /// Scoped PC taint per node (empty sets under the monotone discipline,
     /// where `at_entry[n].pc` carries the PC fact instead).
     pub scoped_pc: Vec<IndexSet>,
@@ -268,8 +126,8 @@ fn regions(fc: &Flowchart) -> Vec<(NodeId, HashSet<NodeId>)> {
         .collect()
 }
 
-/// The may-taint problem every taint certifier solves: the shared
-/// [`TaintEnv::transfer`] paired with the reachable policy states. Each
+/// The may-taint problem every taint certifier solves: the surveillance
+/// rule [`TaintState::transfer`] paired with the reachable policy states. Each
 /// field is a refinement a certifier already holds; `None` leaves it out.
 pub(crate) struct MayTaint<'a> {
     /// Per-node region PC taint ([`PcDiscipline::Scoped`]); `None` is the
@@ -294,14 +152,14 @@ impl DataflowProblem for MayTaint<'_> {
 
     fn bottom(&self, fc: &Flowchart) -> SchedFact {
         SchedFact {
-            env: TaintEnv::bottom(fc.arity(), fc.max_reg()),
+            env: TaintState::bottom(fc.arity(), fc.max_reg()),
             policies: PolicySet::none(),
         }
     }
 
     fn boundary(&self, fc: &Flowchart, n: NodeId) -> Option<SchedFact> {
         (n == fc.start()).then(|| SchedFact {
-            env: TaintEnv::init(fc.arity(), fc.max_reg()),
+            env: TaintState::init(fc.arity(), fc.max_reg()),
             policies: self.initial.map_or_else(PolicySet::none, PolicySet::just),
         })
     }
@@ -362,7 +220,7 @@ fn analyze_with(
             sanctioned: None,
             initial: None,
         };
-        let at_entry: Vec<TaintEnv> = solve(fc, &problem)
+        let at_entry: Vec<TaintState> = solve(fc, &problem)
             .facts
             .into_iter()
             .map(|f| f.env)
@@ -372,7 +230,7 @@ fn analyze_with(
             let Node::Decision { pred } = fc.node(*d) else {
                 unreachable!()
             };
-            let t = at_entry[d.0].taint_of_pred(pred).union(&scoped_pc[d.0]);
+            let t = at_entry[d.0].pred_taint(pred).union(&scoped_pc[d.0]);
             for m in nodes {
                 let u = scoped_pc[m.0].union(&t);
                 if u != scoped_pc[m.0] {
@@ -421,9 +279,13 @@ mod oracles {
     use enf_flowchart::generate::{random_flowchart, random_policy_flowchart, GenConfig, SplitMix};
     use proptest::prelude::*;
 
-    impl TaintEnv {
-        /// The union of the taints of the variables in `vars`, the helper
-        /// the replaced implementations read expressions with.
+    /// The helper the replaced implementations read expressions with.
+    trait TaintOfVars {
+        /// The union of the taints of the variables in `vars`.
+        fn taint_of_vars(&self, vars: &[Var]) -> IndexSet;
+    }
+
+    impl TaintOfVars for TaintState {
         fn taint_of_vars(&self, vars: &[Var]) -> IndexSet {
             let mut t = IndexSet::empty();
             for v in vars {
@@ -439,8 +301,8 @@ mod oracles {
     pub fn analyze_reference(fc: &Flowchart, discipline: PcDiscipline) -> FlowFacts {
         let n = fc.len();
         let regs = fc.max_reg();
-        let mut at_entry: Vec<TaintEnv> = vec![TaintEnv::bottom(fc.arity(), regs); n];
-        at_entry[fc.start().0] = TaintEnv::init(fc.arity(), regs);
+        let mut at_entry: Vec<TaintState> = vec![TaintState::bottom(fc.arity(), regs); n];
+        at_entry[fc.start().0] = TaintState::init(fc.arity(), regs);
 
         // Precompute control-dependence regions for the scoped discipline.
         let regions: Vec<(NodeId, HashSet<NodeId>)> = if discipline == PcDiscipline::Scoped {
@@ -534,14 +396,14 @@ mod oracles {
     }
 
     impl DataflowProblem for SanctionedTaint<'_> {
-        type Fact = crate::dataflow::TaintEnv;
+        type Fact = TaintState;
 
         fn bottom(&self, fc: &Flowchart) -> Self::Fact {
-            crate::dataflow::TaintEnv::bottom(fc.arity(), fc.max_reg())
+            TaintState::bottom(fc.arity(), fc.max_reg())
         }
 
         fn boundary(&self, fc: &Flowchart, n: NodeId) -> Option<Self::Fact> {
-            (n == fc.start()).then(|| crate::dataflow::TaintEnv::init(fc.arity(), fc.max_reg()))
+            (n == fc.start()).then(|| TaintState::init(fc.arity(), fc.max_reg()))
         }
 
         fn join(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool {
@@ -596,14 +458,14 @@ mod oracles {
 
         fn bottom(&self, fc: &Flowchart) -> SchedFact {
             SchedFact {
-                env: TaintEnv::bottom(fc.arity(), fc.max_reg()),
+                env: TaintState::bottom(fc.arity(), fc.max_reg()),
                 policies: PolicySet::none(),
             }
         }
 
         fn boundary(&self, fc: &Flowchart, n: NodeId) -> Option<SchedFact> {
             (n == fc.start()).then(|| SchedFact {
-                env: TaintEnv::init(fc.arity(), fc.max_reg()),
+                env: TaintState::init(fc.arity(), fc.max_reg()),
                 policies: PolicySet::just(self.initial),
             })
         }
@@ -781,7 +643,7 @@ mod oracles {
                     // That is the one place the worklist and the framework
                     // part; the replaced framework problems and the one
                     // problem alike treat such a box as unreached.
-                    let bottom = TaintEnv::bottom(fc.arity(), fc.max_reg());
+                    let bottom = TaintState::bottom(fc.arity(), fc.max_reg());
                     let parted = fc.iter().any(|(n, node, _)| {
                         matches!(node, Node::Declassify { to, .. } if !to.is_empty())
                             && new.at_entry[n.0] == bottom
@@ -838,7 +700,13 @@ mod oracles {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use enf_core::{Grid, InputDomain, V};
+    use enf_flowchart::ast::{Expr, Pred};
+    use enf_flowchart::generate::{random_flowchart, GenConfig};
+    use enf_flowchart::interp::Store;
     use enf_flowchart::parse;
+    use enf_flowchart::stepper::{Monitor, Stepper};
+    use enf_surveillance::dynamic::{SurvConfig, SurvOutcome};
 
     fn halts_taint(src: &str, d: PcDiscipline) -> IndexSet {
         let fc = parse(src).unwrap();
@@ -992,25 +860,112 @@ mod tests {
         assert!(t.contains(1), "constant decision on tainted data: {t}");
     }
 
+    /// Theorem 3's M, checked on entry to every box it executes: the
+    /// running monitor's state — each variable and `C̄` — must lie inside
+    /// that box's static entry fact.
+    struct Covered<'a> {
+        mechanism: enf_surveillance::TaintMonitor,
+        facts: &'a FlowFacts,
+        vars: Vec<Var>,
+        seed: u64,
+    }
+
+    impl Monitor for Covered<'_> {
+        type Outcome = SurvOutcome;
+
+        fn on_step(&mut self, step: u64, at: NodeId, node: &Node) {
+            let (run, fact) = (self.mechanism.taints(), &self.facts.at_entry[at.0]);
+            for &v in &self.vars {
+                assert!(
+                    run.get(v).is_subset(&fact.get(v)),
+                    "seed {}: step {step} at {at}: {v} dynamic {} ⊄ static {}",
+                    self.seed,
+                    run.get(v),
+                    fact.get(v)
+                );
+            }
+            assert!(
+                run.pc.is_subset(&fact.pc),
+                "seed {}: step {step} at {at}: C̄ dynamic {} ⊄ static {}",
+                self.seed,
+                run.pc,
+                fact.pc
+            );
+            self.mechanism.on_step(step, at, node);
+        }
+
+        fn on_assign(&mut self, step: u64, at: NodeId, var: Var, expr: &Expr, store: &Store) {
+            self.mechanism.on_assign(step, at, var, expr, store);
+        }
+
+        fn on_decision(
+            &mut self,
+            step: u64,
+            at: NodeId,
+            pred: &Pred,
+            store: &Store,
+        ) -> Option<SurvOutcome> {
+            self.mechanism.on_decision(step, at, pred, store)
+        }
+
+        fn on_setpolicy(&mut self, step: u64, at: NodeId, spec: PolicySpec, store: &Store) {
+            self.mechanism.on_setpolicy(step, at, spec, store);
+        }
+
+        fn on_declassify(
+            &mut self,
+            step: u64,
+            at: NodeId,
+            var: Var,
+            from: IndexSet,
+            to: IndexSet,
+            store: &Store,
+        ) {
+            self.mechanism.on_declassify(step, at, var, from, to, store);
+        }
+
+        fn on_halt(&mut self, step: u64, at: NodeId, store: &Store) -> SurvOutcome {
+            self.mechanism.on_halt(step, at, store)
+        }
+
+        fn on_fuel(&mut self, steps: u64) -> SurvOutcome {
+            self.mechanism.on_fuel(steps)
+        }
+    }
+
+    /// Runs `fc` on `input` under surveillance for `allow()`, asserting
+    /// that `facts` cover the run's state at every executed box.
+    fn run_covered(fc: &Flowchart, facts: &FlowFacts, input: &[V], seed: u64) -> SurvOutcome {
+        let cfg = SurvConfig::surveillance(IndexSet::empty());
+        let vars = (1..=fc.arity())
+            .map(Var::Input)
+            .chain((1..=fc.max_reg()).map(Var::Reg))
+            .chain([Var::Out])
+            .collect();
+        let mut covered = Covered {
+            mechanism: enf_surveillance::TaintMonitor::new(fc, cfg),
+            facts,
+            vars,
+            seed,
+        };
+        Stepper::new(fc)
+            .with_fuel(cfg.fuel)
+            .run(input, &mut covered)
+    }
+
     #[test]
     fn static_overapproximates_dynamic_surveillance() {
-        // Monotone facts must cover every dynamic run's final taints.
-        use enf_core::{Grid, InputDomain};
-        use enf_flowchart::generate::{random_flowchart, GenConfig};
-        use enf_surveillance::dynamic::{run_surveillance, SurvConfig, SurvOutcome};
+        // Monotone facts must cover every dynamic run's state at every box
+        // it executes, and so its final taints.
         let cfg = GenConfig::default();
         for seed in 400..440 {
             let fc = random_flowchart(seed, &cfg);
             let facts = analyze(&fc, PcDiscipline::Monotone);
-            let mut static_halt = IndexSet::empty();
-            for h in fc.halts() {
-                static_halt.union_with(&facts.halt_taint(h));
-            }
             // Dynamic runs: any violation taint must be inside the static
             // halt taint (checking at the HALT site).
-            let scfg = SurvConfig::surveillance(IndexSet::empty());
             for a in Grid::hypercube(2, -1..=1).iter_inputs() {
-                if let SurvOutcome::Violation { taint, site, .. } = run_surveillance(&fc, &a, &scfg)
+                if let SurvOutcome::Violation { taint, site, .. } =
+                    run_covered(&fc, &facts, &a, seed)
                 {
                     let covered = facts.halt_taint(site);
                     assert!(
@@ -1024,18 +979,16 @@ mod tests {
 
     #[test]
     fn refined_overapproximates_dynamic_surveillance() {
-        // The value-refined facts must *also* cover every dynamic run.
-        use enf_core::{Grid, InputDomain};
-        use enf_flowchart::generate::{random_flowchart, GenConfig};
-        use enf_surveillance::dynamic::{run_surveillance, SurvConfig, SurvOutcome};
+        // The value-refined facts must *also* cover every dynamic run, box
+        // by box.
         let cfg = GenConfig::default();
         for seed in 700..740 {
             let fc = random_flowchart(seed, &cfg);
             let values = crate::value::analyze_values(&fc);
             let facts = analyze_refined(&fc, &values);
-            let scfg = SurvConfig::surveillance(IndexSet::empty());
             for a in Grid::hypercube(2, -1..=1).iter_inputs() {
-                if let SurvOutcome::Violation { taint, site, .. } = run_surveillance(&fc, &a, &scfg)
+                if let SurvOutcome::Violation { taint, site, .. } =
+                    run_covered(&fc, &facts, &a, seed)
                 {
                     let covered = facts.halt_taint(site);
                     assert!(

@@ -35,7 +35,6 @@
 //! pass against a label policy at a clearance, rendering label names into
 //! every taint finding and its carrier chain.
 
-use crate::dataflow::TaintEnv;
 use crate::framework::{reverse_postorder, solve, DataflowProblem, Direction};
 use crate::schedule::{schedule_facts, ScheduleFacts};
 use crate::value::{analyze_values, AbsBool, ValueFacts};
@@ -46,6 +45,7 @@ use enf_flowchart::ast::Var;
 use enf_flowchart::graph::{Flowchart, Node, NodeId};
 use enf_flowchart::pretty::{declassify_to_string, expr_to_string, pred_to_string};
 use enf_surveillance::explain::FlowEvent;
+use enf_surveillance::TaintState;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -298,14 +298,14 @@ struct MustTaint<'a> {
 }
 
 impl DataflowProblem for MustTaint<'_> {
-    type Fact = Option<TaintEnv>;
+    type Fact = Option<TaintState>;
 
     fn bottom(&self, _fc: &Flowchart) -> Self::Fact {
         None
     }
 
     fn boundary(&self, fc: &Flowchart, n: NodeId) -> Option<Self::Fact> {
-        (n == fc.start()).then(|| Some(TaintEnv::init(fc.arity(), fc.max_reg())))
+        (n == fc.start()).then(|| Some(TaintState::init(fc.arity(), fc.max_reg())))
     }
 
     fn join(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool {

@@ -11,8 +11,8 @@
 //! set of inputs whose (possible) disagreement between the two runs may
 //! make the variable differ.
 //!
-//! The fact is the same [`TaintEnv`] powerset environment the may-taint
-//! analysis uses, but its reading is relational: `x ↦ {i}` means "the two
+//! The fact is the same [`TaintState`] the may-taint analysis and the
+//! dynamic monitor use, but its reading is relational: `x ↦ {i}` means "the two
 //! runs' values of `x` may differ, and only because input `i` differs".
 //! Seeding every input `i` with `{i}` and checking the halt fact against
 //! `J` at the end is exactly the relational statement — sources inside `J`
@@ -39,12 +39,12 @@
 //! is the invariant `certify(…, Analysis::Relational)` relies on and the
 //! differential proptests check against `check_soundness`.
 
-use crate::dataflow::TaintEnv;
 use crate::framework::{solve, DataflowProblem, Solution};
 use crate::value::{analyze_values, AbsBool, ValueEnv, ValueFacts};
 use enf_core::{IndexSet, V};
 use enf_flowchart::ast::{Expr, Pred, Var};
 use enf_flowchart::graph::{Flowchart, Node, NodeId};
+use enf_surveillance::TaintState;
 
 /// The relational abstract value of one expression: either a constant both
 /// runs provably compute, or the set of inputs whose disagreement may make
@@ -105,7 +105,7 @@ fn fold(e: &Expr, a: V, b: V) -> V {
 /// by `env` (disagreement sources per variable) and, when the node is
 /// value-reachable, `values` (the single-run interval facts — sound for
 /// *both* runs, so a pinned constant implies agreement).
-pub fn rel_eval(env: &TaintEnv, values: Option<&ValueEnv>, e: &Expr) -> RelVal {
+pub fn rel_eval(env: &TaintState, values: Option<&ValueEnv>, e: &Expr) -> RelVal {
     // Interval pinning first: a sub-expression the value analysis proves
     // constant evaluates to that constant in every run, hence in both.
     if let Some(venv) = values {
@@ -172,7 +172,7 @@ pub fn rel_eval(env: &TaintEnv, values: Option<&ValueEnv>, e: &Expr) -> RelVal {
 
 /// Relational transfer of a binary operator without algebraic shortcuts:
 /// fold two constants concretely, otherwise union the sources.
-fn binop(env: &TaintEnv, values: Option<&ValueEnv>, e: &Expr, a: &Expr, b: &Expr) -> RelVal {
+fn binop(env: &TaintState, values: Option<&ValueEnv>, e: &Expr, a: &Expr, b: &Expr) -> RelVal {
     let ra = rel_eval(env, values, a);
     let rb = rel_eval(env, values, b);
     combine(e, ra, rb)
@@ -191,7 +191,7 @@ fn combine(e: &Expr, ra: RelVal, rb: RelVal) -> RelVal {
 
 /// The disagreement sources of a predicate's truth value: empty means both
 /// runs provably take the same branch.
-pub fn pred_sources(env: &TaintEnv, values: Option<&ValueEnv>, p: &Pred) -> IndexSet {
+pub fn pred_sources(env: &TaintState, values: Option<&ValueEnv>, p: &Pred) -> IndexSet {
     if let Some(venv) = values {
         // A value-decided predicate has the same outcome in every run.
         if venv.eval_pred(p) != AbsBool::Maybe {
@@ -226,20 +226,20 @@ struct RelAgree<'a> {
 }
 
 impl DataflowProblem for RelAgree<'_> {
-    type Fact = TaintEnv;
+    type Fact = TaintState;
 
-    fn bottom(&self, fc: &Flowchart) -> TaintEnv {
-        TaintEnv::bottom(fc.arity(), fc.max_reg())
+    fn bottom(&self, fc: &Flowchart) -> TaintState {
+        TaintState::bottom(fc.arity(), fc.max_reg())
     }
 
-    fn boundary(&self, fc: &Flowchart, n: NodeId) -> Option<TaintEnv> {
+    fn boundary(&self, fc: &Flowchart, n: NodeId) -> Option<TaintState> {
         // Input i may disagree between the two runs iff i ∉ J; seeding
         // {i} everywhere and subtracting J at the halt check is the same
         // statement (sources only ever accumulate by union).
-        (n == fc.start()).then(|| TaintEnv::init(fc.arity(), fc.max_reg()))
+        (n == fc.start()).then(|| TaintState::init(fc.arity(), fc.max_reg()))
     }
 
-    fn join(&self, into: &mut TaintEnv, from: &TaintEnv) -> bool {
+    fn join(&self, into: &mut TaintState, from: &TaintState) -> bool {
         into.join_from(from)
     }
 
@@ -249,8 +249,8 @@ impl DataflowProblem for RelAgree<'_> {
         n: NodeId,
         edge: usize,
         _to: NodeId,
-        fact: &TaintEnv,
-    ) -> Option<TaintEnv> {
+        fact: &TaintState,
+    ) -> Option<TaintState> {
         if !self.values.edge_feasible(n, edge) {
             return None;
         }
@@ -288,7 +288,7 @@ impl DataflowProblem for RelAgree<'_> {
 pub struct RelFacts {
     /// Entry environment per node (index = node id); variables map to
     /// disagreement sources.
-    pub at_entry: Vec<TaintEnv>,
+    pub at_entry: Vec<TaintState>,
     /// Transfer applications performed before convergence.
     pub iterations: usize,
 }
@@ -311,7 +311,7 @@ pub fn analyze_relational(fc: &Flowchart) -> RelFacts {
 
 /// Runs the relational analysis against precomputed value facts.
 pub fn analyze_relational_with(fc: &Flowchart, values: &ValueFacts) -> RelFacts {
-    let sol: Solution<TaintEnv> = solve(fc, &RelAgree { values });
+    let sol: Solution<TaintState> = solve(fc, &RelAgree { values });
     RelFacts {
         at_entry: sol.facts,
         iterations: sol.iterations,

@@ -8,7 +8,7 @@
 //! schedule at once** by pairing the may-taint environment with the set of
 //! policy states that may be active at each program point:
 //!
-//! * the abstract state is `(TaintEnv, PolicySet)` — the may-taint problem
+//! * the abstract state is `(TaintState, PolicySet)` — the may-taint problem
 //!   of [`crate::dataflow`] (monotone `C̄`, refined by the value analysis
 //!   exactly as [`crate::dataflow::analyze_refined`]) seeded with an
 //!   initial policy, whose policy component is the set of `allow(J)`
@@ -29,11 +29,12 @@
 //! the bounded-schedule oracle [`enf_core::check_soundness_scheduled`],
 //! which quantifies over every slot binding.
 
-use crate::dataflow::{MayTaint, TaintEnv};
+use crate::dataflow::MayTaint;
 use crate::framework::solve;
 use crate::value::{analyze_values, ValueFacts};
 use enf_core::IndexSet;
 use enf_flowchart::graph::{Flowchart, NodeId};
+use enf_surveillance::TaintState;
 use std::fmt;
 
 /// The set of policy states that may be active at a program point.
@@ -142,7 +143,7 @@ impl fmt::Display for PolicySet {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SchedFact {
     /// The taint environment (monotone `C̄` discipline).
-    pub env: TaintEnv,
+    pub env: TaintState,
     /// The policy states that may be active on entry.
     pub policies: PolicySet,
 }

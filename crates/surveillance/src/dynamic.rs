@@ -22,7 +22,7 @@
 //! tainted with denied data is killed before it can branch.
 
 use crate::monitor::TaintMonitor;
-use enf_core::{IndexSet, Schedule, V};
+use enf_core::{IndexSet, V};
 use enf_flowchart::graph::{Flowchart, NodeId};
 use enf_flowchart::stepper::Stepper;
 
@@ -177,21 +177,6 @@ pub fn run_surveillance(fc: &Flowchart, inputs: &[V], cfg: &SurvConfig) -> SurvO
     Stepper::new(fc)
         .with_fuel(cfg.fuel)
         .run(inputs, &mut TaintMonitor::new(fc, *cfg))
-}
-
-/// Runs a flowchart under the surveillance discipline with an external
-/// policy schedule resolving `setpolicy p{i}` slot boxes. The schedule's
-/// initial policy replaces `cfg.allowed` as the starting active set.
-pub fn run_surveillance_scheduled(
-    fc: &Flowchart,
-    inputs: &[V],
-    cfg: &SurvConfig,
-    schedule: &Schedule,
-) -> SurvOutcome {
-    Stepper::new(fc).with_fuel(cfg.fuel).run(
-        inputs,
-        &mut TaintMonitor::new(fc, *cfg).with_schedule(schedule.clone()),
-    )
 }
 
 #[cfg(test)]

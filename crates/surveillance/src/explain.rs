@@ -7,11 +7,11 @@
 //! ambiguous notices ("this difficulty may make it particularly hard to
 //! find program bugs that cause violation notices").
 //!
-//! [`explain`] runs the program once under the paired taint-and-event
-//! monitors ([`crate::monitor::run_trace`]), keeps every taint-acquiring
-//! event, and reconstructs the *carrier chain*: the sequence of
-//! assignments and decisions through which each offending input index
-//! reached the final check.
+//! [`explain`] runs the program once under the event monitor and the
+//! mechanism it records ([`crate::monitor::run_trace`]), keeps every
+//! taint-acquiring event, and reconstructs the *carrier chain*: the
+//! sequence of assignments and decisions through which each offending
+//! input index reached the final check.
 
 use crate::dynamic::{SurvConfig, SurvOutcome};
 use crate::monitor::{run_trace, TraceEvent};
@@ -83,8 +83,8 @@ impl Explanation {
     }
 }
 
-/// Runs the program once under the paired taint-and-event monitors,
-/// keeping every taint change. The mechanism outcome matches
+/// Runs the program once under the event monitor and the mechanism it
+/// records, keeping every taint change. The mechanism outcome matches
 /// [`crate::dynamic::run_surveillance`] exactly; the explanation is the
 /// extra.
 pub fn explain(fc: &Flowchart, inputs: &[V], cfg: &SurvConfig) -> Explanation {

@@ -8,9 +8,9 @@
 //! while high-water mark does not."
 //!
 //! The dynamic engine's high-water mode lives in
-//! [`crate::dynamic::Style::Accumulate`] and the mechanism adapter in
-//! [`crate::mechanism::HighWater`]; this module provides the instrumented
-//! (flowchart-form) variant and the theorem-level comparisons.
+//! [`crate::dynamic::Style::Accumulate`] and its mechanism is
+//! [`crate::mechanism::Surveillance::highwater`]; this module provides the
+//! instrumented (flowchart-form) variant and the theorem-level comparisons.
 
 use crate::instrument::{instrument_with, Instrumented};
 use enf_core::IndexSet;
@@ -26,7 +26,7 @@ pub fn instrument_highwater(fc: &Flowchart, allowed: IndexSet) -> Instrumented {
 mod tests {
     use super::*;
     use crate::dynamic::{run_surveillance, SurvConfig, SurvOutcome};
-    use crate::mechanism::{HighWater, Surveillance};
+    use crate::mechanism::Surveillance;
     use enf_core::{compare, Grid, InputDomain, MechOutput, Mechanism, Notice, Policy as _};
     use enf_flowchart::corpus;
     use enf_flowchart::generate::{random_flowchart, GenConfig};
@@ -119,7 +119,7 @@ mod tests {
             for j in [IndexSet::empty(), IndexSet::single(1), IndexSet::single(2)] {
                 let p = FlowchartProgram::new(fc.clone());
                 let ms = Surveillance::new(p.clone(), j);
-                let mh = HighWater::new(p, j);
+                let mh = Surveillance::highwater(p, j);
                 let r = compare(&ms, &mh, &g);
                 assert!(
                     r.first_as_complete(),
@@ -138,7 +138,7 @@ mod tests {
             for allowed in [IndexSet::single(1), IndexSet::full(2)] {
                 let p = FlowchartProgram::new(fc.clone());
                 let policy = enf_core::Allow::from_set(2, allowed);
-                let mh = HighWater::new(p, allowed);
+                let mh = Surveillance::highwater(p, allowed);
                 assert!(
                     enf_core::check_soundness(&mh, &policy, &g, false).is_sound(),
                     "high-water unsound on seed {seed} with J = {allowed}"

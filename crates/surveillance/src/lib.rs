@@ -19,7 +19,8 @@
 //!
 //! * [`highwater`] — the high-water-mark baseline `M_h` (no forgetting:
 //!   assignment accumulates instead of replacing), which Section 4 proves
-//!   strictly less complete than surveillance;
+//!   strictly less complete than surveillance (as a mechanism,
+//!   [`Surveillance::highwater`]);
 //! * [`timed`] — the Theorem 3′ mechanism `M′` that checks `C̄ ⊆ J` at
 //!   every decision box and aborts immediately, remaining sound even when
 //!   running time is observable;
@@ -28,6 +29,8 @@
 //!   the failed check;
 //! * [`mls`] — multi-level-security labels (Denning's lattice model, the
 //!   paper's reference \[2\]) compiled down to `allow(J)` per clearance;
+//! * [`state`] — the surveillance variables and the one per-box rule,
+//!   which the monitors below and every static taint analysis apply;
 //! * [`monitor`] — the disciplines above as pluggable observers on the
 //!   shared `enf_flowchart` stepper, plus the structured per-step
 //!   [`monitor::TraceEvent`] stream behind `explain` and `enforce trace`;
@@ -53,7 +56,7 @@ pub mod vm;
 pub use dynamic::{run_surveillance, CheckAt, Style, SurvConfig, SurvOutcome};
 pub use explain::{explain, Explanation, FlowEvent};
 pub use instrument::{instrument, Instrumented};
-pub use mechanism::{HighWater, Surveillance};
+pub use mechanism::Surveillance;
 pub use monitor::{run_trace, EventMonitor, TaintMonitor, TraceEvent, TraceKind};
 pub use state::TaintState;
 pub use timed::TimedMechanism;

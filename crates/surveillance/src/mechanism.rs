@@ -1,13 +1,13 @@
-//! `enf_core::Mechanism` adapters for the dynamic disciplines.
+//! The `enf_core::Mechanism` adapter for the dynamic disciplines.
 //!
-//! [`Surveillance`] is the paper's M (or M′ with `timed`), [`HighWater`]
-//! the baseline M_h. Both protect a [`FlowchartProgram`] whose output range
+//! [`Surveillance`] is the paper's M, M′ with `timed`, or the baseline M_h
+//! with `highwater`. It protects a [`FlowchartProgram`] whose output range
 //! is [`ExecValue`] (value or totalized divergence); a run of the mechanism
 //! that itself diverges mirrors the program and returns
 //! `Value(ExecValue::Diverged)`.
 
 use crate::dynamic::{run_surveillance, SurvConfig, SurvOutcome};
-use enf_core::{IndexSet, MechOutput, Mechanism, Notice, V};
+use enf_core::{IndexSet, MechOutput, Mechanism, Notice, Program as _, V};
 use enf_flowchart::interp::ExecValue;
 use enf_flowchart::program::FlowchartProgram;
 
@@ -19,7 +19,8 @@ pub(crate) fn to_mech_output(out: SurvOutcome) -> MechOutput<ExecValue> {
     }
 }
 
-/// The surveillance protection mechanism for a flowchart and `allow(J)`.
+/// The surveillance protection mechanism for a flowchart and `allow(J)`,
+/// under any of the disciplines of [`SurvConfig`].
 #[derive(Clone, Debug)]
 pub struct Surveillance {
     program: FlowchartProgram,
@@ -38,6 +39,18 @@ impl Surveillance {
     /// even when running time is observable.
     pub fn timed(program: FlowchartProgram, allowed: IndexSet) -> Self {
         let cfg = SurvConfig::timed(allowed).with_fuel(program.fuel());
+        Surveillance { program, cfg }
+    }
+
+    /// The high-water-mark M_h: like surveillance, but taints never
+    /// shrink.
+    pub fn highwater(program: FlowchartProgram, allowed: IndexSet) -> Self {
+        let cfg = SurvConfig::highwater(allowed).with_fuel(program.fuel());
+        Surveillance { program, cfg }
+    }
+
+    /// The mechanism for `program` under `cfg`, whose fuel bound it keeps.
+    pub fn from_config(program: FlowchartProgram, cfg: SurvConfig) -> Self {
         Surveillance { program, cfg }
     }
 
@@ -67,40 +80,6 @@ impl Mechanism for Surveillance {
 
     fn run(&self, input: &[V]) -> MechOutput<ExecValue> {
         to_mech_output(self.run_detailed(input))
-    }
-}
-
-use enf_core::Program as _;
-
-/// The high-water-mark mechanism M_h for a flowchart and `allow(J)`.
-#[derive(Clone, Debug)]
-pub struct HighWater {
-    program: FlowchartProgram,
-    cfg: SurvConfig,
-}
-
-impl HighWater {
-    /// Builds M_h: like surveillance but taints never shrink.
-    pub fn new(program: FlowchartProgram, allowed: IndexSet) -> Self {
-        let cfg = SurvConfig::highwater(allowed).with_fuel(program.fuel());
-        HighWater { program, cfg }
-    }
-
-    /// The protected program.
-    pub fn program(&self) -> &FlowchartProgram {
-        &self.program
-    }
-}
-
-impl Mechanism for HighWater {
-    type Out = ExecValue;
-
-    fn arity(&self) -> usize {
-        self.program.arity()
-    }
-
-    fn run(&self, input: &[V]) -> MechOutput<ExecValue> {
-        to_mech_output(run_surveillance(self.program.flowchart(), input, &self.cfg))
     }
 }
 
@@ -158,7 +137,7 @@ mod tests {
                 continue;
             }
             let p = FlowchartProgram::new(pp.flowchart.clone());
-            let m = HighWater::new(p, pp.policy.allowed());
+            let m = Surveillance::highwater(p, pp.policy.allowed());
             let g = Grid::hypercube(pp.policy.arity(), 0..=4);
             assert!(
                 check_soundness(&m, &pp.policy, &g, false).is_sound(),
@@ -174,7 +153,7 @@ mod tests {
         let p = FlowchartProgram::new(pp.flowchart);
         let j = pp.policy.allowed();
         let ms = Surveillance::new(p.clone(), j);
-        let mh = HighWater::new(p, j);
+        let mh = Surveillance::highwater(p, j);
         let g = Grid::hypercube(2, -3..=3);
         let r = compare(&ms, &mh, &g);
         assert_eq!(r.ordering, MechOrdering::FirstMore);
@@ -191,7 +170,7 @@ mod tests {
             let p = FlowchartProgram::new(pp.flowchart.clone());
             let j = pp.policy.allowed();
             let ms = Surveillance::new(p.clone(), j);
-            let mh = HighWater::new(p, j);
+            let mh = Surveillance::highwater(p, j);
             let g = Grid::hypercube(pp.policy.arity(), 0..=4);
             let r = compare(&ms, &mh, &g);
             assert!(r.first_as_complete(), "M_s < M_h on {}", pp.name);

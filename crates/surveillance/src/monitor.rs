@@ -1,27 +1,28 @@
 //! The surveillance disciplines as [`Monitor`]s on the shared stepper.
 //!
 //! [`TaintMonitor`] is the paper's transformation (1)–(4) expressed as an
-//! observer: it keeps the surveillance variables, vetoes disallowed tests
-//! at decision boxes (`CheckAt::EveryDecision`, Theorem 3′) and makes the
-//! release decision at HALT (`ȳ ∪ C̄ ⊆ J`, Theorem 3). One implementation
-//! covers all four `Style` × `CheckAt` configurations.
+//! observer: its hooks apply the per-box rule of [`TaintState`], veto
+//! disallowed tests at decision boxes (`CheckAt::EveryDecision`, Theorem
+//! 3′) and make the release decision at HALT (`ȳ ∪ C̄ ⊆ J`, Theorem 3).
+//! One implementation covers all four `Style` × `CheckAt` configurations.
 //!
-//! [`EventMonitor`] is the observability half: it emits one structured
-//! [`TraceEvent`] per executed box — taint deltas, the PC taint, the
-//! branch taken — serializable to JSONL. Paired with the taint monitor
-//! ([`run_trace`]) it yields the mechanism verdict *and* the full account
-//! of how every taint got where it is, in a single pass; `explain`, the
-//! CLI `trace` subcommand and `dot --taint` all draw from this one stream.
+//! [`EventMonitor`] is the observability half: it wraps the `TaintMonitor`
+//! it records and emits one structured [`TraceEvent`] per executed box —
+//! taint deltas, the PC taint, the branch taken — serializable to JSONL,
+//! every value read off the mechanism's own state. [`run_trace`] yields
+//! the mechanism verdict *and* the full account of how every taint got
+//! where it is, in a single pass; `explain`, the CLI `trace` subcommand and
+//! `dot --taint` all draw from this one stream.
 
-use crate::dynamic::{CheckAt, Style, SurvConfig, SurvOutcome};
+use crate::dynamic::{CheckAt, SurvConfig, SurvOutcome};
 use crate::explain::FlowEvent;
 use crate::state::TaintState;
-use enf_core::{IndexSet, Schedule, V};
+use enf_core::{IndexSet, V};
 use enf_flowchart::ast::{Expr, Pred, Var};
 use enf_flowchart::graph::{Flowchart, Node, NodeId, PolicySpec};
 use enf_flowchart::interp::Store;
 use enf_flowchart::pretty::{declassify_to_string, expr_to_string, pred_to_string};
-use enf_flowchart::stepper::{Monitor, Pair, Stepper};
+use enf_flowchart::stepper::{Monitor, Stepper};
 
 /// The surveillance mechanism as a pluggable monitor.
 ///
@@ -30,16 +31,14 @@ use enf_flowchart::stepper::{Monitor, Pair, Stepper};
 ///
 /// The *active* allowed set starts at `cfg.allowed` and is replaced by
 /// every `setpolicy` box the run traverses: concrete boxes carry their own
-/// set, slot boxes resolve against the governing [`Schedule`] (attach one
-/// with [`TaintMonitor::with_schedule`]; without one, slots read as
-/// `allow()`, the most restrictive choice). `declassify(v: A ~> B)` boxes
-/// relabel `v̄ ← (v̄ \ A) ∪ B` — the store is untouched.
+/// set, and slot boxes read as `allow()`, the most restrictive choice.
+/// `declassify(v: A ~> B)` boxes relabel `v̄ ← (v̄ \ A) ∪ B` — the store is
+/// untouched.
 #[derive(Clone, Debug)]
 pub struct TaintMonitor {
     cfg: SurvConfig,
     taints: TaintState,
     active: IndexSet,
-    schedule: Option<Schedule>,
 }
 
 impl TaintMonitor {
@@ -50,18 +49,7 @@ impl TaintMonitor {
             cfg,
             taints: TaintState::init(fc.arity(), fc.max_reg()),
             active: cfg.allowed,
-            schedule: None,
         }
-    }
-
-    /// Attaches the schedule that resolves `setpolicy p{i}` slot boxes.
-    /// The schedule's initial policy replaces `cfg.allowed` as the
-    /// starting active set.
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.active = schedule.initial;
-        self.schedule = Some(schedule);
-        self
     }
 
     /// The current taint state (e.g. for rendering).
@@ -80,13 +68,7 @@ impl Monitor for TaintMonitor {
     type Outcome = SurvOutcome;
 
     fn on_assign(&mut self, _step: u64, _at: NodeId, var: Var, expr: &Expr, _store: &Store) {
-        // Transformation (2): v̄ ← w̄1 ∪ … ∪ w̄s ∪ C̄ (∪ v̄ for the
-        // high-water discipline).
-        let mut t = self.taints.expr_taint(expr).union(&self.taints.pc);
-        if self.cfg.style == Style::Accumulate {
-            t.union_with(&self.taints.get(var));
-        }
-        self.taints.set(var, t);
+        self.taints.assign(var, expr, self.cfg.style, None);
     }
 
     fn on_decision(
@@ -96,9 +78,7 @@ impl Monitor for TaintMonitor {
         pred: &Pred,
         _store: &Store,
     ) -> Option<Self::Outcome> {
-        // Transformation (3): C̄ ← C̄ ∪ w̄1 ∪ … ∪ w̄s.
-        let t = self.taints.pred_taint(pred);
-        self.taints.pc.union_with(&t);
+        self.taints.decide(pred);
         if self.cfg.check == CheckAt::EveryDecision && !self.taints.pc.is_subset(&self.active) {
             // Theorem 3′: abort before the disallowed test is taken.
             return Some(SurvOutcome::Violation {
@@ -113,11 +93,7 @@ impl Monitor for TaintMonitor {
     fn on_setpolicy(&mut self, _step: u64, _at: NodeId, spec: PolicySpec, _store: &Store) {
         self.active = match spec {
             PolicySpec::Concrete(s) => s,
-            PolicySpec::Slot(i) => self
-                .schedule
-                .as_ref()
-                .map(|s| s.slot(i))
-                .unwrap_or(IndexSet::EMPTY),
+            PolicySpec::Slot(_) => IndexSet::EMPTY,
         };
     }
 
@@ -130,8 +106,7 @@ impl Monitor for TaintMonitor {
         to: IndexSet,
         _store: &Store,
     ) {
-        let t = self.taints.get(var);
-        self.taints.set(var, t.difference(&from).union(&to));
+        self.taints.declassify(var, from, to, true);
     }
 
     fn on_halt(&mut self, step: u64, at: NodeId, store: &Store) -> Self::Outcome {
@@ -184,8 +159,8 @@ pub enum TraceKind {
         after: IndexSet,
     },
     /// A `setpolicy` box. `active` is the allowed set after the change —
-    /// `None` for a slot box, whose binding the event stream (a pure
-    /// observer with no schedule) cannot know.
+    /// `None` for a slot box, whose binding is not in the program text
+    /// (the mechanism reads it as `allow()`).
     SetPolicy {
         /// The new active allowed set, if statically known.
         active: Option<IndexSet>,
@@ -313,63 +288,60 @@ fn json_set(set: &IndexSet) -> String {
     format!("[{}]", items.join(", "))
 }
 
-/// Emits one [`TraceEvent`] per executed box.
+/// Emits one [`TraceEvent`] per executed box of the mechanism it records.
 ///
-/// The monitor keeps its own [`TaintState`] — it is a pure observer and
-/// composes under [`Pair`] with any co-monitor without sharing state. Its
-/// taint discipline must match the co-running mechanism's [`Style`] for
-/// the deltas to agree with the verdict.
+/// The monitor wraps a [`TaintMonitor`], forwards every hook to it, and
+/// reads each event's taints off that monitor's state: it keeps no taint
+/// state and applies no rule of its own, so the stream cannot disagree
+/// with the verdict. Its outcome is the verdict paired with the events.
 #[derive(Clone, Debug)]
 pub struct EventMonitor {
-    style: Style,
-    taints: TaintState,
+    mechanism: TaintMonitor,
     events: Vec<TraceEvent>,
 }
 
 impl EventMonitor {
-    /// An event monitor for `fc` under the given assignment discipline.
-    pub fn new(fc: &Flowchart, style: Style) -> Self {
+    /// Records the run of `mechanism`.
+    pub fn new(mechanism: TaintMonitor) -> Self {
         EventMonitor {
-            style,
-            taints: TaintState::init(fc.arity(), fc.max_reg()),
+            mechanism,
             events: Vec::new(),
         }
+    }
+
+    /// Appends the event of one box, with the mechanism's `C̄` after it.
+    fn push(&mut self, step: u64, node: NodeId, what: String, kind: TraceKind) {
+        self.events.push(TraceEvent {
+            step,
+            node,
+            what,
+            pc: self.mechanism.taints.pc,
+            kind,
+        });
+    }
+
+    /// Ends the run: the mechanism's verdict and the events so far.
+    fn finish(&mut self, verdict: SurvOutcome) -> (SurvOutcome, Vec<TraceEvent>) {
+        (verdict, std::mem::take(&mut self.events))
     }
 }
 
 impl Monitor for EventMonitor {
-    type Outcome = Vec<TraceEvent>;
+    type Outcome = (SurvOutcome, Vec<TraceEvent>);
 
     fn on_step(&mut self, step: u64, at: NodeId, node: &Node) {
+        self.mechanism.on_step(step, at, node);
         if matches!(node, Node::Start) {
-            self.events.push(TraceEvent {
-                step,
-                node: at,
-                what: "START".to_string(),
-                pc: self.taints.pc,
-                kind: TraceKind::Start,
-            });
+            self.push(step, at, "START".to_string(), TraceKind::Start);
         }
     }
 
-    fn on_assign(&mut self, step: u64, at: NodeId, var: Var, expr: &Expr, _store: &Store) {
-        let before = self.taints.get(var);
-        let mut t = self.taints.expr_taint(expr).union(&self.taints.pc);
-        if self.style == Style::Accumulate {
-            t.union_with(&before);
-        }
-        self.taints.set(var, t);
-        self.events.push(TraceEvent {
-            step,
-            node: at,
-            what: format!("{var} := {}", expr_to_string(expr)),
-            pc: self.taints.pc,
-            kind: TraceKind::Assign {
-                var,
-                before,
-                after: t,
-            },
-        });
+    fn on_assign(&mut self, step: u64, at: NodeId, var: Var, expr: &Expr, store: &Store) {
+        let before = self.mechanism.taints.get(var);
+        self.mechanism.on_assign(step, at, var, expr, store);
+        let after = self.mechanism.taints.get(var);
+        let what = format!("{var} := {}", expr_to_string(expr));
+        self.push(step, at, what, TraceKind::Assign { var, before, after });
     }
 
     fn on_decision(
@@ -377,28 +349,25 @@ impl Monitor for EventMonitor {
         step: u64,
         at: NodeId,
         pred: &Pred,
-        _store: &Store,
+        store: &Store,
     ) -> Option<Self::Outcome> {
-        let before = self.taints.pc;
-        let t = self.taints.pred_taint(pred);
-        self.taints.pc.union_with(&t);
-        // `taken` is unknown yet: a co-monitor may veto this very box, in
-        // which case the branch is never taken and the event keeps `None`.
-        self.events.push(TraceEvent {
-            step,
-            node: at,
-            what: format!("branch on {}", pred_to_string(pred)),
-            pc: self.taints.pc,
-            kind: TraceKind::Branch {
-                taken: None,
-                before,
-                after: self.taints.pc,
-            },
-        });
-        None
+        let before = self.mechanism.taints.pc;
+        let veto = self.mechanism.on_decision(step, at, pred, store);
+        let after = self.mechanism.taints.pc;
+        // `on_branch` fills in `taken`; a vetoed box is never taken, and
+        // its event keeps `None`.
+        let what = format!("branch on {}", pred_to_string(pred));
+        let kind = TraceKind::Branch {
+            taken: None,
+            before,
+            after,
+        };
+        self.push(step, at, what, kind);
+        veto.map(|verdict| self.finish(verdict))
     }
 
-    fn on_branch(&mut self, _step: u64, _at: NodeId, _pred: &Pred, taken: bool) {
+    fn on_branch(&mut self, step: u64, at: NodeId, pred: &Pred, taken: bool) {
+        self.mechanism.on_branch(step, at, pred, taken);
         if let Some(TraceEvent {
             kind: TraceKind::Branch { taken: slot, .. },
             ..
@@ -408,19 +377,11 @@ impl Monitor for EventMonitor {
         }
     }
 
-    fn on_setpolicy(&mut self, step: u64, at: NodeId, spec: PolicySpec, _store: &Store) {
-        self.events.push(TraceEvent {
-            step,
-            node: at,
-            what: format!("setpolicy {spec}"),
-            pc: self.taints.pc,
-            kind: TraceKind::SetPolicy {
-                active: match spec {
-                    PolicySpec::Concrete(s) => Some(s),
-                    PolicySpec::Slot(_) => None,
-                },
-            },
-        });
+    fn on_setpolicy(&mut self, step: u64, at: NodeId, spec: PolicySpec, store: &Store) {
+        self.mechanism.on_setpolicy(step, at, spec, store);
+        let active = matches!(spec, PolicySpec::Concrete(_)).then(|| self.mechanism.active());
+        let kind = TraceKind::SetPolicy { active };
+        self.push(step, at, format!("setpolicy {spec}"), kind);
     }
 
     fn on_declassify(
@@ -430,35 +391,25 @@ impl Monitor for EventMonitor {
         var: Var,
         from: IndexSet,
         to: IndexSet,
-        _store: &Store,
+        store: &Store,
     ) {
-        let before = self.taints.get(var);
-        let after = before.difference(&from).union(&to);
-        self.taints.set(var, after);
-        self.events.push(TraceEvent {
-            step,
-            node: at,
-            what: declassify_to_string(var, &from, &to),
-            pc: self.taints.pc,
-            kind: TraceKind::Declassify { var, before, after },
-        });
+        let before = self.mechanism.taints.get(var);
+        self.mechanism.on_declassify(step, at, var, from, to, store);
+        let after = self.mechanism.taints.get(var);
+        let what = declassify_to_string(var, &from, &to);
+        self.push(step, at, what, TraceKind::Declassify { var, before, after });
     }
 
-    fn on_halt(&mut self, step: u64, at: NodeId, _store: &Store) -> Self::Outcome {
-        self.events.push(TraceEvent {
-            step,
-            node: at,
-            what: "HALT".to_string(),
-            pc: self.taints.pc,
-            kind: TraceKind::Halt {
-                released: self.taints.halt_taint(),
-            },
-        });
-        std::mem::take(&mut self.events)
+    fn on_halt(&mut self, step: u64, at: NodeId, store: &Store) -> Self::Outcome {
+        let verdict = self.mechanism.on_halt(step, at, store);
+        let released = self.mechanism.taints.halt_taint();
+        self.push(step, at, "HALT".to_string(), TraceKind::Halt { released });
+        self.finish(verdict)
     }
 
-    fn on_fuel(&mut self, _steps: u64) -> Self::Outcome {
-        std::mem::take(&mut self.events)
+    fn on_fuel(&mut self, steps: u64) -> Self::Outcome {
+        let verdict = self.mechanism.on_fuel(steps);
+        self.finish(verdict)
     }
 }
 
@@ -481,13 +432,9 @@ impl Monitor for EventMonitor {
 /// assert_eq!(events.len(), 3);
 /// ```
 pub fn run_trace(fc: &Flowchart, inputs: &[V], cfg: &SurvConfig) -> (SurvOutcome, Vec<TraceEvent>) {
-    Stepper::new(fc).with_fuel(cfg.fuel).run(
-        inputs,
-        &mut Pair(
-            TaintMonitor::new(fc, *cfg),
-            EventMonitor::new(fc, cfg.style),
-        ),
-    )
+    Stepper::new(fc)
+        .with_fuel(cfg.fuel)
+        .run(inputs, &mut EventMonitor::new(TaintMonitor::new(fc, *cfg)))
 }
 
 #[cfg(test)]

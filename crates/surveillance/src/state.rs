@@ -1,10 +1,22 @@
 //! Taint state: one surveillance variable per program variable plus the
-//! program counter's `C̄`.
+//! program counter's `C̄`, and the one per-box surveillance rule on it.
+//!
+//! The rule is written once, here: an assignment sets `v̄ ← w̄ ∪ C̄`
+//! ([`TaintState::assign`]), a decision sets `C̄ ← C̄ ∪ p̄`
+//! ([`TaintState::decide`]), and a `declassify(v: A ~> B)` box relabels
+//! `v̄ ← (v̄ \ A) ∪ B` ([`TaintState::declassify`]). The dynamic
+//! [`TaintMonitor`](crate::monitor::TaintMonitor) applies it to one run;
+//! every static taint analysis in `enf_static` applies it per box through
+//! [`TaintState::transfer`] and joins (or meets) the states of all paths,
+//! which is why a certified program never violates at run time.
 
+use crate::dynamic::Style;
 use enf_core::IndexSet;
 use enf_flowchart::ast::{Expr, Pred, Var};
+use enf_flowchart::graph::Node;
 
 /// The surveillance variables of a run: `x̄1 … x̄k`, `r̄1 … r̄m`, `ȳ`, `C̄`.
+/// As a static fact it is ordered pointwise by `⊆`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaintState {
     inputs: Vec<IndexSet>,
@@ -20,6 +32,14 @@ impl TaintState {
     pub fn init(arity: usize, regs: usize) -> Self {
         TaintState {
             inputs: (1..=arity).map(IndexSet::single).collect(),
+            ..TaintState::bottom(0, regs)
+        }
+    }
+
+    /// The static analyses' ⊥: every surveillance variable empty.
+    pub fn bottom(arity: usize, regs: usize) -> Self {
+        TaintState {
+            inputs: vec![IndexSet::empty(); arity],
             regs: vec![IndexSet::empty(); regs],
             out: IndexSet::empty(),
             pc: IndexSet::empty(),
@@ -27,6 +47,7 @@ impl TaintState {
     }
 
     /// The surveillance variable of `var`.
+    #[inline]
     pub fn get(&self, var: Var) -> IndexSet {
         match var {
             Var::Input(i) => self.inputs[i - 1],
@@ -36,6 +57,7 @@ impl TaintState {
     }
 
     /// Overwrites the surveillance variable of `var`.
+    #[inline]
     pub fn set(&mut self, var: Var, taint: IndexSet) {
         match var {
             Var::Input(i) => self.inputs[i - 1] = taint,
@@ -52,6 +74,7 @@ impl TaintState {
     /// The taint of an expression: the union of the surveillance variables
     /// of every variable occurring in it (including variables inside `ite`
     /// predicates — data-flow selection carries the selector's taint).
+    #[inline]
     pub fn expr_taint(&self, e: &Expr) -> IndexSet {
         let mut t = IndexSet::empty();
         e.for_each_var(&mut |v| t.union_with(&self.get(v)));
@@ -59,6 +82,7 @@ impl TaintState {
     }
 
     /// The taint of a predicate's variables.
+    #[inline]
     pub fn pred_taint(&self, p: &Pred) -> IndexSet {
         let mut t = IndexSet::empty();
         p.for_each_var(&mut |v| t.union_with(&self.get(v)));
@@ -68,6 +92,101 @@ impl TaintState {
     /// The HALT-time release check set `ȳ ∪ C̄`.
     pub fn halt_taint(&self) -> IndexSet {
         self.out.union(&self.pc)
+    }
+
+    /// Pointwise union with `other` (the may-taint join), returning
+    /// whether `self` grew. A register only `other` holds joins in too.
+    #[inline]
+    pub fn join_from(&mut self, other: &TaintState) -> bool {
+        let mut changed = false;
+        if other.regs.len() > self.regs.len() {
+            self.regs.resize(other.regs.len(), IndexSet::empty());
+            changed = true;
+        }
+        let mut up = |a: &mut IndexSet, b: &IndexSet| {
+            let u = a.union(b);
+            changed |= u != *a;
+            *a = u;
+        };
+        for (a, b) in self.inputs.iter_mut().zip(&other.inputs) {
+            up(a, b);
+        }
+        for (a, b) in self.regs.iter_mut().zip(&other.regs) {
+            up(a, b);
+        }
+        up(&mut self.out, &other.out);
+        up(&mut self.pc, &other.pc);
+        changed
+    }
+
+    /// Pointwise intersection with `other` (the must-taint meet), returning
+    /// whether `self` shrank. A register absent on either side counts as
+    /// untainted.
+    #[inline]
+    pub fn meet_from(&mut self, other: &TaintState) -> bool {
+        let mut changed = false;
+        let mut down = |a: &mut IndexSet, b: &IndexSet| {
+            let i = a.intersection(b);
+            changed |= i != *a;
+            *a = i;
+        };
+        for (a, b) in self.inputs.iter_mut().zip(&other.inputs) {
+            down(a, b);
+        }
+        for (j, a) in self.regs.iter_mut().enumerate() {
+            down(a, &other.regs.get(j).copied().unwrap_or_default());
+        }
+        down(&mut self.out, &other.out);
+        down(&mut self.pc, &other.pc);
+        changed
+    }
+
+    /// Transformation (2) at `var := expr`: `v̄ ← w̄1 ∪ … ∪ w̄s ∪ C̄`, and
+    /// `∪ v̄` as well under [`Style::Accumulate`]. `region_pc`, the box's
+    /// control-dependence PC under the static Scoped discipline, stands in
+    /// for `C̄` when given.
+    #[inline]
+    pub fn assign(&mut self, var: Var, expr: &Expr, style: Style, region_pc: Option<IndexSet>) {
+        let mut t = self.expr_taint(expr).union(&region_pc.unwrap_or(self.pc));
+        if style == Style::Accumulate {
+            t.union_with(&self.get(var));
+        }
+        self.set(var, t);
+    }
+
+    /// Transformation (3) at a decision on `pred`: `C̄ ← C̄ ∪ w̄1 ∪ … ∪ w̄s`.
+    #[inline]
+    pub fn decide(&mut self, pred: &Pred) {
+        let t = self.pred_taint(pred);
+        self.pc.union_with(&t);
+    }
+
+    /// A `declassify(var: from ~> to)` box: relabels `v̄ ← (v̄ \ A) ∪ B`
+    /// when `sanctioned`, and otherwise only accumulates `v̄ ← v̄ ∪ B` (an
+    /// unsanctioned box launders nothing).
+    #[inline]
+    pub fn declassify(&mut self, var: Var, from: IndexSet, to: IndexSet, sanctioned: bool) {
+        let t = self.get(var);
+        let kept = if sanctioned { t.difference(&from) } else { t };
+        self.set(var, kept.union(&to));
+    }
+
+    /// The rule for one box as the static analyses apply it, under the
+    /// replacing assignment style. `region_pc` is the box's region PC
+    /// under the Scoped discipline: assignments read it in place of `C̄`,
+    /// and decisions leave `C̄` alone. Policy boxes move no data.
+    #[inline]
+    pub fn transfer(&mut self, node: &Node, region_pc: Option<IndexSet>, sanctioned: bool) {
+        match node {
+            Node::Start | Node::Halt | Node::SetPolicy { .. } => {}
+            Node::Assign { var, expr } => self.assign(*var, expr, Style::Replace, region_pc),
+            Node::Decision { pred } => {
+                if region_pc.is_none() {
+                    self.decide(pred);
+                }
+            }
+            Node::Declassify { var, from, to } => self.declassify(*var, *from, *to, sanctioned),
+        }
     }
 }
 

@@ -29,19 +29,21 @@ pub struct TimedMechanism {
 impl TimedMechanism {
     /// Theorem 3′'s M′ (per-decision checks) as a timed observable.
     pub fn new(fc: Flowchart, allowed: IndexSet) -> Self {
-        TimedMechanism {
-            fc: Arc::new(fc),
-            cfg: SurvConfig::timed(allowed),
-        }
+        TimedMechanism::from_config(fc, SurvConfig::timed(allowed))
     }
 
     /// Theorem 3's M (HALT-only check) as a timed observable — the thing
     /// Theorem 3 does *not* claim is sound; provided for the contrast
     /// experiments.
     pub fn halt_checked(fc: Flowchart, allowed: IndexSet) -> Self {
+        TimedMechanism::from_config(fc, SurvConfig::surveillance(allowed))
+    }
+
+    /// `fc` under any discipline `cfg`, whose fuel bound it keeps.
+    pub fn from_config(fc: Flowchart, cfg: SurvConfig) -> Self {
         TimedMechanism {
             fc: Arc::new(fc),
-            cfg: SurvConfig::surveillance(allowed),
+            cfg,
         }
     }
 

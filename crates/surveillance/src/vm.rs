@@ -433,22 +433,16 @@ fn run_lanes<const L: usize>(
 }
 
 /// [`run_trace`](crate::monitor::run_trace) on the VM: the compiled
-/// program drives the unchanged taint-and-event monitor pair, so verdict
-/// and event stream match the AST engine exactly.
+/// program drives the unchanged event monitor and the mechanism it wraps,
+/// so verdict and event stream match the AST engine exactly.
 pub fn run_trace_vm(
     compiled: &Compiled,
     inputs: &[V],
     cfg: &SurvConfig,
 ) -> (SurvOutcome, Vec<TraceEvent>) {
     let fc = compiled.flowchart();
-    compiled.run_monitored(
-        inputs,
-        cfg.fuel,
-        &mut enf_flowchart::stepper::Pair(
-            TaintMonitor::new(fc, *cfg),
-            EventMonitor::new(fc, cfg.style),
-        ),
-    )
+    let mut monitor = EventMonitor::new(TaintMonitor::new(fc, *cfg));
+    compiled.run_monitored(inputs, cfg.fuel, &mut monitor)
 }
 
 /// [`explain`](crate::explain::explain) on the VM: same outcome, same
@@ -468,9 +462,8 @@ pub fn explain_vm(compiled: &Compiled, inputs: &[V], cfg: &SurvConfig) -> Explan
 }
 
 /// The surveillance mechanism running on the bytecode VM: a drop-in
-/// replacement for [`Surveillance`](crate::mechanism::Surveillance) /
-/// [`HighWater`](crate::mechanism::HighWater) that compiles the program
-/// once and sweeps compiled.
+/// replacement for [`Surveillance`](crate::mechanism::Surveillance) that
+/// compiles the program once and sweeps compiled.
 #[derive(Clone, Debug)]
 pub struct VmSurveillance {
     compiled: Arc<Compiled>,

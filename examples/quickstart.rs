@@ -48,7 +48,7 @@ fn main() {
 
     // Compare against the high-water-mark baseline (no forgetting):
     // strictly less complete, exactly as Section 4 argues.
-    let hw = HighWater::new(program, policy.allowed());
+    let hw = Surveillance::highwater(program, policy.allowed());
     let cmp = compare(&mech, &hw, &grid);
     println!(
         "surveillance accepts {}/{} inputs, high-water {}/{} — ordering {:?}",

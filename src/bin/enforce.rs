@@ -157,7 +157,10 @@ fn usage() -> &'static str {
      check --schedules K runs the scheduled oracle instead of the fixed\n\
      sweep: soundness is checked under every bounded policy schedule (at\n\
      most K of the canonical enumeration); a failing schedule is reported\n\
-     with its replay-validated witness pair.\n\
+     with its replay-validated witness pair. There --deadline, --budget\n\
+     (max schedules) and SIGINT are read between schedules, the deadline\n\
+     once every 256: one schedule's input sweep is never cut, and a cut\n\
+     sweep prints the schedules it checked and exits 1.\n\
      refute runs the relational certifier and, on rejection, sweeps\n\
      [-S, S]^k (--span S, default 3) once for the least pair of J-agreeing\n\
      inputs with different released outcomes; the witness is the same\n\
@@ -171,6 +174,7 @@ fn usage() -> &'static str {
      trace and check run on the register-bytecode VM by default\n\
      (--engine vm); --engine ast selects the flowchart stepper. The two\n\
      engines are bit-identical: same events, verdicts and witnesses.\n\
+     check --timed always runs the stepper and refuses --engine.\n\
      compile prints the lowered program's summary line; --dump prints the\n\
      full instruction listing.\n\
      serve runs the multi-tenant enforcement service in the foreground\n\
@@ -556,7 +560,7 @@ fn run_cli(argv: Vec<String>) -> Result<(String, u8), CliError> {
                     .map_err(CliError::from)?
                     .with_fuel(fuel);
                 match enforcer
-                    .sweep_scheduled(span, &eval, Some(cap), &mut log)
+                    .sweep_scheduled(span, &eval, Some(cap), &ctl, &mut log)
                     .map_err(CliError::from)?
                 {
                     ScheduledOutcome::Sound { schedules, inputs } => {
@@ -585,6 +589,14 @@ fn run_cli(argv: Vec<String>) -> Result<(String, u8), CliError> {
                         );
                         code = EXIT_VIOLATION;
                     }
+                    ScheduledOutcome::Unknown { checked, total } => {
+                        let _ = writeln!(
+                            out,
+                            "unknown: {checked} of {total} schedules checked before the sweep \
+                             was cut short"
+                        );
+                        code = EXIT_VIOLATION;
+                    }
                 }
                 return Ok((out, code));
             }
@@ -594,6 +606,12 @@ fn run_cli(argv: Vec<String>) -> Result<(String, u8), CliError> {
                 || (args.has("resume") && resume_path.is_none())
             {
                 return Err("--checkpoint/--resume need a file path".to_string().into());
+            }
+            if args.has("timed") && args.has("engine") {
+                return Err("--timed sweeps run on the flowchart stepper (the timed \
+                            mechanism observes step counts); drop --engine"
+                    .to_string()
+                    .into());
             }
             let enforcer = Enforcer::new(fc, allow)
                 .map_err(CliError::from)?

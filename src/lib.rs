@@ -104,7 +104,7 @@ pub mod prelude {
     pub use enf_static::{
         certify, refute, verify, Analysis, Certification, LeakWitness, RelationalVerdict,
     };
-    pub use enf_surveillance::{instrument, HighWater, Surveillance, TimedMechanism};
+    pub use enf_surveillance::{instrument, Surveillance, TimedMechanism};
 }
 
 #[cfg(test)]

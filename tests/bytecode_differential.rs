@@ -20,7 +20,7 @@ use enforcement::flowchart::corpus;
 use enforcement::flowchart::generate::{random_flowchart, GenConfig};
 use enforcement::flowchart::interp::{run, ExecConfig};
 use enforcement::flowchart::Flowchart;
-use enforcement::prelude::{FlowchartProgram, HighWater, Surveillance};
+use enforcement::prelude::{FlowchartProgram, Surveillance};
 use enforcement::surveillance::dynamic::{run_surveillance, CheckAt, Style, SurvConfig};
 use enforcement::surveillance::monitor::run_trace;
 use enforcement::surveillance::{
@@ -144,7 +144,7 @@ fn assert_class_eval_matches(fc: &Flowchart, policy: &Allow, grid: &Grid) {
     let program = FlowchartProgram::with_fuel(fc.clone(), 2_000);
     let surv = Surveillance::new(program.clone(), policy.allowed());
     let vm = VmSurveillance::new(program.clone(), policy.allowed());
-    let high = HighWater::new(program, policy.allowed());
+    let high = Surveillance::highwater(program, policy.allowed());
     let reference = views(policy);
     for threads in 1..=8 {
         let cfg = EvalConfig::with_threads(threads).seq_threshold(0);

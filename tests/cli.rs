@@ -15,12 +15,16 @@ fn enforce(args: &[&str], stdin: &str) -> (i32, String, String) {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn enforce");
-    child
+    // A command that refuses its flags exits before it reads stdin, which
+    // closes the pipe under the write.
+    let written = child
         .stdin
         .as_mut()
         .expect("stdin piped")
-        .write_all(stdin.as_bytes())
-        .expect("write stdin");
+        .write_all(stdin.as_bytes());
+    if let Err(e) = written {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write stdin: {e}");
+    }
     let out = child.wait_with_output().expect("wait");
     (
         out.status.code().unwrap_or(-1),
@@ -1036,6 +1040,90 @@ fn check_schedules_flag_hygiene() {
             "{conflict} with --schedules must be a usage error\n{err}"
         );
     }
+}
+
+/// `check --schedules` on `POLICY_UPGRADE` over `allow()` with `extra`
+/// appended, recording to a fresh audit trail; returns the exit code, the
+/// output and the trail.
+fn check_schedules_cut(tag: &str, extra: &[&str]) -> (i32, String, String) {
+    let log = scratch(tag);
+    let _ = std::fs::remove_file(&log);
+    let log_s = log.to_str().expect("utf8 temp path");
+    let mut args = vec![
+        "check",
+        "-",
+        "--allow",
+        "",
+        "--span",
+        "3",
+        "--schedules",
+        "1000",
+        "--audit",
+        log_s,
+    ];
+    args.extend_from_slice(extra);
+    let (code, out, _) = enforce(&args, POLICY_UPGRADE);
+    let trail = std::fs::read_to_string(&log).expect("audit trail written");
+    let _ = std::fs::remove_file(&log);
+    (code, out, trail)
+}
+
+#[test]
+fn check_schedules_deadline_cuts_the_sweep() {
+    let (code, out, trail) = check_schedules_cut("sched-deadline", &["--deadline", "0"]);
+    assert_eq!(code, 1, "{out}");
+    assert_eq!(
+        out,
+        "unknown: 0 of 1 schedules checked before the sweep was cut short\n"
+    );
+    assert!(trail.contains("\"mode\":\"scheduled\""), "{trail}");
+    assert!(trail.contains("\"verdict\":\"unknown\""), "{trail}");
+    // Uncut, the same sweep is sound.
+    let (code, out, trail) = check_schedules_cut("sched-uncut", &[]);
+    assert_eq!(code, 0, "{out}");
+    assert_eq!(out, "sound over 49 inputs under 1 schedule\n");
+    assert!(trail.contains("\"verdict\":\"sound\""), "{trail}");
+}
+
+#[test]
+fn check_schedules_budget_cuts_the_sweep() {
+    let (code, out, trail) = check_schedules_cut("sched-budget", &["--budget", "0"]);
+    assert_eq!(code, 1, "{out}");
+    assert_eq!(
+        out,
+        "unknown: 0 of 1 schedules checked before the sweep was cut short\n"
+    );
+    assert!(trail.contains("\"verdict\":\"unknown\""), "{trail}");
+}
+
+#[test]
+fn check_timed_refuses_engine_and_audits_the_stepper() {
+    for engine in ["vm", "ast"] {
+        let (code, _, err) = enforce(
+            &[
+                "check", "-", "--allow", "2", "--span", "3", "--timed", "--engine", engine,
+            ],
+            FORGETTING,
+        );
+        assert_eq!(code, 2, "--timed --engine {engine}: {err}");
+        assert!(err.contains("drop --engine"), "{err}");
+    }
+    let log = scratch("timed-engine");
+    let _ = std::fs::remove_file(&log);
+    let log_s = log.to_str().expect("utf8 temp path");
+    let (code, out, _) = enforce(
+        &[
+            "check", "-", "--allow", "2", "--span", "3", "--timed", "--audit", log_s,
+        ],
+        FORGETTING,
+    );
+    let trail = std::fs::read_to_string(&log).expect("audit trail written");
+    let _ = std::fs::remove_file(&log);
+    assert_eq!(code, 0, "{out}");
+    assert!(
+        trail.contains("\"discipline\":\"timed\",\"engine\":\"ast\""),
+        "{trail}"
+    );
 }
 
 #[test]

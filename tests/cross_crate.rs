@@ -141,7 +141,7 @@ fn plug_is_universal_bottom() {
     for j in [IndexSet::empty(), IndexSet::full(2)] {
         let m = Surveillance::new(p.clone(), j);
         assert!(compare(&m, &plug, &g).first_as_complete());
-        let mh = HighWater::new(p.clone(), j);
+        let mh = Surveillance::highwater(p.clone(), j);
         assert!(compare(&mh, &plug, &g).first_as_complete());
         let inst = instrument(p.flowchart(), j, false);
         assert!(compare(&inst, &plug, &g).first_as_complete());

@@ -160,7 +160,7 @@ fn section_4_completeness_chain() {
     let pp = corpus::forgetting();
     let p = FlowchartProgram::new(pp.flowchart);
     let ms = Surveillance::new(p.clone(), pp.policy.allowed());
-    let mh = HighWater::new(p, pp.policy.allowed());
+    let mh = Surveillance::highwater(p, pp.policy.allowed());
     assert_eq!(compare(&ms, &mh, &g).ordering, MechOrdering::FirstMore);
     // Non-maximality program: Identity > M_s.
     let pp = corpus::nonmaximal();

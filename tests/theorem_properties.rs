@@ -44,7 +44,7 @@ proptest! {
     fn highwater_sound(seed in 0u64..5000, mask in 0u8..4) {
         let fc = random_flowchart(seed, &GenConfig::default());
         let policy = policy_from_mask(mask);
-        let m = HighWater::new(FlowchartProgram::new(fc), policy.allowed());
+        let m = Surveillance::highwater(FlowchartProgram::new(fc), policy.allowed());
         prop_assert!(check_soundness(&m, &policy, &small_grid(), false).is_sound());
     }
 
@@ -76,7 +76,7 @@ proptest! {
         let j = policy_from_mask(mask).allowed();
         let p = FlowchartProgram::new(fc);
         let ms = Surveillance::new(p.clone(), j);
-        let mh = HighWater::new(p, j);
+        let mh = Surveillance::highwater(p, j);
         prop_assert!(compare(&ms, &mh, &small_grid()).first_as_complete());
     }
 
