@@ -46,9 +46,9 @@ fn main() {
     );
     if bench {
         let rows = if quick {
-            enf_bench::throughput::measure_all_sized(63)
+            enf_bench::throughput::measure_all_sized(3, 63)
         } else {
-            enf_bench::throughput::measure_all()
+            enf_bench::throughput::measure_all(10)
         };
         for r in &rows {
             println!(
@@ -58,7 +58,7 @@ fn main() {
                 r.seq_tuples_per_sec(),
                 r.threads,
                 r.par_tuples_per_sec(),
-                r.speedup()
+                r.speedup
             );
         }
         let overhead = enf_bench::stepper::measure(if quick { 3 } else { 20 });

@@ -2,11 +2,10 @@
 //! exhaustive refutation sweep it makes redundant.
 //!
 //! The analysis runs once over the CFG; the refuter runs the compiled
-//! program once per input of a `[-S, S]^k` grid and reads the least
-//! witness pair off the policy's classes, i.e. `O(|grid|)` work. Each row
-//! measures both on the same sound program (so the sweep covers the whole
-//! grid, as every refutation without a pair from input 0 does) at a
-//! growing span. `exp_all`
+//! program once per input of a `[-S, S]^k` grid until a policy class
+//! shows two outcomes, i.e. `O(|grid|)` work. Each row measures both on
+//! the same sound program (so the sweep covers the whole grid, as every
+//! refutation that finds no leak does) at a growing span. `exp_all`
 //! serializes the rows into the `"relational"` field of
 //! `BENCH_results.json`.
 
@@ -41,7 +40,7 @@ const REPS: usize = 5;
 
 /// The median wall-clock seconds of [`REPS`] runs of `f`, after one
 /// untimed run, so that no column measures a cold start.
-fn time<R>(mut f: impl FnMut() -> R) -> f64 {
+pub(crate) fn time<R>(mut f: impl FnMut() -> R) -> f64 {
     std::hint::black_box(f());
     let mut secs: Vec<f64> = (0..REPS)
         .map(|_| {

@@ -5,15 +5,16 @@
 //! policy states; the oracle re-sweeps the whole input grid under every
 //! bound schedule, i.e. `O((2^k)^slots · |grid|)` work. Each row measures
 //! both on the same schedule-sound program (so the oracle never exits
-//! early) at a growing slot count. `exp_all` serializes the rows into the
+//! early) at a growing slot count, each column the median of five runs
+//! after an untimed one. `exp_all` serializes the rows into the
 //! `"schedule"` field of `BENCH_results.json`.
 
+use crate::relational::time;
 use enf_core::{check_soundness_scheduled, Allow, EvalConfig, Grid, IndexSet, ScheduledReport};
 use enf_flowchart::parse;
 use enf_flowchart::program::FlowchartProgram;
 use enf_flowchart::Flowchart;
 use enf_static::schedule::certify_dynamic;
-use std::time::Instant;
 
 /// One slot-count's analysis-vs-oracle measurement.
 #[derive(Clone, Debug)]
@@ -24,10 +25,10 @@ pub struct ScheduleRow {
     pub schedules: usize,
     /// Inputs swept per schedule.
     pub inputs: usize,
-    /// Schedule dataflow certification wall-clock seconds
+    /// Schedule dataflow certification wall-clock seconds, median
     /// (schedule-count independent).
     pub analysis_secs: f64,
-    /// Exhaustive bounded-schedule sweep wall-clock seconds.
+    /// Exhaustive bounded-schedule sweep wall-clock seconds, median.
     pub oracle_secs: f64,
 }
 
@@ -49,12 +50,6 @@ pub fn slot_chain(slots: usize) -> Flowchart {
     }
     src.push_str("    y := 0;\n}\n");
     parse(&src).expect("slot_chain source parses")
-}
-
-fn time<R>(f: impl FnOnce() -> R) -> f64 {
-    let start = Instant::now();
-    std::hint::black_box(f());
-    start.elapsed().as_secs_f64()
 }
 
 /// Measures dynamic-policy certification against the exhaustive

@@ -1,19 +1,21 @@
 //! Checker throughput measurement, sequential vs parallel.
 //!
-//! Times each exhaustive checker once under a one-worker
-//! [`EvalConfig`] and once under the auto (all cores / `ENF_THREADS`)
-//! configuration over the same ~10^6-tuple grid, and reports tuples/second
-//! plus the speedup. `exp_all` serializes the rows into the
-//! `"throughput"` field of `BENCH_results.json` (alongside the
+//! Times each exhaustive checker under a one-worker [`EvalConfig`] and
+//! under the auto (all cores / `ENF_THREADS`) configuration over the same
+//! ~10^6-tuple grid, in paired rounds as `checkpoint_overhead` is
+//! (`checkpoint::paired_rounds`: the two sides alternate, after one
+//! untimed run of each), and reports tuples/second plus the speedup, the
+//! median of the per-round ratios. `exp_all` serializes the rows into
+//! the `"throughput"` field of `BENCH_results.json` (alongside the
 //! [`crate::stepper`] overhead rows).
 
+use crate::checkpoint::paired_rounds;
 use enf_core::IndexSet;
 use enf_core::{check_soundness_with, Allow, EvalConfig, Grid, InputDomain, MaximalMechanism};
 use enf_flowchart::parse;
 use enf_flowchart::program::FlowchartProgram;
 use enf_static::equiv::equivalent_on_with;
 use enf_surveillance::mechanism::Surveillance;
-use std::time::Instant;
 
 /// One checker's seq-vs-par measurement.
 #[derive(Clone, Debug)]
@@ -24,10 +26,15 @@ pub struct ThroughputRow {
     pub tuples: usize,
     /// Worker count used by the parallel run.
     pub threads: usize,
-    /// Sequential wall-clock seconds.
+    /// Paired rounds timed; each times one run of each side.
+    pub rounds: u32,
+    /// Sequential wall-clock seconds, median over the rounds.
     pub seq_secs: f64,
-    /// Parallel wall-clock seconds.
+    /// Parallel wall-clock seconds, median over the rounds.
     pub par_secs: f64,
+    /// Parallel speedup over sequential: the median of the per-round
+    /// ratios.
+    pub speedup: f64,
 }
 
 impl ThroughputRow {
@@ -40,73 +47,57 @@ impl ThroughputRow {
     pub fn par_tuples_per_sec(&self) -> f64 {
         self.tuples as f64 / self.par_secs.max(1e-12)
     }
-
-    /// Parallel speedup over sequential.
-    pub fn speedup(&self) -> f64 {
-        self.seq_secs / self.par_secs.max(1e-12)
-    }
 }
 
-fn time<R>(f: impl FnOnce() -> R) -> f64 {
-    let start = Instant::now();
-    std::hint::black_box(f());
-    start.elapsed().as_secs_f64()
-}
-
-/// Measures every engine-backed checker on a ~10^6-tuple grid.
-pub fn measure_all() -> Vec<ThroughputRow> {
-    measure_all_sized(511)
+/// Measures every engine-backed checker on a ~10^6-tuple grid over
+/// `rounds` paired rounds.
+pub fn measure_all(rounds: u32) -> Vec<ThroughputRow> {
+    measure_all_sized(rounds, 511)
 }
 
 /// [`measure_all`] on a `[-span, span]^2` grid — smaller spans back the
 /// `exp_all --quick` CI smoke mode.
-pub fn measure_all_sized(span: i64) -> Vec<ThroughputRow> {
+pub fn measure_all_sized(rounds: u32, span: i64) -> Vec<ThroughputRow> {
     let seq = EvalConfig::with_threads(1);
     let par = EvalConfig::default().seq_threshold(0);
     let threads = par.resolved_threads();
     let g = Grid::hypercube(2, -span..=span);
     let tuples = g.len();
     let policy = Allow::new(2, [2]);
-
-    let mut rows = Vec::new();
-
-    {
-        let fc = parse("program(2) { y := x2; if x2 == 0 { y := 0; } }").unwrap();
-        let m = Surveillance::new(FlowchartProgram::new(fc), IndexSet::single(2));
-        rows.push(ThroughputRow {
-            checker: "check_soundness",
+    // One checker's row: `run` sweeps the grid under the configuration
+    // it is given.
+    let row = |checker, run: &dyn Fn(&EvalConfig)| {
+        run(&seq);
+        run(&par);
+        let (par_secs, seq_secs, speedup) = paired_rounds(rounds, || run(&par), || run(&seq));
+        ThroughputRow {
+            checker,
             tuples,
             threads,
-            seq_secs: time(|| check_soundness_with(&m, &policy, &g, false, &seq)),
-            par_secs: time(|| check_soundness_with(&m, &policy, &g, false, &par)),
-        });
-    }
+            rounds,
+            seq_secs,
+            par_secs,
+            speedup,
+        }
+    };
 
-    {
-        let fc = parse("program(2) { if x2 == 0 { y := x1; } else { y := x2; } }").unwrap();
-        let p = FlowchartProgram::new(fc);
-        rows.push(ThroughputRow {
-            checker: "maximal_build",
-            tuples,
-            threads,
-            seq_secs: time(|| MaximalMechanism::build_with(&p, &policy, &g, &seq)),
-            par_secs: time(|| MaximalMechanism::build_with(&p, &policy, &g, &par)),
-        });
-    }
-
-    {
-        let a = parse("program(2) { y := x1 * 2 + x2; }").unwrap();
-        let b = parse("program(2) { y := x1 + x2 + x1; }").unwrap();
-        rows.push(ThroughputRow {
-            checker: "equiv",
-            tuples,
-            threads,
-            seq_secs: time(|| equivalent_on_with(&a, &b, &g, 1000, &seq)),
-            par_secs: time(|| equivalent_on_with(&a, &b, &g, 1000, &par)),
-        });
-    }
-
-    rows
+    let monitored = parse("program(2) { y := x2; if x2 == 0 { y := 0; } }").unwrap();
+    let m = Surveillance::new(FlowchartProgram::new(monitored), IndexSet::single(2));
+    let branchy = parse("program(2) { if x2 == 0 { y := x1; } else { y := x2; } }").unwrap();
+    let p = FlowchartProgram::new(branchy);
+    let a = parse("program(2) { y := x1 * 2 + x2; }").unwrap();
+    let b = parse("program(2) { y := x1 + x2 + x1; }").unwrap();
+    vec![
+        row("check_soundness", &|cfg| {
+            std::hint::black_box(check_soundness_with(&m, &policy, &g, false, cfg));
+        }),
+        row("maximal_build", &|cfg| {
+            std::hint::black_box(MaximalMechanism::build_with(&p, &policy, &g, cfg));
+        }),
+        row("equiv", &|cfg| {
+            let _ = std::hint::black_box(equivalent_on_with(&a, &b, &g, 1000, cfg));
+        }),
+    ]
 }
 
 /// Serializes rows as a JSON array (no external dependencies).
@@ -115,17 +106,18 @@ pub fn to_json(rows: &[ThroughputRow]) -> String {
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
             "  {{\"checker\": \"{}\", \"tuples\": {}, \"threads\": {}, \
-             \"seq_secs\": {:.6}, \"par_secs\": {:.6}, \
+             \"rounds\": {}, \"seq_secs\": {:.6}, \"par_secs\": {:.6}, \
              \"seq_tuples_per_sec\": {:.1}, \"par_tuples_per_sec\": {:.1}, \
              \"speedup\": {:.3}}}{}\n",
             r.checker,
             r.tuples,
             r.threads,
+            r.rounds,
             r.seq_secs,
             r.par_secs,
             r.seq_tuples_per_sec(),
             r.par_tuples_per_sec(),
-            r.speedup(),
+            r.speedup,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -143,8 +135,10 @@ mod tests {
             checker: "check_soundness",
             tuples: 1_000_000,
             threads: 4,
+            rounds: 5,
             seq_secs: 2.0,
             par_secs: 1.0,
+            speedup: 2.0,
         }];
         let j = to_json(&rows);
         assert!(j.starts_with('[') && j.ends_with(']'));
@@ -153,15 +147,16 @@ mod tests {
     }
 
     #[test]
-    fn speedup_math() {
-        let r = ThroughputRow {
-            checker: "x",
-            tuples: 100,
-            threads: 2,
-            seq_secs: 1.0,
-            par_secs: 0.25,
-        };
-        assert!((r.speedup() - 4.0).abs() < 1e-9);
-        assert!((r.par_tuples_per_sec() - 400.0).abs() < 1e-9);
+    fn rows_report_paired_medians() {
+        let rows = measure_all_sized(3, 8);
+        assert_eq!(rows.len(), 3);
+        for r in &rows {
+            assert_eq!((r.tuples, r.rounds), (289, 3), "{r:?}");
+            assert!(
+                r.seq_secs > 0.0 && r.par_secs > 0.0 && r.speedup > 0.0,
+                "{r:?}"
+            );
+            assert!((r.par_tuples_per_sec() * r.par_secs - 289.0).abs() < 1e-6);
+        }
     }
 }

@@ -25,7 +25,7 @@ use crate::mechanism::{MechOutput, Mechanism};
 use crate::notice::Notice;
 use crate::par::{CancelToken, EvalConfig};
 use crate::policy::Policy;
-use crate::soundness::{guarded_sweep, Checkpoints, Pick, SoundnessReport};
+use crate::soundness::{guarded_sweep, Checkpoints, SoundnessReport};
 use crate::value::V;
 use std::borrow::Borrow;
 use std::hash::Hash;
@@ -394,7 +394,6 @@ where
             resume,
             sink,
         }),
-        Pick::FirstConflict,
     )
 }
 

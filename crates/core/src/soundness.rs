@@ -7,7 +7,10 @@
 //! the domain by the policy view `I(a)` and require `M` to be constant on
 //! every class. [`check_soundness`] does exactly that and returns a witness
 //! pair on failure — two inputs the policy deems indistinguishable on which
-//! the mechanism behaves differently, i.e. a concrete leak.
+//! the mechanism behaves differently, i.e. a concrete leak. The witness is
+//! always the first conflict: the least-index input whose output differs
+//! from its class's first member, paired with that member. Run on a bare
+//! program, this sweep is the refuter of `enf_static::refute`.
 //!
 //! Every sweep in the crate — plain, fail-closed, checkpointed
 //! ([`crate::checkpoint`]) and all-clearance ([`crate::label`]) — runs
@@ -170,13 +173,14 @@ where
 /// fault-free, quarantined, or index-limited runs):
 ///
 /// * `Ok(Coverage { verdict: Refuted, report: Some(Unsound(w)), .. })` — a
-///   genuine leak; `w` is the same witness the sequential scan reports,
-///   and `checked` is at most the conflicting input's index plus one.
+///   genuine leak; `w` is the first conflict of the contiguous evaluated
+///   prefix, the witness the sequential scan reports, and `checked` is the
+///   conflicting input's index plus one.
 /// * `Ok(Coverage { verdict: Confirmed, report: Some(Sound { .. }), .. })`
 ///   — full coverage, no conflict, nothing quarantined. This is the
 ///   **only** way to obtain a `Sound` report from this function.
 /// * `Ok(Coverage { verdict: Unknown, report: None, .. })` — cancelled
-///   before any conflict; nothing is claimed.
+///   with no conflict in the evaluated prefix; nothing is claimed.
 /// * `Err(SubjectPanicked)` — a subject panicked at an index smaller than
 ///   any conflict.
 pub fn try_check_soundness_with<M, P>(
@@ -201,63 +205,7 @@ where
         config,
         ctl,
         None,
-        Pick::FirstConflict,
     )
-}
-
-/// Fail-closed refutation: the least pair `(a, b)` of `D × D`, by `a`'s
-/// index and then `b`'s, with `I(a) = I(b)` and `M(a) ≠ M(b)`.
-///
-/// `M` is sound exactly when it is constant on every class of `I`, so `a`
-/// is the least representative of a class that holds a conflict and `b`
-/// that class's first conflict, read off the [`try_check_soundness_with`]
-/// sweep (notices uncollapsed), which goes on past other classes'
-/// conflicts. Input 0's class has the least representative, so its first
-/// conflict ends the sweep with `checked` at `b`'s index plus one; any
-/// other leak needs the whole domain. A sweep that `ctl` cuts reports the
-/// least pair of the swept prefix `0..checked`, else `Unknown`; a panic
-/// is an error unless it lies past such a decided pair. The pair is the
-/// same for every thread count, under an index limit too.
-pub fn try_refute_with<M, P>(
-    mechanism: &M,
-    policy: &P,
-    domain: &dyn InputDomain,
-    config: &EvalConfig,
-    ctl: &CancelToken,
-) -> Result<Coverage<SoundnessReport<M::Out>>, EnfError>
-where
-    M: Mechanism + Sync,
-    M::Out: Eq + std::hash::Hash + Send,
-    P: Policy + Sync,
-    P::View: Send,
-{
-    guarded_sweep(
-        mechanism,
-        policy,
-        domain,
-        false,
-        config,
-        ctl,
-        None,
-        Pick::LeastPair,
-    )
-}
-
-/// Which conflict a sweep reports: the least-index one, or the least
-/// representative's (tables keep recording past other conflicts).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Pick {
-    FirstConflict,
-    LeastPair,
-}
-
-impl Pick {
-    /// Whether a conflict in the class represented at `rep` is the pick
-    /// whatever later inputs hold: the first conflict always is, the least
-    /// pair only in input 0's class, as no representative is smaller.
-    fn settles(self, rep: usize) -> bool {
-        self == Pick::FirstConflict || rep == 0
-    }
 }
 
 /// Block-sequential checkpointing for [`guarded_sweep`].
@@ -273,9 +221,8 @@ pub(crate) struct Checkpoints<'s, 'a, O, W> {
 }
 
 /// The fail-closed sweep of one policy, checkpointed when asked: the body
-/// of [`try_check_soundness_with`], [`try_refute_with`] and
+/// of [`try_check_soundness_with`] and
 /// [`check_soundness_checkpointed`](crate::checkpoint::check_soundness_checkpointed).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn guarded_sweep<M, P>(
     mechanism: &M,
     policy: &P,
@@ -284,7 +231,6 @@ pub(crate) fn guarded_sweep<M, P>(
     config: &EvalConfig,
     ctl: &CancelToken,
     checkpoints: Option<Checkpoints<'_, '_, M::Out, P::View>>,
-    pick: Pick,
 ) -> Result<Coverage<SoundnessReport<M::Out>>, EnfError>
 where
     M: Mechanism + Sync,
@@ -300,10 +246,9 @@ where
         config,
         ctl,
         checkpoints,
-        pick,
     )?;
     let (checked, total, complete) = (swept.checked, swept.total, swept.complete);
-    Ok(match swept.into_reports(domain, pick).pop() {
+    Ok(match swept.into_reports(domain).pop() {
         Some(report @ SoundnessReport::Unsound(_)) => Coverage::refuted(checked, total, report),
         Some(report) if complete => Coverage::confirmed(total, report),
         _ => Coverage::unknown(checked, total),
@@ -335,31 +280,29 @@ where
         config,
         &CancelToken::new(),
         None,
-        Pick::FirstConflict,
     );
-    plain(swept).into_reports(domain, Pick::FirstConflict)
+    plain(swept).into_reports(domain)
 }
 
 /// What a sweep leaves behind: one merged table per policy plus coverage.
 struct Sweep<W, O> {
     tables: Vec<ClassTable<W, O>>,
-    /// Every index in `0..checked` was evaluated; after a settled pick, no
-    /// more than the deciding conflict's index plus one.
+    /// Every index in `0..checked` was evaluated; after a refutation, the
+    /// deciding conflict's index plus one. Only conflicts below it are
+    /// reported.
     checked: usize,
     /// Every input was evaluated with nothing quarantined.
     complete: bool,
     total: usize,
-    /// Conflicts at this index or past it are not reported.
-    limit: usize,
 }
 
 impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> Sweep<W, O> {
-    /// One report per policy: the conflict `pick` names as a witness, else
-    /// `Sound` with the class count.
-    fn into_reports(self, domain: &dyn InputDomain, pick: Pick) -> Vec<SoundnessReport<O>> {
+    /// One report per policy: the first conflict below `checked` as a
+    /// witness, else `Sound` with the class count.
+    fn into_reports(self, domain: &dyn InputDomain) -> Vec<SoundnessReport<O>> {
         self.tables
             .iter()
-            .map(|table| match table.pick(pick, self.limit) {
+            .map(|table| match table.first_conflict(self.checked) {
                 Some((rep, conflict)) => {
                     SoundnessReport::Unsound(decode_witness(domain, rep, conflict))
                 }
@@ -378,14 +321,13 @@ impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> Sweep<W, O> {
 /// one unless checkpointing) through [`par::fold`]. Each worker runs the
 /// subject once per input, a fold block at a time through
 /// [`Mechanism::run_rows`], and records each output in one class table
-/// per policy. A table stops taking inputs once a conflict in the
-/// worker's range [settles](Pick::settles) its pick, and the input that
-/// settles the last table decides the fold, so sibling workers stop past
-/// it. Partials merge in range order, so each class's representative is
-/// its globally first occurrence and its conflict the first one the
-/// sequential scan meets. A quarantine ranks against the settled picks
-/// by input index.
-#[allow(clippy::too_many_arguments)]
+/// per policy. A table stops taking inputs once it holds a conflict in the
+/// worker's range, and the input that gives the last table its conflict
+/// decides the fold, so sibling workers stop past it. Partials merge in
+/// range order, so each class's representative is its globally first
+/// occurrence and each table's first conflict the one the sequential scan
+/// meets first. A cut sweep reports only conflicts in its contiguous
+/// evaluated prefix, and a quarantine ranks against them by input index.
 fn sweep<G, M, P>(
     mechanism: &M,
     policies: &[P],
@@ -394,7 +336,6 @@ fn sweep<G, M, P>(
     config: &EvalConfig,
     ctl: &CancelToken,
     mut checkpoints: Option<Checkpoints<'_, '_, M::Out, P::View>>,
-    pick: Pick,
 ) -> Result<Sweep<P::View, M::Out>, EnfError>
 where
     G: Guard,
@@ -441,9 +382,9 @@ where
                 assert_eq!(outs.len(), rows.len(), "run_rows gives one output per row");
                 // The policy is part of the subject, so its view is taken
                 // under the guard too. A view is taken before the record it
-                // keys, and recording an input again changes no table, so a
-                // block stepped again after a panic records each input to
-                // the same effect.
+                // keys, and a table that has a conflict takes nothing more,
+                // so a block stepped again after a panic records each input
+                // to the same effect.
                 for (k, (a, out)) in rows.iter().zip(outs.drain(..)).enumerate() {
                     let out = if collapse_notices {
                         out.collapse_notice()
@@ -452,11 +393,7 @@ where
                     };
                     let mut open = 0;
                     for (part, (table, taking)) in parts.iter().zip(lanes.iter_mut()) {
-                        if *taking
-                            && part
-                                .record(table, a, start + k, &out)
-                                .is_some_and(|rep| pick.settles(rep))
-                        {
+                        if *taking && part.record(table, a, start + k, &out) {
                             *taking = false;
                         }
                         open += usize::from(*taking);
@@ -474,26 +411,20 @@ where
                 m.merge(p);
             }
         }
-        // The sweep is decided once every table's pick is settled: no later
-        // input can change a verdict. Past the frontier a class's first
-        // conflict may be unseen, so the least pair is read below it.
+        // The sweep is decided once every table holds a conflict below the
+        // frontier: no later input can change a verdict. Past it a cut left
+        // gaps, so a later range's conflict may not be its class's first.
         let frontier = span.start + partials.checked;
-        let limit = match pick {
-            Pick::FirstConflict => total,
-            Pick::LeastPair => frontier,
-        };
-        let decided = merged.iter().try_fold(0, |acc, t| {
-            let (rep, c) = t.pick(pick, limit)?;
-            pick.settles(rep.idx).then_some(acc.max(c.idx))
-        });
+        let decided = merged
+            .iter()
+            .try_fold(0, |acc, t| Some(acc.max(t.first_conflict(frontier)?.1.idx)));
         partials.resolve_quarantine(decided)?;
         if decided.is_some() || !partials.complete {
             return Ok(Sweep {
                 tables: merged,
-                checked: decided.map_or(frontier, |d| frontier.min(d + 1)),
+                checked: decided.map_or(frontier, |d| d + 1),
                 complete: false,
                 total,
-                limit,
             });
         }
         start = span.end;
@@ -513,7 +444,6 @@ where
         checked: total,
         complete: true,
         total,
-        limit: total,
     })
 }
 
@@ -563,7 +493,7 @@ impl<'p, P: Policy> Partition<'p, P> {
         a: &[V],
         idx: usize,
         out: &MechOutput<O>,
-    ) -> Option<usize> {
+    ) -> bool {
         match self {
             Partition::Classes(layout) => {
                 table.record(ClassKey::Index(layout.class_of(a)), idx, out)
@@ -678,10 +608,9 @@ struct ClassTable<W, O> {
 impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> ClassTable<W, O> {
     /// Records input `idx` with output `out`: the first occurrence of a
     /// class becomes its representative, the first disagreeing one its
-    /// conflict. Returns the representative's index when this input
-    /// became the conflict.
+    /// conflict. Returns `true` when this input became the conflict.
     #[inline(always)]
-    fn record(&mut self, key: ClassKey<W>, idx: usize, out: &MechOutput<O>) -> Option<usize> {
+    fn record(&mut self, key: ClassKey<W>, idx: usize, out: &MechOutput<O>) -> bool {
         let first = || Class {
             rep: Occurrence {
                 idx,
@@ -695,7 +624,7 @@ impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> ClassTable<W, O> {
                     Some(class) => class,
                     slot => {
                         *slot = Some(first());
-                        return None;
+                        return false;
                     }
                 }
             }
@@ -703,7 +632,7 @@ impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> ClassTable<W, O> {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(e) => {
                     e.insert(first());
-                    return None;
+                    return false;
                 }
             },
         };
@@ -712,9 +641,9 @@ impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> ClassTable<W, O> {
                 idx,
                 out: out.clone(),
             });
-            return Some(class.rep.idx);
+            return true;
         }
-        None
+        false
     }
 
     /// Merges the table of the next range in order.
@@ -744,17 +673,12 @@ impl<W: Eq + std::hash::Hash, O: Clone + PartialEq> ClassTable<W, O> {
         self.iter().count()
     }
 
-    /// The conflict `pick` names among those below `limit`, with its
-    /// class representative.
-    fn pick(&self, pick: Pick, limit: usize) -> Option<(&Occurrence<O>, &Occurrence<O>)> {
-        let pairs = self.iter().filter_map(|c| {
-            let conflict = c.conflict.as_ref().filter(|o| o.idx < limit)?;
-            Some((&c.rep, conflict))
-        });
-        match pick {
-            Pick::FirstConflict => pairs.min_by_key(|(_, c)| c.idx),
-            Pick::LeastPair => pairs.min_by_key(|(rep, _)| rep.idx),
-        }
+    /// The least-index conflict below `limit`, with its class
+    /// representative.
+    fn first_conflict(&self, limit: usize) -> Option<(&Occurrence<O>, &Occurrence<O>)> {
+        self.iter()
+            .filter_map(|c| Some((&c.rep, c.conflict.as_ref().filter(|o| o.idx < limit)?)))
+            .min_by_key(|(_, c)| c.idx)
     }
 
     /// One checkpoint row per class, sorted by representative index. The
@@ -1270,10 +1194,10 @@ mod tests {
     }
 
     #[test]
-    fn a_least_pair_outranks_only_the_panics_past_it() {
+    fn a_first_conflict_outranks_only_the_panics_past_it() {
         crate::chaos::silence_chaos_panics();
         // Under allow(2) on [0, 3]^2 (input 4·x1 + x2) the class x2 = 1
-        // conflicts at input 5, input 0's class x2 = 0 at input 12.
+        // conflicts at input 5, before input 0's class x2 = 0 does at 12.
         let g = Grid::hypercube(2, 0..=3);
         let leak = |a: &[V]| {
             MechOutput::Value(match a[1] {
@@ -1284,28 +1208,83 @@ mod tests {
         };
         for t in [1usize, 2, 4] {
             let cfg = EvalConfig::with_threads(t).seq_threshold(0);
-            let refute = |at| {
+            let sweep = |at| {
                 let m = crate::chaos::PanicOn::at_index(FnMechanism::new(2, leak), &g, Some(at));
-                try_refute_with(&m, &Allow::new(2, [2]), &g, &cfg, &CancelToken::new())
+                let ctl = CancelToken::new();
+                try_check_soundness_with(&m, &Allow::new(2, [2]), &g, false, &cfg, &ctl)
             };
-            // The pair at input 5 may not be the least until input 8 runs.
-            match refute(8) {
+            // A panic before the first conflict is the sweep's error.
+            match sweep(4) {
                 Err(EnfError::SubjectPanicked { input_index, .. }) => {
-                    assert_eq!(input_index, 8, "threads={t}")
+                    assert_eq!(input_index, 4, "threads={t}")
                 }
                 other => panic!("expected quarantine, got {other:?} (threads={t})"),
             }
-            // Input 0's pair is the least whatever follows it.
-            let r = refute(14).expect("the least pair precedes the fault");
-            assert_eq!(
-                (r.verdict, r.checked),
-                (Verdict::Refuted, 13),
-                "threads={t}"
-            );
+            // One past it is outranked, whatever class conflicts later.
+            let r = sweep(8).expect("the first conflict precedes the fault");
+            assert_eq!((r.verdict, r.checked), (Verdict::Refuted, 6), "threads={t}");
             let Some(SoundnessReport::Unsound(w)) = r.report else {
                 panic!("refuted without witness");
             };
-            assert_eq!((w.a, w.b), (vec![0, 0], vec![3, 0]), "threads={t}");
+            assert_eq!((w.a, w.b), (vec![0, 1], vec![1, 1]), "threads={t}");
+        }
+    }
+
+    #[test]
+    fn a_cut_sweep_reports_no_conflict_past_its_frontier() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        use std::time::{Duration, Instant};
+        // Under allow(2) on [0, 19]^2 (input 20·x1 + x2) the first conflict
+        // is input 103 against 3, and every class conflicts again from
+        // x1 = 11 on. A worker whose range starts at input 100 or 200 meets
+        // such a conflict against a representative that is not its class's
+        // first member.
+        let leak = |a: &[V]| MechOutput::Value(V::from(a == [5, 3] || a[0] >= 11));
+        let g = Grid::hypercube(2, 0..=19);
+        for t in [1usize, 2, 4] {
+            let cfg = EvalConfig::with_threads(t).seq_threshold(0);
+            let r = try_check_soundness_with(
+                &FnMechanism::new(2, leak),
+                &Allow::new(2, [2]),
+                &g,
+                false,
+                &cfg,
+                &CancelToken::new(),
+            )
+            .expect("no faults injected");
+            assert_eq!(
+                (r.verdict, r.checked),
+                (Verdict::Refuted, 104),
+                "threads={t}"
+            );
+            // The subject trips the token at input 10, inside the first
+            // block, once a worker starting at input 100 or 200 has run its
+            // first block and met its conflict, at 123 or 220.
+            let ctl = CancelToken::new();
+            let (trip, past) = (ctl.clone(), Arc::new(AtomicBool::new(t == 1)));
+            let m = FnMechanism::new(2, move |a: &[V]| {
+                match 20 * a[0] + a[1] {
+                    163 | 263 => past.store(true, Ordering::SeqCst),
+                    10 => {
+                        let since = Instant::now();
+                        while !past.load(Ordering::SeqCst) && since.elapsed().as_secs() < 5 {
+                            std::thread::yield_now();
+                        }
+                        std::thread::sleep(Duration::from_millis(50));
+                        trip.cancel();
+                    }
+                    _ => {}
+                }
+                leak(a)
+            });
+            let r = try_check_soundness_with(&m, &Allow::new(2, [2]), &g, false, &cfg, &ctl)
+                .expect("no faults injected");
+            assert_eq!(
+                (r.verdict, r.checked),
+                (Verdict::Unknown, 64),
+                "threads={t}"
+            );
         }
     }
 }

@@ -373,7 +373,8 @@ pub enum ChainVerdict {
         intact: usize,
         /// 1-based line number of the offending record.
         line: usize,
-        /// What failed.
+        /// What failed. Text quoted from the trail has its control
+        /// characters escaped (`\u{1b}`), so it prints safely.
         reason: String,
     },
 }
@@ -411,7 +412,7 @@ fn replay<'t>(text: &'t str, mut keep: impl FnMut(&'t str)) -> ChainVerdict {
         let tampered = |reason: String| ChainVerdict::Tampered {
             intact,
             line: line_no,
-            reason,
+            reason: escape_controls(&reason),
         };
         let (line, tail) = match rest.split_once('\n') {
             Some((line, tail)) => (line, tail),
@@ -474,6 +475,51 @@ fn replay<'t>(text: &'t str, mut keep: impl FnMut(&'t str)) -> ChainVerdict {
         records: intact,
         head,
     }
+}
+
+/// `text` with each control and format character escaped as Rust escapes
+/// it (`\n`, `\u{1b}`, `\u{202e}`): the `prev`, `hash` and parser texts a
+/// break reason quotes are the trail's own bytes, and a bidi override
+/// among them would reorder the reason on a terminal.
+fn escape_controls(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        if c.is_control() || is_format(c) {
+            out.extend(c.escape_default());
+        } else {
+            out.push(c);
+        }
+    }
+    out
+}
+
+/// Whether `c` is in Unicode category Cf (format): the bidi embeddings,
+/// overrides, isolates and marks, zero-width characters and tags.
+fn is_format(c: char) -> bool {
+    matches!(
+        c,
+        '\u{ad}'
+            | '\u{600}'..='\u{605}'
+            | '\u{61c}'
+            | '\u{6dd}'
+            | '\u{70f}'
+            | '\u{890}'..='\u{891}'
+            | '\u{8e2}'
+            | '\u{180e}'
+            | '\u{200b}'..='\u{200f}'
+            | '\u{202a}'..='\u{202e}'
+            | '\u{2060}'..='\u{2064}'
+            | '\u{2066}'..='\u{206f}'
+            | '\u{feff}'
+            | '\u{fff9}'..='\u{fffb}'
+            | '\u{110bd}'
+            | '\u{110cd}'
+            | '\u{13430}'..='\u{1343f}'
+            | '\u{1bca0}'..='\u{1bca3}'
+            | '\u{1d173}'..='\u{1d17a}'
+            | '\u{e0001}'
+            | '\u{e0020}'..='\u{e007f}'
+    )
 }
 
 /// Renders an [`enf_core::IndexSet`] as a JSON array of indices, the
@@ -597,7 +643,7 @@ mod tests {
             let tampered = |reason: String| ChainVerdict::Tampered {
                 intact,
                 line: line_no,
-                reason,
+                reason: escape_controls(&reason),
             };
             let (line, tail) = match rest.split_once('\n') {
                 Some((line, tail)) => (line, tail),

@@ -890,7 +890,7 @@ impl Enforcer {
                 sweep_fields(*checked, *total, Verdict::Unknown)
             }
         };
-        self.append_sweep(log, self.engine, "scheduled", span, extra)?;
+        self.append_sweep(log, Engine::Ast, "scheduled", span, extra)?;
         Ok(outcome)
     }
 }

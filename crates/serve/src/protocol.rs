@@ -149,8 +149,9 @@ pub enum Op {
     Certify,
     /// Exhaustive soundness sweep (checkpointable, cacheable).
     Check,
-    /// Witness search on the bare program: the least pair of policy-
-    /// indistinguishable inputs with different outputs, as `enforce refute`.
+    /// Witness search on the bare program, as `enforce refute`: the first
+    /// input whose output differs from a policy-indistinguishable earlier
+    /// one, paired with the first member of its class (cacheable).
     Refute,
 }
 

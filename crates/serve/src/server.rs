@@ -24,7 +24,7 @@
 //! *before* any work; an admitted job always produces exactly one reply
 //! frame.
 //!
-//! **Crash recovery.** `check`/`refute` jobs sweep through
+//! **Crash recovery.** `check` jobs sweep through
 //! [`Enforcer::sweep_checkpointed`] when the server has a state
 //! directory, keyed by [`check_salt`] so a checkpoint can never resume a
 //! different sweep. The engine writes its progress records into a scratch
@@ -920,7 +920,11 @@ fn run_sweep(shared: &Shared, req: &Request, key: &str, enforcer: &Enforcer, fue
 /// monitor that consistently refuses a leaky run is sound, so a leaky
 /// program under a good monitor still confirms. `refute` asks the prior
 /// question, does the raw program leak at all, with the CLI's [`refute`]:
-/// the least pair of policy-indistinguishable inputs with different outputs.
+/// the soundness sweep of the bare program, whose witness is its first
+/// conflict. A first conflict is final in any prefix that holds it, and a
+/// cut sweep reports none past its contiguous swept prefix, so a decisive
+/// reply is cached whether or not `budget` or `deadline_ms` cut the sweep,
+/// as `check`'s is.
 fn run_refute(shared: &Shared, req: &Request, key: &str, fc: Flowchart, fuel: u64) -> Json {
     let cache_key = VerdictKey::of(req, fuel);
     if let Some(cached) = shared.cache.lookup(&cache_key) {
@@ -983,12 +987,7 @@ fn run_refute(shared: &Shared, req: &Request, key: &str, fc: Flowchart, fuel: u6
             Counters::bump(&shared.counters.internal_errors);
             return reply_err(key, ErrorKind::Internal, &e.to_string(), None);
         }
-        // A cut sweep's pair is only its prefix's least, so a reply that a
-        // budget or deadline may have cut is cached only when it swept all.
-        let uncut = req.budget.is_none() && req.deadline_ms.is_none();
-        if uncut || cov.checked == cov.total {
-            shared.cache.insert(cache_key, Json::Obj(fields.clone()));
-        }
+        shared.cache.insert(cache_key, Json::Obj(fields.clone()));
     }
     fields.push(("cached".to_string(), Json::Bool(false)));
     fields.push(("resumed".to_string(), Json::Bool(false)));

@@ -176,8 +176,8 @@ fn a_grid_too_large_to_count_is_a_usage_reply() {
 }
 
 /// Two `if`s under allow(2) at span 2: the class x2 = -1 conflicts first
-/// (at input 6), the class x2 = -2 of input 0 holds the least pair (its
-/// conflict is input 20).
+/// (at input 6, against its first member, input 1), the class x2 = -2 of
+/// input 0 only at input 20.
 const TWO_IFS: &str = "program(2) {
   if x2 == -2 { if x1 == 2 { y := 1; } else { y := 0; } }
   else { if x2 == -1 { if x1 == -1 { y := 1; } else { y := 0; } } else { y := 0; } }
@@ -192,38 +192,37 @@ fn witness(reply: &Json) -> (Vec<i128>, Vec<i128>) {
 }
 
 #[test]
-fn a_refute_cut_by_its_budget_is_not_cached() {
+fn a_refute_cut_by_its_budget_is_cached() {
     let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
     let client = quick_client(&server.addr().to_string());
     let mut req = base_request(Op::Refute, TWO_IFS);
     req.allow = parse_allow("2").unwrap();
-    // Cut at input 10, the least pair of the prefix is the early class's.
-    req.job = "cut".to_string();
-    req.budget = Some(10);
-    let reply = client.request(&req).unwrap();
-    assert_eq!(
-        str_field(&reply, "verdict"),
-        "refuted",
-        "{}",
-        reply.render()
-    );
-    assert_eq!(witness(&reply), (vec![-2, -1], vec![-1, -1]));
-    assert_eq!(int_field(&reply, "checked"), 10);
-    // Uncut, the same key gets the whole grid's least pair, not the cut
-    // reply; input 0's class holds it, so the sweep ends at its conflict.
-    for (job, cached) in [("whole", false), ("again", true)] {
+    // The first conflict lies inside the 10 inputs the budget admits, so
+    // the cut sweep ends there. A first conflict is final in any prefix
+    // that holds it, so the uncut retries of the key replay the cut reply.
+    for (job, budget, cached) in [
+        ("cut", Some(10), false),
+        ("whole", None, true),
+        ("again", None, true),
+    ] {
         req.job = job.to_string();
-        req.budget = None;
+        req.budget = budget;
         let reply = client.request(&req).unwrap();
-        assert_eq!(witness(&reply), (vec![-2, -2], vec![2, -2]), "{job}");
+        assert_eq!(
+            str_field(&reply, "verdict"),
+            "refuted",
+            "{}",
+            reply.render()
+        );
+        assert_eq!(witness(&reply), (vec![-2, -1], vec![-1, -1]), "{job}");
         assert_eq!(str_field(&reply, "out_a"), "0");
         assert_eq!(str_field(&reply, "out_b"), "1");
         let counts = (int_field(&reply, "checked"), int_field(&reply, "total"));
-        assert_eq!(counts, (21, 25), "{job}");
+        assert_eq!(counts, (7, 25), "{job}");
         assert_eq!(reply.get("cached"), Some(&Json::Bool(cached)), "{job}");
     }
     let stats = server.stop();
-    assert_eq!(stats.cache_hits, 1, "{stats:?}");
+    assert_eq!(stats.cache_hits, 2, "{stats:?}");
     assert!(!stats.degraded(), "{stats:?}");
 }
 

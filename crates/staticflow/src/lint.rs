@@ -26,7 +26,8 @@
 //! * `provable-leak` — the program *demonstrably* leaks: the relational
 //!   certifier ([`crate::relational`]) rejects and the bounded witness
 //!   search ([`mod@crate::refute`]) finds a replay-validated pair of
-//!   `J`-agreeing inputs with different released outcomes, rendered as a
+//!   `J`-agreeing inputs with different released outcomes, the first
+//!   conflict of the soundness sweep of the bare program, rendered as a
 //!   two-event carrier chain (one event per run).
 //!
 //! [`lint`] produces a [`LintReport`] renderable for humans

@@ -3,20 +3,20 @@
 //! Certification ([`mod@crate::certify`]) can only answer "certified" or
 //! "don't know" — a rejection names a suspicious taint, not a proof that
 //! the program actually leaks. This module decides the third case on a
-//! finite domain: it looks for the least pair of inputs that agree on `J`
-//! and whose runs release different values (or show different divergence
+//! finite domain: it looks for a pair of inputs that agree on `J` and
+//! whose runs release different values (or show different divergence
 //! behaviour). A hit is a constructive refutation of soundness — precisely
 //! a [`Witness`](enf_core::soundness) in the sense of `check_soundness`,
 //! but found by the static layer and replayable on demand.
 //!
-//! The program is sound for `allow(J)` exactly when it is constant on
-//! every `J`-class (PAPER.md §1, item 2), so [`refute`] needs no pair
-//! domain: one class sweep ([`enf_core::try_refute_with`]) of the compiled
-//! program finds the least pair in `D × D` order. Its first run is the
-//! least representative of a class that is not constant, its second that
-//! class's first member with another outcome. The witness is bit-identical
-//! for any thread count, the determinism contract the rest of the
-//! workspace's parallel sweeps keep, and the sweep is linear in `|D|`.
+//! The program is sound for `allow(J)` exactly when, run as its own
+//! mechanism, it is constant on every `J`-class (PAPER.md §1, item 2), so
+//! [`refute`] needs no pair domain: it is the soundness sweep
+//! ([`enf_core::try_check_soundness_with`]) of the bare compiled program,
+//! and its witness is that sweep's first conflict. The witness is
+//! bit-identical for any thread count, the determinism contract the rest
+//! of the workspace's parallel sweeps keep, and the sweep is linear in
+//! `|D|`.
 //!
 //! [`verify`] combines both layers into the three-valued verdict
 //! [`RelationalVerdict`]: `Certified` (relational analysis proves
@@ -25,13 +25,13 @@
 //! exhaustively enumerated grid this means the program *is* sound there,
 //! which is what makes the verdict differentially honest against
 //! `check_soundness`). A sweep cut short by its [`CancelToken`] reports
-//! the pair of the prefix it swept, or `Unknown` with the inputs it
-//! checked.
+//! the first conflict of the inputs it swept, or `Unknown` with how many
+//! it checked.
 
 use crate::certify::{certify, Analysis, Certification};
 use enf_core::{
-    try_refute_with, Allow, CancelToken, Coverage, EnfError, EvalConfig, FnMechanism, IndexSet,
-    InputDomain, MechOutput, SoundnessReport, V,
+    try_check_soundness_with, Allow, CancelToken, Coverage, EnfError, EvalConfig, FnMechanism,
+    IndexSet, InputDomain, MechOutput, SoundnessReport, V,
 };
 use enf_flowchart::bytecode::Compiled;
 use enf_flowchart::graph::Flowchart;
@@ -75,16 +75,17 @@ fn released(outcome: &Outcome) -> ExecValue {
     }
 }
 
-/// The least-index pair of `J`-agreeing inputs of `domain` with different
-/// released outcomes, in the order of `domain × domain`.
+/// The first conflict of `domain` under `allow(J)`: the `J`-agreeing
+/// pair `(a, b)` with `a` before `b` and different released outcomes that
+/// is least by `b`'s index, then by `a`'s.
 ///
 /// Runs with budget `fuel` that do not halt count as the distinct
 /// observable `Diverged`, so divergence leaks (one run halts, the other
 /// does not) are found too. The program runs once per input on the
-/// compiled VM, and the sweep stops early only when the pair starts at
-/// input 0 (see [`try_refute_with`]). A cut (`ctl`) reports the least pair
-/// of the swept prefix, or `Unknown`; `Confirmed` means no pair on the
-/// domain leaks.
+/// compiled VM until the conflict, so a leak reports `checked` at `b`'s
+/// index plus one. A cut (`ctl`) reports the first conflict of its
+/// contiguous swept prefix, or `Unknown`; `Confirmed` means no pair on
+/// the domain leaks.
 pub fn refute(
     fc: &Flowchart,
     allowed: IndexSet,
@@ -99,7 +100,7 @@ pub fn refute(
         MechOutput::Value(released(&vm.run(a, &exec)))
     });
     let policy = Allow::from_set(fc.arity(), allowed);
-    let found = try_refute_with(&program, &policy, domain, config, ctl)?;
+    let found = try_check_soundness_with(&program, &policy, domain, false, config, ctl)?;
     let value = |out: MechOutput<ExecValue>| *out.value().expect("a bare program refuses nothing");
     Ok(Coverage {
         checked: found.checked,

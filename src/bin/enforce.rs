@@ -162,11 +162,13 @@ fn usage() -> &'static str {
      once every 256: one schedule's input sweep is never cut, and a cut\n\
      sweep prints the schedules it checked and exits 1.\n\
      refute runs the relational certifier and, on rejection, sweeps\n\
-     [-S, S]^k (--span S, default 3) once for the least pair of J-agreeing\n\
-     inputs with different released outcomes; the witness is the same\n\
+     [-S, S]^k (--span S, default 3) as check sweeps a mechanism, but on\n\
+     the bare program: the witness is the first input whose released\n\
+     outcome differs from an earlier J-agreeing one's, paired with the\n\
+     first input of its class, and the sweep ends there; it is the same\n\
      for every --threads count. --deadline, --budget and SIGINT cut the\n\
-     sweep as they cut check's: the least pair of the swept prefix is\n\
-     still reported, and without one refute prints unknown with the\n\
+     sweep as they cut check's: the first conflict of the inputs swept\n\
+     is still reported, and without one refute prints unknown with the\n\
      inputs checked. On programs with policy\n\
      boxes refute runs the --dynamic certifier instead and searches for a\n\
      replay-validated scheduled witness (input pair + schedule); that\n\
@@ -1160,8 +1162,9 @@ fn audit_verify(path: &str, args: &Args) -> Result<(String, u8), CliError> {
             if args.has("json") {
                 let _ = writeln!(
                     out,
-                    "{{\"verdict\": \"tampered\", \"line\": {line}, \"reason\": {reason:?}, \
-                     \"intact_prefix\": {intact}}}"
+                    "{{\"verdict\": \"tampered\", \"line\": {line}, \"reason\": {}, \
+                     \"intact_prefix\": {intact}}}",
+                    enforcement::core::Json::Str(reason.clone()).render()
                 );
             } else {
                 let _ = writeln!(out, "TAMPERED at record {line}: {reason}");

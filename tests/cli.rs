@@ -671,13 +671,15 @@ fn enforce_within(args: &[&str], stdin: &str, limit: std::time::Duration) -> (i3
 }
 
 /// 7^12 inputs at the default span. Input 0's class (x1 = -3) releases 0
-/// on all of its 7^11 inputs, so no pair from input 0 ends the sweep
-/// early, and the leak through x2 lies in later classes.
+/// on all of its 7^11 inputs, so the first conflict, a leak through x2
+/// in the class x1 = -2, is input 7^11 + 7^10.
 const BIG12: &str = "program(12) { if x1 == -3 { y := 0; } else { y := x2; } }";
 
 #[test]
 fn refute_of_a_large_grid_is_cut_by_budget_and_deadline() {
-    // Uncut, this sweep runs for hours; cut, it ends within seconds.
+    // Uncut, this sweep runs 2.3·10^9 inputs; cut, it ends within seconds.
+    // A cut reports no conflict past its contiguous swept prefix, so both
+    // cuts are `unknown` whatever a later worker met.
     let limit = std::time::Duration::from_secs(10);
     for cut in [["--budget", "1000"], ["--deadline", "0.5"]] {
         let (code, out, err) = enforce_within(
@@ -706,9 +708,8 @@ fn refute_of_a_large_grid_is_cut_by_budget_and_deadline() {
         out.contains("\"taint\": [2],\n  \"checked\": 1000,\n  \"total\": 13841287201"),
         "{out}"
     );
-    // A pair within the swept prefix is still reported, replay-validated:
-    // here the class of input 1 conflicts at input 8, while input 0's
-    // class would need the whole grid to clear.
+    // A conflict within the swept prefix is still reported,
+    // replay-validated: here the class of input 1 conflicts at input 8.
     let (code, out, err) = enforce_within(
         &["refute", "-", "--allow", "12", "--budget", "1000"],
         "program(12) { if x12 == -3 { y := 0; } else { y := x11; } }",
@@ -1097,6 +1098,62 @@ fn check_schedules_budget_cuts_the_sweep() {
 }
 
 #[test]
+fn check_schedules_audits_the_stepper() {
+    // The scheduled oracle runs on the stepper whatever engine is bound.
+    let (code, out, trail) = check_schedules_cut("sched-engine", &[]);
+    assert_eq!(code, 0, "{out}");
+    assert!(
+        trail.contains("\"engine\":\"ast\",\"mode\":\"scheduled\""),
+        "{trail}"
+    );
+}
+
+/// A record whose `prev` holds control characters is still canonical;
+/// `audit verify` names the break without printing them raw, and its
+/// `--json` line stays JSON.
+#[test]
+fn audit_verify_escapes_the_control_characters_of_a_trail() {
+    use enforcement::policy::audit::{hash_hex, GENESIS};
+    let log = scratch("audit-controls");
+    let _ = std::fs::remove_file(&log);
+    let log_s = log.to_str().expect("utf8 temp path");
+    let (code, out, _) = enforce(
+        &[
+            "check", "-", "--allow", "1", "--span", "2", "--audit", log_s,
+        ],
+        "program(2) { y := x1; }",
+    );
+    assert_eq!(code, 0, "{out}");
+    let trail = std::fs::read_to_string(&log).expect("audit trail written");
+    let genesis = format!("\"prev\":\"{}\"", hash_hex(GENESIS));
+    // NUL, ESC and a right-to-left override: the last stays raw UTF-8 in
+    // the canonical line.
+    let forged = trail.replacen(&genesis, "\"prev\":\"\\u0000\\u001b\u{202e}\"", 1);
+    assert_ne!(forged, trail, "{trail}");
+    std::fs::write(&log, forged).expect("write the forged trail");
+    for json in [false, true] {
+        let mut args = vec!["audit", "verify", log_s];
+        if json {
+            args.push("--json");
+        }
+        let (code, out, err) = enforce(&args, "");
+        assert_eq!(code, 1, "{out}{err}");
+        assert!(out.contains("chain break"), "{out}");
+        assert!(out.bytes().all(|b| b >= 0x20 || b == b'\n'), "{out:?}");
+        assert!(
+            !out.contains('\u{202e}') && out.contains("\\u{202e}"),
+            "{out:?}"
+        );
+        if json {
+            let line = out.strip_suffix('\n').expect("one line");
+            let parsed = enforcement::core::json::parse(line);
+            assert!(parsed.is_ok(), "{parsed:?}: {out}");
+        }
+    }
+    let _ = std::fs::remove_file(&log);
+}
+
+#[test]
 fn check_timed_refuses_engine_and_audits_the_stepper() {
     for engine in ["vm", "ast"] {
         let (code, _, err) = enforce(
@@ -1382,22 +1439,23 @@ fn client_refute_under_a_reused_job_id_is_refused() {
 }
 
 /// Two `if`s under allow(2) at span 2: the class x2 = -1 conflicts first
-/// (at input 6), the class x2 = -2 holds the least pair.
+/// (at input 6), before the class x2 = -2 of input 0 does (at input 20).
 #[cfg(unix)]
 const TWO_IFS: &str = "program(2) {
   if x2 == -2 { if x1 == 2 { y := 1; } else { y := 0; } }
   else { if x2 == -1 { if x1 == -1 { y := 1; } else { y := 0; } } else { y := 0; } }
 }";
 
-/// `refute` reports the least pair, not the first conflict, and `client
-/// refute` runs the same refutation.
+/// `refute` reports the first conflict, the pair least by its second
+/// input and then its first, and `client refute` runs the same
+/// refutation.
 #[cfg(unix)]
 #[test]
 fn refute_and_client_refute_report_the_same_least_pair() {
     let (code, out, _) = enforce(&["refute", "-", "--allow", "2", "--span", "2"], TWO_IFS);
     assert_eq!(code, 1, "{out}");
-    assert!(out.contains("run a: [-2, -2] -> 0"), "{out}");
-    assert!(out.contains("run b: [2, -2] -> 1"), "{out}");
+    assert!(out.contains("run a: [-2, -1] -> 0"), "{out}");
+    assert!(out.contains("run b: [-1, -1] -> 1"), "{out}");
     let (server, addr, lines) = spawn_server(&[]);
     let (code, out, err) = enforce(
         &[
@@ -1406,8 +1464,8 @@ fn refute_and_client_refute_report_the_same_least_pair() {
         TWO_IFS,
     );
     assert_eq!(code, 1, "{out}{err}");
-    assert!(out.contains("\"witness_a\":[-2,-2]"), "{out}");
-    assert!(out.contains("\"witness_b\":[2,-2]"), "{out}");
+    assert!(out.contains("\"witness_a\":[-2,-1]"), "{out}");
+    assert!(out.contains("\"witness_b\":[-1,-1]"), "{out}");
     let (code, report) = sigterm_drain(server, lines);
     assert_eq!(code, 0, "{report}");
 }

@@ -1,16 +1,19 @@
 //! Acceptance properties for the three-valued relational verifier: the
 //! verdict never contradicts the exhaustive soundness oracle on the same
-//! grid, every `Leak` witness replays, and the refuter's class sweep
-//! reports exactly the least-index pair of the pair domain `D × D`, at
-//! every thread count and under index limits.
+//! grid, every `Leak` witness replays, and the refuter reports exactly the
+//! first conflict, at every thread count and under index limits.
 //!
-//! The pair search the refuter replaced lives here as the oracle: a
-//! self-composition domain whose index `i·|D| + j` is the pair of inputs
-//! `i` and `j`, scanned for the first `J`-agreeing pair whose two AST runs
-//! release different outcomes.
+//! The oracle is a pair search: a self-composition domain whose index
+//! `j·|D| + i` is the pair of inputs `i` and `j`, scanned for the first
+//! pair with `i < j` that agrees on `J` and whose two AST runs release
+//! different outcomes. That pair, least by `j` and then by `i`, is the
+//! first conflict.
 
 use enforcement::core::par::find_first;
-use enforcement::core::{CancelToken, EvalConfig, Identity, IndexSet, InputDomain, Verdict, V};
+use enforcement::core::{
+    try_check_soundness_with, CancelToken, EvalConfig, Identity, IndexSet, InputDomain, MechOutput,
+    Verdict, V,
+};
 use enforcement::flowchart::generate::{random_flowchart, GenConfig};
 use enforcement::flowchart::graph::Flowchart;
 use enforcement::flowchart::interp::{run, ExecConfig, ExecValue, Outcome};
@@ -63,8 +66,9 @@ impl InputDomain for Prefix<'_> {
     }
 }
 
-/// The product domain `D × D`: pair index `i·|D| + j` decodes to the
-/// concatenation of tuples `i` and `j` of the base domain.
+/// The product domain `D × D`, ordered by the second input: pair index
+/// `j·|D| + i` decodes to the concatenation of tuples `i` and `j` of the
+/// base domain.
 struct PairDomain<'a> {
     base: &'a dyn InputDomain,
 }
@@ -79,20 +83,19 @@ impl InputDomain for PairDomain<'_> {
     }
 
     fn iter_inputs(&self) -> Box<dyn Iterator<Item = Vec<V>> + '_> {
-        Box::new(self.base.iter_inputs().flat_map(move |a| {
-            self.base.iter_inputs().map(move |b| {
-                let mut t = a.clone();
-                t.extend_from_slice(&b);
-                t
+        Box::new(self.base.iter_inputs().flat_map(move |b| {
+            self.base.iter_inputs().map(move |mut a| {
+                a.extend_from_slice(&b);
+                a
             })
         }))
     }
 
     fn nth_input(&self, idx: usize, buf: &mut Vec<V>) {
         let n = self.base.len();
-        self.base.nth_input(idx / n, buf);
+        self.base.nth_input(idx % n, buf);
         let mut second = Vec::with_capacity(self.base.arity());
-        self.base.nth_input(idx % n, &mut second);
+        self.base.nth_input(idx / n, &mut second);
         buf.extend_from_slice(&second);
     }
 }
@@ -104,19 +107,19 @@ fn released(outcome: &Outcome) -> ExecValue {
     }
 }
 
-/// The pair search: the least-index pair of `J`-agreeing inputs of
-/// `domain` whose AST runs release different outcomes, with the index of
-/// its second input when the first is input 0.
-fn least_pair(
+/// The pair search: among the pairs `(i, j)` of `J`-agreeing inputs of
+/// `domain` with `i < j` whose AST runs release different outcomes, the
+/// one least by `j` and then by `i`, with `j`.
+fn first_conflict(
     fc: &Flowchart,
     allowed: IndexSet,
     domain: &dyn InputDomain,
-) -> Option<(LeakWitness, Option<usize>)> {
+) -> Option<(LeakWitness, usize)> {
     let (k, n) = (fc.arity(), domain.len());
     let cfg = ExecConfig::with_fuel(FUEL);
-    find_first(&PairDomain { base: domain }, &par(1), |_, pair| {
+    find_first(&PairDomain { base: domain }, &par(1), |idx, pair| {
         let (a, b) = pair.split_at(k);
-        if a == b || !allowed.iter().all(|i| a.get(i - 1) == b.get(i - 1)) {
+        if idx % n >= idx / n || !allowed.iter().all(|i| a.get(i - 1) == b.get(i - 1)) {
             return None;
         }
         let out_a = released(&run(fc, a, &cfg));
@@ -128,12 +131,13 @@ fn least_pair(
             out_b,
         })
     })
-    .map(|(idx, w)| (w, (idx < n).then_some(idx)))
+    .map(|(idx, w)| (w, idx / n))
 }
 
 /// Refutes `fc` at threads 1–8, uncut and under the index limits in
 /// `limits`, and compares every report with the pair search over the
-/// same prefix.
+/// same prefix, and with the soundness sweep of the bare program on the
+/// AST interpreter.
 fn assert_refute_matches_the_pair_search(
     fc: &Flowchart,
     allowed: IndexSet,
@@ -141,9 +145,11 @@ fn assert_refute_matches_the_pair_search(
     limits: &[usize],
 ) -> Result<(), TestCaseError> {
     let total = g.len();
+    let program = Identity::new(FlowchartProgram::with_fuel(fc.clone(), FUEL));
+    let policy = Allow::from_set(fc.arity(), allowed);
     for &limit in [total].iter().chain(limits) {
         let limit = limit.min(total);
-        let found = least_pair(
+        let found = first_conflict(
             fc,
             allowed,
             &Prefix {
@@ -156,19 +162,16 @@ fn assert_refute_matches_the_pair_search(
             (None, true) => Verdict::Confirmed,
             (None, false) => Verdict::Unknown,
         };
-        // A pair from input 0 ends the sweep at its second input.
-        let checked = match &found {
-            Some((_, Some(b))) => b + 1,
-            _ => limit,
-        };
-        let want = found.map(|(w, _)| w);
+        // A leak ends the sweep at the pair's second input.
+        let want = (verdict, found.as_ref().map_or(limit, |(_, j)| j + 1), total);
+        let found = found.map(|(w, _)| w);
         for t in 1..=8usize {
             let ctl = CancelToken::new().with_index_limit(limit);
             let got = refute(fc, allowed, g, FUEL, &par(t), &ctl)
                 .map_err(|e| TestCaseError::fail(format!("quarantined: {e}")))?;
             prop_assert_eq!(
                 (got.verdict, got.checked, got.total),
-                (verdict, checked, total),
+                want,
                 "J = {}, limit {}, threads {}",
                 allowed,
                 limit,
@@ -176,8 +179,35 @@ fn assert_refute_matches_the_pair_search(
             );
             prop_assert_eq!(
                 &got.report,
-                &want,
-                "J = {}, limit {}, threads {}: not the least pair",
+                &found,
+                "J = {}, limit {}, threads {}: not the first conflict",
+                allowed,
+                limit,
+                t
+            );
+            let swept = try_check_soundness_with(&program, &policy, g, false, &par(t), &ctl)
+                .map_err(|e| TestCaseError::fail(format!("quarantined: {e}")))?;
+            let witness = swept.report.as_ref().and_then(|r| r.witness()).map(|w| {
+                let value = |out: &MechOutput<ExecValue>| *out.value().expect("accepted");
+                LeakWitness {
+                    a: w.a.clone(),
+                    b: w.b.clone(),
+                    out_a: value(&w.out_a),
+                    out_b: value(&w.out_b),
+                }
+            });
+            prop_assert_eq!(
+                (swept.verdict, swept.checked, swept.total),
+                want,
+                "J = {}, limit {}, threads {}: the AST sweep",
+                allowed,
+                limit,
+                t
+            );
+            prop_assert_eq!(
+                &witness,
+                &found,
+                "J = {}, limit {}, threads {}: not the AST sweep's witness",
                 allowed,
                 limit,
                 t
@@ -232,9 +262,9 @@ proptest! {
         }
     }
 
-    /// The refuter's witness is the pair search's least-index pair, value
+    /// The refuter's witness is the pair search's first conflict, value
     /// for value, for every worker count 1..=8; under an index limit it is
-    /// the least pair inside the prefix, and a prefix without one is
+    /// the first conflict inside the prefix, and a prefix without one is
     /// `Unknown`. At arity 3 a policy that leaves out `x1` has classes
     /// whose members interleave, so a class's first conflict can come
     /// after another class's.
@@ -254,8 +284,8 @@ proptest! {
 
     /// The same on programs built so that the classes of allow(2) conflict
     /// in any order: the class `x2 = c` releases `x1 >= t_c`, so it first
-    /// conflicts at `x1 = t_c`, and the least pair is often not the first
-    /// conflict.
+    /// conflicts at `x1 = t_c`, and the first conflict often lies in a
+    /// class whose first member is not the least of the leaking classes'.
     #[test]
     fn refute_reports_the_least_pair_when_classes_conflict_out_of_order(
         thresholds in proptest::collection::vec(-2i64..=3, 5),
