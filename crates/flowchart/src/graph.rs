@@ -11,6 +11,14 @@ use crate::ast::{Expr, Pred, Var};
 use enf_core::IndexSet;
 use std::fmt;
 
+/// The largest register index a validated flowchart may name.
+///
+/// Every static fact and the VM's register file hold one slot per
+/// register up to the largest index a program names, so without a bound a
+/// one-line program naming `r100000000` asks for gigabytes. The programs
+/// and tests in this repository name at most `r21`.
+pub const MAX_REG: usize = 1024;
+
 /// Identifier of a node within one flowchart.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
@@ -125,6 +133,8 @@ pub enum GraphError {
     BadInputIndex(NodeId, usize),
     /// A register index is 0.
     BadRegIndex(NodeId),
+    /// A register index exceeds [`MAX_REG`].
+    RegIndexTooLarge(NodeId, usize),
     /// A policy index set mentions an index of 0 or above the arity.
     BadPolicyIndex(NodeId, usize),
     /// A policy slot index is 0.
@@ -148,6 +158,9 @@ impl fmt::Display for GraphError {
                 write!(f, "node {n} uses input x{i} outside the program arity")
             }
             GraphError::BadRegIndex(n) => write!(f, "node {n} uses register r0"),
+            GraphError::RegIndexTooLarge(n, j) => {
+                write!(f, "node {n} uses register r{j}, past the bound r{MAX_REG}")
+            }
             GraphError::BadPolicyIndex(n, i) => {
                 write!(f, "node {n} names input x{i} outside the program arity")
             }
@@ -167,10 +180,14 @@ pub struct Flowchart {
     arity: usize,
     nodes: Vec<Node>,
     succs: Vec<Succ>,
+    /// The largest register index any box names; the nodes never change
+    /// after assembly, so it is counted once.
+    max_reg: usize,
 }
 
 impl Flowchart {
-    /// Assembles a flowchart from raw parts without validating.
+    /// Assembles a flowchart from raw parts without validating, counting
+    /// its registers once ([`Flowchart::max_reg`]).
     ///
     /// Prefer [`Flowchart::new`], which validates.
     pub fn from_parts(arity: usize, nodes: Vec<Node>, succs: Vec<Succ>) -> Self {
@@ -179,10 +196,28 @@ impl Flowchart {
             succs.len(),
             "node and successor tables differ in length"
         );
+        let mut max_reg = 0;
+        let mut note = |v: Var| {
+            if let Var::Reg(j) = v {
+                max_reg = max_reg.max(j);
+            }
+        };
+        for node in &nodes {
+            match node {
+                Node::Assign { var, expr } => {
+                    expr.for_each_var(&mut note);
+                    note(*var);
+                }
+                Node::Decision { pred } => pred.for_each_var(&mut note),
+                Node::Declassify { var, .. } => note(*var),
+                _ => {}
+            }
+        }
         Flowchart {
             arity,
             nodes,
             succs,
+            max_reg,
         }
     }
 
@@ -245,26 +280,11 @@ impl Flowchart {
             .collect()
     }
 
-    /// The largest register index mentioned anywhere, or 0 if none.
+    /// The largest register index mentioned anywhere, or 0 if none; at
+    /// most [`MAX_REG`] in a validated graph. Counted once, when the graph
+    /// is assembled, so reading it costs nothing.
     pub fn max_reg(&self) -> usize {
-        let mut max = 0;
-        let mut note = |v: Var| {
-            if let Var::Reg(j) = v {
-                max = max.max(j);
-            }
-        };
-        for node in &self.nodes {
-            match node {
-                Node::Assign { var, expr } => {
-                    expr.for_each_var(&mut note);
-                    note(*var);
-                }
-                Node::Decision { pred } => pred.for_each_var(&mut note),
-                Node::Declassify { var, .. } => note(*var),
-                _ => {}
-            }
-        }
-        max
+        self.max_reg
     }
 
     /// The policy slots mentioned by `setpolicy` boxes, ascending and
@@ -311,7 +331,8 @@ impl Flowchart {
         }
     }
 
-    /// Checks every structural rule of the paper's flowchart definition.
+    /// Checks every structural rule of the paper's flowchart definition,
+    /// and that no box names a register past [`MAX_REG`].
     pub fn validate(&self) -> Result<(), GraphError> {
         if self.nodes.is_empty() {
             return Err(GraphError::Empty);
@@ -341,10 +362,14 @@ impl Flowchart {
                 }
             }
             // The variables a box reads are checked in `Var` order, so the
-            // least bad input index is reported, ahead of `r0`; the
-            // variable it writes is checked after them.
-            let bad =
-                |v: Var| matches!(v, Var::Input(i) if i == 0 || i > self.arity) || v == Var::Reg(0);
+            // least bad input index is reported, ahead of `r0` and of a
+            // register past `MAX_REG`; the variable it writes is checked
+            // after them.
+            let bad = |v: Var| match v {
+                Var::Input(i) => i == 0 || i > self.arity,
+                Var::Reg(j) => j == 0 || j > MAX_REG,
+                Var::Out => false,
+            };
             let mut first_bad: Option<Var> = None;
             let mut note = |v: Var| {
                 if bad(v) && first_bad.is_none_or(|b| v < b) {
@@ -365,8 +390,9 @@ impl Flowchart {
             };
             match first_bad.or(written.filter(|&v| bad(v))) {
                 Some(Var::Input(i)) => return Err(GraphError::BadInputIndex(id, i)),
-                Some(_) => return Err(GraphError::BadRegIndex(id)),
-                None => {}
+                Some(Var::Reg(0)) => return Err(GraphError::BadRegIndex(id)),
+                Some(Var::Reg(j)) => return Err(GraphError::RegIndexTooLarge(id, j)),
+                Some(Var::Out) | None => {}
             }
             // Policy index sets may only name real inputs; slots are
             // 1-based like registers.
@@ -645,6 +671,27 @@ mod tests {
             ],
         );
         assert_eq!(fc.max_reg(), 7);
+    }
+
+    #[test]
+    fn register_past_the_bound_rejected() {
+        use crate::ast::add;
+        assert_eq!(assigning(Expr::r(MAX_REG)), Ok(()));
+        assert_eq!(
+            assigning(Expr::r(MAX_REG + 1)),
+            Err(GraphError::RegIndexTooLarge(NodeId(1), MAX_REG + 1))
+        );
+        // `r0` is the least bad register, and a bad input outranks both.
+        assert_eq!(
+            assigning(add(Expr::r(100_000_000), Expr::r(0))),
+            Err(GraphError::BadRegIndex(NodeId(1)))
+        );
+        assert_eq!(
+            assigning(add(Expr::r(100_000_000), Expr::x(3))),
+            Err(GraphError::BadInputIndex(NodeId(1), 3))
+        );
+        let err = crate::parse("program(1) { declassify(r2000: 1 ~> ); y := x1; }").unwrap_err();
+        assert!(err.message.contains("r2000, past the bound r1024"), "{err}");
     }
 
     #[test]

@@ -38,7 +38,7 @@
 
 use crate::ast::{CmpOp, Expr, Pred, Var};
 use crate::graph::{Flowchart, PolicySpec};
-use crate::structured::{lower, Stmt, StructuredProgram};
+use crate::structured::{lower_owned, Stmt, StructuredProgram};
 use enf_core::label::{Classification, IntransitiveFlow, Level};
 use enf_core::{IndexSet, V};
 use std::fmt;
@@ -790,7 +790,7 @@ pub fn parse_structured(src: &str) -> Result<StructuredProgram, ParseError> {
 /// ```
 pub fn parse_labeled(src: &str) -> Result<LabeledProgram, ParseError> {
     let (sp, raw) = parse_full(src)?;
-    let flowchart = lower(&sp).map_err(|e| ParseError {
+    let flowchart = lower_owned(sp).map_err(|e| ParseError {
         offset: 0,
         message: format!("lowering failed: {e}"),
     })?;
@@ -811,7 +811,7 @@ pub fn parse_labeled(src: &str) -> Result<LabeledProgram, ParseError> {
 /// ```
 pub fn parse(src: &str) -> Result<Flowchart, ParseError> {
     let sp = parse_structured(src)?;
-    lower(&sp).map_err(|e| ParseError {
+    lower_owned(sp).map_err(|e| ParseError {
         offset: 0,
         message: format!("lowering failed: {e}"),
     })

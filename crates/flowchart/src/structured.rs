@@ -116,7 +116,7 @@ impl Lowerer {
         }
     }
 
-    fn lower_stmts(&mut self, stmts: &[Stmt]) -> Fragment {
+    fn lower_stmts(&mut self, stmts: Vec<Stmt>) -> Fragment {
         let mut entry: Option<NodeId> = None;
         let mut open: Vec<Patch> = Vec::new();
         let mut first = true;
@@ -144,41 +144,28 @@ impl Lowerer {
         Fragment { entry, exits: open }
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt) -> Fragment {
+    fn lower_stmt(&mut self, stmt: Stmt) -> Fragment {
         match stmt {
             Stmt::Skip => Fragment {
                 entry: None,
                 exits: Vec::new(),
             },
             Stmt::Assign(var, expr) => {
-                let id = self.push(
-                    Node::Assign {
-                        var: *var,
-                        expr: expr.clone(),
-                    },
-                    Succ::None,
-                );
+                let id = self.push(Node::Assign { var, expr }, Succ::None);
                 Fragment {
                     entry: Some(id),
                     exits: vec![Patch::Only(id)],
                 }
             }
             Stmt::SetPolicy(spec) => {
-                let id = self.push(Node::SetPolicy { spec: *spec }, Succ::None);
+                let id = self.push(Node::SetPolicy { spec }, Succ::None);
                 Fragment {
                     entry: Some(id),
                     exits: vec![Patch::Only(id)],
                 }
             }
             Stmt::Declassify(var, from, to) => {
-                let id = self.push(
-                    Node::Declassify {
-                        var: *var,
-                        from: *from,
-                        to: *to,
-                    },
-                    Succ::None,
-                );
+                let id = self.push(Node::Declassify { var, from, to }, Succ::None);
                 Fragment {
                     entry: Some(id),
                     exits: vec![Patch::Only(id)],
@@ -193,7 +180,7 @@ impl Lowerer {
             }
             Stmt::If(pred, then_body, else_body) => {
                 let d = self.push(
-                    Node::Decision { pred: pred.clone() },
+                    Node::Decision { pred },
                     // Placeholder; patched below.
                     Succ::Cond {
                         then_: NodeId(0),
@@ -228,7 +215,7 @@ impl Lowerer {
             }
             Stmt::While(pred, body) => {
                 let d = self.push(
-                    Node::Decision { pred: pred.clone() },
+                    Node::Decision { pred },
                     Succ::Cond {
                         then_: NodeId(0),
                         else_: NodeId(0),
@@ -264,18 +251,23 @@ impl Lowerer {
 /// Node 0 is START; falling off the end of the body reaches an implicit
 /// HALT box.
 pub fn lower(p: &StructuredProgram) -> Result<Flowchart, GraphError> {
+    lower_owned(p.clone())
+}
+
+/// [`lower`], moving the program's expressions into the boxes instead of
+/// cloning them: the parser's one lowering of the tree it built.
+pub(crate) fn lower_owned(p: StructuredProgram) -> Result<Flowchart, GraphError> {
     let mut low = Lowerer {
         nodes: vec![Node::Start],
         succs: vec![Succ::One(NodeId(0))],
     };
-    let frag = low.lower_stmts(&p.body);
+    let frag = low.lower_stmts(p.body);
     match frag.entry {
         Some(e) => {
             low.succs[0] = Succ::One(e);
             if !frag.exits.is_empty() {
                 let halt = low.push(Node::Halt, Succ::None);
-                let exits = frag.exits.clone();
-                low.patch(&exits, halt);
+                low.patch(&frag.exits, halt);
             }
         }
         None => {

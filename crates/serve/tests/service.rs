@@ -671,6 +671,32 @@ fn deeply_nested_program_is_a_usage_error_not_a_dead_worker() {
 }
 
 #[test]
+fn register_past_the_bound_is_a_usage_error_not_an_abort() {
+    // Every static fact and the VM's lane file hold a slot per register
+    // up to the largest index named, so without the bound this 50-byte
+    // program makes `certify` ask for gigabytes, and a failed allocation
+    // aborts the daemon.
+    let server = ServerHandle::spawn(ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let program = "program(1) { r100000000 := x1; y := r100000000; }";
+    for op in [Op::Certify, Op::Check, Op::Surveil] {
+        let mut req = base_request(op, program);
+        req.input = vec![0];
+        let reply = raw_exchange(&addr, &req);
+        assert_eq!(str_field(&reply, "error"), "usage", "{}", reply.render());
+        assert!(
+            str_field(&reply, "detail").contains("past the bound r1024"),
+            "{}",
+            reply.render()
+        );
+        let pong = raw_exchange(&addr, &base_request(Op::Ping, ""));
+        assert!(enf_serve::reply_is_ok(&pong), "{}", pong.render());
+    }
+    let stats = server.stop();
+    assert!(!stats.degraded(), "{stats:?}");
+}
+
+#[test]
 fn deeply_nested_frame_severs_only_its_connection() {
     use std::io::Write as _;
     let server = ServerHandle::spawn(ServerConfig::default()).unwrap();

@@ -50,7 +50,7 @@ use crate::value::ValueFacts;
 use enf_core::IndexSet;
 use enf_flowchart::analysis::{decision_targets, PostDominators};
 use enf_flowchart::ast::Var;
-use enf_flowchart::graph::{Flowchart, Node, NodeId, PolicySpec};
+use enf_flowchart::graph::{Flowchart, Node, NodeId};
 use enf_surveillance::TaintState;
 use std::collections::HashSet;
 
@@ -177,13 +177,14 @@ impl DataflowProblem for MayTaint<'_> {
         edge: usize,
         _to: NodeId,
         fact: &SchedFact,
-    ) -> Option<SchedFact> {
+        out: &mut SchedFact,
+    ) -> bool {
         if let Some(vf) = self.values {
             if !vf.edge_feasible(n, edge) {
-                return None;
+                return false;
             }
         }
-        let mut out = fact.clone();
+        out.clone_from(fact);
         let node = fc.node(n);
         out.env.transfer(
             node,
@@ -191,12 +192,9 @@ impl DataflowProblem for MayTaint<'_> {
             self.sanctioned.is_none_or(|s| s[n.0]),
         );
         if let (Node::SetPolicy { spec }, Some(_)) = (node, self.initial) {
-            out.policies = match spec {
-                PolicySpec::Concrete(s) => PolicySet::just(*s),
-                PolicySpec::Slot(_) => PolicySet::Any,
-            };
+            out.policies.install(spec);
         }
-        Some(out)
+        true
     }
 }
 
@@ -277,6 +275,7 @@ mod oracles {
     use crate::value::analyze_values;
     use enf_core::label::{Classification, IntransitiveFlow, Level};
     use enf_flowchart::generate::{random_flowchart, random_policy_flowchart, GenConfig, SplitMix};
+    use enf_flowchart::graph::PolicySpec;
     use proptest::prelude::*;
 
     /// The helper the replaced implementations read expressions with.
@@ -417,11 +416,12 @@ mod oracles {
             edge: usize,
             _to: NodeId,
             fact: &Self::Fact,
-        ) -> Option<Self::Fact> {
+            env: &mut Self::Fact,
+        ) -> bool {
             if !self.values.reachable(n) || !self.values.edge_feasible(n, edge) {
-                return None;
+                return false;
             }
-            let mut env = fact.clone();
+            env.clone_from(fact);
             match fc.node(n) {
                 Node::Start | Node::Halt => {}
                 Node::Assign { var, expr } => {
@@ -442,7 +442,7 @@ mod oracles {
                     }
                 }
             }
-            Some(env)
+            true
         }
     }
 
@@ -483,11 +483,12 @@ mod oracles {
             edge: usize,
             _to: NodeId,
             fact: &SchedFact,
-        ) -> Option<SchedFact> {
+            out: &mut SchedFact,
+        ) -> bool {
             if !self.values.reachable(n) || !self.values.edge_feasible(n, edge) {
-                return None;
+                return false;
             }
-            let mut out = fact.clone();
+            out.clone_from(fact);
             match fc.node(n) {
                 Node::Start | Node::Halt => {}
                 Node::Assign { var, expr } => {
@@ -509,7 +510,7 @@ mod oracles {
                     out.env.set(*var, t.difference(from).union(to));
                 }
             }
-            Some(out)
+            true
         }
     }
 
@@ -703,6 +704,7 @@ mod tests {
     use enf_core::{Grid, InputDomain, V};
     use enf_flowchart::ast::{Expr, Pred};
     use enf_flowchart::generate::{random_flowchart, GenConfig};
+    use enf_flowchart::graph::PolicySpec;
     use enf_flowchart::interp::Store;
     use enf_flowchart::parse;
     use enf_flowchart::stepper::{Monitor, Stepper};

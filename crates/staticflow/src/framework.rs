@@ -9,6 +9,12 @@
 //! over iteration ranks, so the next node popped is always the least dirty
 //! one in the order.
 //!
+//! Allocation: the solver builds ⊥ once and clones it into every node and
+//! into one scratch fact, which every transfer overwrites in place (its
+//! `clone_from` reuses the buffers the scratch already holds) before the
+//! solver joins it into the target. A solve therefore allocates per node,
+//! not per transfer, however many passes its loops take.
+//!
 //! Termination: every node's fact only ever moves up its lattice (joins
 //! never shrink a fact), and a node is re-queued only when its fact
 //! strictly grew. Where an edge *retreats* in the iteration order — at a
@@ -73,8 +79,8 @@ pub trait DataflowProblem {
     }
 
     /// The least fact, assigned to every node before solving. The solver
-    /// builds it once per solve and clones it into every node, so it may
-    /// walk the whole flowchart.
+    /// builds it once per solve and clones it into every node and into
+    /// the scratch fact [`flow`](Self::flow) writes to.
     fn bottom(&self, fc: &Flowchart) -> Self::Fact;
 
     /// Boundary fact seeded (joined) at `n` before solving — typically
@@ -96,9 +102,15 @@ pub trait DataflowProblem {
 
     /// Transfers `fact` (the solver's fact at `n`) along the `edge`-th
     /// outgoing edge to `to` — the `edge`-th successor for forward
-    /// problems, the `edge`-th predecessor for backward ones. Returning
-    /// `None` declares the edge to contribute nothing (used by
-    /// [`crate::value`] to prune statically infeasible branches).
+    /// problems, the `edge`-th predecessor for backward ones — writing the
+    /// result into `out`, a scratch fact the solver owns and reuses for
+    /// every transfer. `out` holds whatever the previous transfer left
+    /// there, so the implementation overwrites all of it, typically with
+    /// `out.clone_from(fact)` and then the box's effect in place; a fact
+    /// whose `clone_from` reuses its buffers then transfers without
+    /// allocating. Returning `false` declares the edge to contribute
+    /// nothing, and the solver ignores `out` (used by [`crate::value`] to
+    /// prune statically infeasible branches).
     fn flow(
         &self,
         fc: &Flowchart,
@@ -106,7 +118,8 @@ pub trait DataflowProblem {
         edge: usize,
         to: NodeId,
         fact: &Self::Fact,
-    ) -> Option<Self::Fact>;
+        out: &mut Self::Fact,
+    ) -> bool;
 }
 
 /// The fixed point of a [`DataflowProblem`].
@@ -269,7 +282,9 @@ impl Worklist {
 }
 
 /// Solves the problem processing dirty nodes in the priority given by
-/// `order` (which must mention every node exactly once).
+/// `order` (which must mention every node exactly once). Every transfer
+/// writes into one scratch fact, which is then joined (or widened) into
+/// its target.
 ///
 /// For a problem that keeps the default [`DataflowProblem::widen`] the
 /// result is the *least* fixed point and therefore independent of `order`;
@@ -284,7 +299,8 @@ pub fn solve_in_order<P: DataflowProblem>(
 ) -> Solution<P::Fact> {
     let n = fc.len();
     let edges = Edges::new(fc, problem, order);
-    let mut facts: Vec<P::Fact> = vec![problem.bottom(fc); n];
+    let mut out = problem.bottom(fc);
+    let mut facts: Vec<P::Fact> = vec![out.clone(); n];
     let mut dirty = Worklist::new(n);
     for (id, fact) in facts.iter_mut().enumerate() {
         if let Some(seed) = problem.boundary(fc, NodeId(id)) {
@@ -300,12 +316,12 @@ pub fn solve_in_order<P: DataflowProblem>(
         let id = order[r];
         for (edge, &to) in edges.targets(fc, id, &mut buf).iter().enumerate() {
             iterations += 1;
-            // `flow` returns an owned fact, so the source is only borrowed
-            // for the call; on a self-loop the next edge sees the update,
-            // as it would after a clone.
-            let Some(out) = problem.flow(fc, id, edge, to, &facts[id.0]) else {
+            // `flow` writes into the scratch `out`, so the source is only
+            // borrowed for the call; on a self-loop the next edge sees the
+            // update, as it would after a clone.
+            if !problem.flow(fc, id, edge, to, &facts[id.0], &mut out) {
                 continue;
-            };
+            }
             let grew = if edges.retreats(id, to) {
                 problem.widen(&mut facts[to.0], &out)
             } else {
@@ -329,7 +345,8 @@ pub fn solve_in_order<P: DataflowProblem>(
 /// runs reaching its node, so the result does too, and it lies pointwise
 /// below `post` when `flow` is monotone. Without a retreating edge nothing
 /// was widened and `post` is returned as it is. `iterations` adds the
-/// pass's transfers to `post`'s.
+/// pass's transfers to `post`'s. As in [`solve_in_order`], ⊥ is built once
+/// and every transfer writes into one scratch fact.
 pub fn narrow<P: DataflowProblem>(
     fc: &Flowchart,
     problem: &P,
@@ -348,7 +365,8 @@ pub fn narrow<P: DataflowProblem>(
     if !loops {
         return post;
     }
-    let mut facts: Vec<P::Fact> = vec![problem.bottom(fc); n];
+    let mut out = problem.bottom(fc);
+    let mut facts: Vec<P::Fact> = vec![out.clone(); n];
     for (id, fact) in facts.iter_mut().enumerate() {
         if let Some(seed) = problem.boundary(fc, NodeId(id)) {
             problem.join(fact, &seed);
@@ -363,7 +381,7 @@ pub fn narrow<P: DataflowProblem>(
                 }
                 iterations += 1;
                 let source = if retreating { &post.facts } else { &facts };
-                if let Some(out) = problem.flow(fc, id, edge, to, &source[id.0]) {
+                if problem.flow(fc, id, edge, to, &source[id.0], &mut out) {
                     problem.join(&mut facts[to.0], &out);
                 }
             }
@@ -406,8 +424,10 @@ mod tests {
             _edge: usize,
             _to: NodeId,
             fact: &bool,
-        ) -> Option<bool> {
-            Some(*fact)
+            out: &mut bool,
+        ) -> bool {
+            *out = *fact;
+            true
         }
     }
 
@@ -442,8 +462,10 @@ mod tests {
             _edge: usize,
             _to: NodeId,
             fact: &bool,
-        ) -> Option<bool> {
-            Some(*fact)
+            out: &mut bool,
+        ) -> bool {
+            *out = *fact;
+            true
         }
     }
 
@@ -476,8 +498,9 @@ mod tests {
             edge: usize,
             to: NodeId,
             fact: &bool,
-        ) -> Option<bool> {
-            Reach.flow(fc, n, edge, to, fact)
+            out: &mut bool,
+        ) -> bool {
+            Reach.flow(fc, n, edge, to, fact, out)
         }
     }
 

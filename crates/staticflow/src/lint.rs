@@ -270,8 +270,9 @@ impl DataflowProblem for Liveness {
         _edge: usize,
         to: NodeId,
         fact: &Self::Fact,
-    ) -> Option<Self::Fact> {
-        let mut live = fact.clone();
+        live: &mut Self::Fact,
+    ) -> bool {
+        live.clone_from(fact);
         match fc.node(to) {
             Node::Assign { var, expr } => {
                 live.remove(var);
@@ -285,7 +286,7 @@ impl DataflowProblem for Liveness {
             // still holds its value afterwards, so liveness is unchanged.
             Node::SetPolicy { .. } | Node::Declassify { .. } => {}
         }
-        Some(live)
+        true
     }
 }
 
@@ -327,16 +328,18 @@ impl DataflowProblem for MustTaint<'_> {
         edge: usize,
         _to: NodeId,
         fact: &Self::Fact,
-    ) -> Option<Self::Fact> {
-        let env = fact.as_ref()?;
-        if !self.values.edge_feasible(n, edge) {
-            return None;
+        out: &mut Self::Fact,
+    ) -> bool {
+        if fact.is_none() || !self.values.edge_feasible(n, edge) {
+            return false;
         }
         // The relabel is deterministic, so the may-taint transfer is the
         // dynamic one exactly, and the meet makes it a must-taint.
-        let mut env = env.clone();
-        env.transfer(fc.node(n), None, true);
-        Some(Some(env))
+        out.clone_from(fact);
+        if let Some(env) = out {
+            env.transfer(fc.node(n), None, true);
+        }
+        true
     }
 }
 

@@ -250,19 +250,20 @@ impl DataflowProblem for RelAgree<'_> {
         edge: usize,
         _to: NodeId,
         fact: &TaintState,
-    ) -> Option<TaintState> {
+        env: &mut TaintState,
+    ) -> bool {
         if !self.values.edge_feasible(n, edge) {
-            return None;
+            return false;
         }
         let venv = self.values.env_at[n.0].as_ref();
-        let mut env = fact.clone();
+        env.clone_from(fact);
         match fc.node(n) {
             Node::Start | Node::Halt => {}
             Node::Assign { var, expr } => {
                 // Under possibly-diverged control (non-empty PC sources)
                 // the assignment may happen in one run only, so the target
                 // absorbs the PC disagreement regardless of the RHS.
-                let mut t = rel_eval(&env, venv, expr).sources();
+                let mut t = rel_eval(env, venv, expr).sources();
                 t.union_with(&env.pc);
                 env.set(*var, t);
             }
@@ -270,7 +271,7 @@ impl DataflowProblem for RelAgree<'_> {
                 // Monotone PC: once the runs may split, everything
                 // downstream (including which HALT is reached, and whether
                 // one is reached at all) may differ.
-                let s = pred_sources(&env, venv, pred);
+                let s = pred_sources(env, venv, pred);
                 env.pc.union_with(&s);
             }
             // Policy boxes don't move data. Ignoring declassify's relabel
@@ -279,7 +280,7 @@ impl DataflowProblem for RelAgree<'_> {
             // non-interfering" sound.
             Node::SetPolicy { .. } | Node::Declassify { .. } => {}
         }
-        Some(env)
+        true
     }
 }
 

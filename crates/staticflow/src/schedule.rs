@@ -33,12 +33,12 @@ use crate::dataflow::MayTaint;
 use crate::framework::solve;
 use crate::value::{analyze_values, ValueFacts};
 use enf_core::IndexSet;
-use enf_flowchart::graph::{Flowchart, NodeId};
+use enf_flowchart::graph::{Flowchart, NodeId, PolicySpec};
 use enf_surveillance::TaintState;
 use std::fmt;
 
 /// The set of policy states that may be active at a program point.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Debug)]
 pub enum PolicySet {
     /// Exactly these `allow(J)` points (sorted, deduplicated). Empty means
     /// "no execution reaches here" (the lattice ⊥).
@@ -69,6 +69,20 @@ impl PolicySet {
         match self {
             PolicySet::These(ps) => Some(ps),
             PolicySet::Any => None,
+        }
+    }
+
+    /// Installs the policy of a `setpolicy spec` box in place: the
+    /// singleton `{spec}` for a concrete set, [`PolicySet::Any`] for a
+    /// schedule slot.
+    pub(crate) fn install(&mut self, spec: &PolicySpec) {
+        match (spec, &mut *self) {
+            (PolicySpec::Concrete(s), PolicySet::These(ps)) => {
+                ps.clear();
+                ps.push(*s);
+            }
+            (PolicySpec::Concrete(s), any) => *any = PolicySet::just(*s),
+            (PolicySpec::Slot(_), any) => *any = PolicySet::Any,
         }
     }
 
@@ -118,6 +132,23 @@ impl PolicySet {
     }
 }
 
+/// `clone_from` reuses the state buffer `self` already holds.
+impl Clone for PolicySet {
+    fn clone(&self) -> Self {
+        match self {
+            PolicySet::These(ps) => PolicySet::These(ps.clone()),
+            PolicySet::Any => PolicySet::Any,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (&mut *self, source) {
+            (PolicySet::These(into), PolicySet::These(ps)) => into.clone_from(ps),
+            (into, from) => *into = from.clone(),
+        }
+    }
+}
+
 impl fmt::Display for PolicySet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -140,12 +171,28 @@ impl fmt::Display for PolicySet {
 /// reachable policy states. This is the fact of the one may-taint problem
 /// in [`crate::dataflow`]; analyses under a fixed policy keep the policy
 /// component at [`PolicySet::none`].
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Debug)]
 pub struct SchedFact {
     /// The taint environment (monotone `C̄` discipline).
     pub env: TaintState,
     /// The policy states that may be active on entry.
     pub policies: PolicySet,
+}
+
+/// `clone_from` copies field by field into the buffers `self` already
+/// holds.
+impl Clone for SchedFact {
+    fn clone(&self) -> Self {
+        SchedFact {
+            env: self.env.clone(),
+            policies: self.policies.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.env.clone_from(&source.env);
+        self.policies.clone_from(&source.policies);
+    }
 }
 
 /// The fixed point of the schedule analysis.

@@ -127,15 +127,15 @@ impl AbsVal {
             self.hi.checked_mul(o.lo),
             self.hi.checked_mul(o.hi),
         ];
-        if corners.iter().any(Option::is_none) {
-            return AbsVal::TOP;
+        let (mut lo, mut hi) = (V::MAX, V::MIN);
+        for c in corners {
+            let Some(c) = c else {
+                return AbsVal::TOP;
+            };
+            lo = lo.min(c);
+            hi = hi.max(c);
         }
-        let vals: Vec<V> = corners.into_iter().flatten().collect();
-        AbsVal {
-            lo: *vals.iter().min().unwrap(),
-            hi: *vals.iter().max().unwrap(),
-        }
-        .clamp()
+        AbsVal { lo, hi }.clamp()
     }
 
     fn neg(&self) -> AbsVal {
@@ -226,11 +226,30 @@ impl AbsBool {
 }
 
 /// Abstract variable valuation at one program point.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Debug)]
 pub struct ValueEnv {
     inputs: Vec<AbsVal>,
     regs: Vec<AbsVal>,
     out: AbsVal,
+}
+
+/// `clone_from` copies field by field into the buffers `self` already
+/// holds, so a transfer that starts from a copy of its input allocates
+/// nothing.
+impl Clone for ValueEnv {
+    fn clone(&self) -> Self {
+        ValueEnv {
+            inputs: self.inputs.clone(),
+            regs: self.regs.clone(),
+            out: self.out,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.inputs.clone_from(&source.inputs);
+        self.regs.clone_from(&source.regs);
+        self.out = source.out;
+    }
 }
 
 impl ValueEnv {
@@ -334,37 +353,43 @@ impl ValueEnv {
         }
     }
 
-    /// Refines the environment under the assumption that `p` evaluates to
-    /// `expected`; `None` when the assumption is unsatisfiable.
-    fn refine(&self, p: &Pred, expected: bool) -> Option<ValueEnv> {
+    /// Narrows the environment in place under the assumption that `p`
+    /// evaluates to `expected`; `false` when the assumption is
+    /// unsatisfiable, and the environment is then left partly narrowed.
+    fn refine(&mut self, p: &Pred, expected: bool) -> bool {
         match (p, expected) {
-            (Pred::True, true) | (Pred::False, false) => Some(self.clone()),
-            (Pred::True, false) | (Pred::False, true) => None,
+            (Pred::True, true) | (Pred::False, false) => true,
+            (Pred::True, false) | (Pred::False, true) => false,
             (Pred::Not(inner), _) => self.refine(inner, !expected),
-            (Pred::And(a, b), true) => self.refine(a, true)?.refine(b, true),
-            (Pred::Or(a, b), false) => self.refine(a, false)?.refine(b, false),
+            (Pred::And(a, b), true) => self.refine(a, true) && self.refine(b, true),
+            (Pred::Or(a, b), false) => self.refine(a, false) && self.refine(b, false),
             // One of the operands is at fault but we cannot tell which;
             // keeping the unrefined environment is sound.
-            (Pred::And(..), false) | (Pred::Or(..), true) => Some(self.clone()),
+            (Pred::And(..), false) | (Pred::Or(..), true) => true,
             (Pred::Cmp(op, a, b), _) => {
                 let op = if expected { *op } else { op.negate() };
-                let mut env = self.clone();
-                let av = env.eval(a);
-                let bv = env.eval(b);
+                let av = self.eval(a);
+                let bv = self.eval(b);
                 if cmp_abs(op, &av, &bv) == AbsBool::False {
-                    return None;
+                    return false;
                 }
                 if let Expr::Var(v) = a.as_ref() {
-                    env.set(*v, refine_var(av, op, &bv)?);
+                    let Some(r) = refine_var(av, op, &bv) else {
+                        return false;
+                    };
+                    self.set(*v, r);
                 }
                 if let Expr::Var(v) = b.as_ref() {
                     // b OP-mirrored a: refine the right operand too.
                     let mirrored = mirror(op);
-                    let bv = env.eval(b);
-                    let av = env.eval(a);
-                    env.set(*v, refine_var(bv, mirrored, &av)?);
+                    let bv = self.eval(b);
+                    let av = self.eval(a);
+                    let Some(r) = refine_var(bv, mirrored, &av) else {
+                        return false;
+                    };
+                    self.set(*v, r);
                 }
-                Some(env)
+                true
             }
         }
     }
@@ -480,7 +505,9 @@ fn thresholds(fc: &Flowchart) -> Vec<V> {
             Pred::True | Pred::False => {}
             Pred::Cmp(_, a, b) => {
                 for e in [a, b] {
-                    if e.vars().is_empty() {
+                    let mut has_var = false;
+                    e.for_each_var(&mut |_| has_var = true);
+                    if !has_var {
                         let c = e.eval(&|_| 0);
                         out.extend([c.saturating_sub(1), c, c.saturating_add(1)]);
                     }
@@ -568,25 +595,36 @@ impl DataflowProblem for ValueProblem {
         edge: usize,
         _to: NodeId,
         fact: &Self::Fact,
-    ) -> Option<Self::Fact> {
-        let env = fact.as_ref()?;
+        out: &mut Self::Fact,
+    ) -> bool {
+        let Some(env) = fact else {
+            return false;
+        };
+        let out = copy_into(out, env);
         match fc.node(n) {
-            Node::Start | Node::Halt => Some(Some(env.clone())),
             Node::Assign { var, expr } => {
-                let mut env = env.clone();
-                let v = env.eval(expr);
-                env.set(*var, v);
-                Some(Some(env))
+                let v = out.eval(expr);
+                out.set(*var, v);
+                true
             }
-            Node::Decision { pred } => {
-                // Edge 0 is the true branch, edge 1 the false branch
-                // (succ_list order for `Succ::Cond`).
-                let expected = edge == 0;
-                env.refine(pred, expected).map(Some)
-            }
-            // Policy boxes don't touch the store.
-            Node::SetPolicy { .. } | Node::Declassify { .. } => Some(Some(env.clone())),
+            // Edge 0 is the true branch, edge 1 the false branch
+            // (succ_list order for `Succ::Cond`).
+            Node::Decision { pred } => out.refine(pred, edge == 0),
+            // START and HALT pass the store on; policy boxes don't touch
+            // it.
+            Node::Start | Node::Halt | Node::SetPolicy { .. } | Node::Declassify { .. } => true,
         }
+    }
+}
+
+/// `env` copied into `slot`, reusing the environment `slot` holds.
+fn copy_into<'a>(slot: &'a mut Option<ValueEnv>, env: &ValueEnv) -> &'a mut ValueEnv {
+    match slot {
+        Some(s) => {
+            s.clone_from(env);
+            s
+        }
+        None => slot.insert(env.clone()),
     }
 }
 
@@ -606,13 +644,16 @@ impl ValueFacts {
     /// Wraps per-node entry environments, working out once which edges
     /// each node may take.
     fn new(fc: &Flowchart, env_at: Vec<Option<ValueEnv>>, iterations: usize) -> ValueFacts {
+        let mut scratch = None;
+        let mut satisfiable = |env: &ValueEnv, pred: &Pred, expected: bool| {
+            u8::from(copy_into(&mut scratch, env).refine(pred, expected))
+        };
         let feasible = fc
             .iter()
             .map(|(n, node, succ)| match (&env_at[n.0], node, succ) {
                 (None, _, _) => 0,
                 (Some(env), Node::Decision { pred }, Succ::Cond { .. }) => {
-                    u8::from(env.refine(pred, true).is_some())
-                        | u8::from(env.refine(pred, false).is_some()) << 1
+                    satisfiable(env, pred, true) | satisfiable(env, pred, false) << 1
                 }
                 (Some(_), _, _) => 1,
             })
@@ -858,8 +899,9 @@ mod tests {
             edge: usize,
             to: NodeId,
             fact: &Self::Fact,
-        ) -> Option<Self::Fact> {
-            self.0.flow(fc, n, edge, to, fact)
+            out: &mut Self::Fact,
+        ) -> bool {
+            self.0.flow(fc, n, edge, to, fact, out)
         }
     }
 

@@ -56,12 +56,16 @@ impl DataflowProblem for DecisionsSeen {
         _edge: usize,
         _to: NodeId,
         fact: &Self::Fact,
-    ) -> Option<Self::Fact> {
-        let mut seen = fact.clone()?;
-        if matches!(fc.node(n), Node::Decision { .. }) {
+        out: &mut Self::Fact,
+    ) -> bool {
+        if fact.is_none() {
+            return false;
+        }
+        out.clone_from(fact);
+        if let (Some(seen), Node::Decision { .. }) = (out, fc.node(n)) {
             seen.insert(n.0);
         }
-        Some(Some(seen))
+        true
     }
 }
 

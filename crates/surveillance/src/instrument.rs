@@ -28,7 +28,7 @@ use enf_core::Program;
 use enf_core::{IndexSet, MechOutput, Mechanism, Notice, Timed, TimedProgram, V};
 use enf_flowchart::ast::{bor_all, Expr, Pred, Var};
 use enf_flowchart::builder::Builder;
-use enf_flowchart::graph::{Flowchart, Node, NodeId, PolicySpec, Succ};
+use enf_flowchart::graph::{Flowchart, Node, NodeId, PolicySpec, Succ, MAX_REG};
 use enf_flowchart::interp::{run, ExecConfig, ExecValue, Outcome};
 use enf_flowchart::program::FlowchartProgram;
 use std::collections::HashSet;
@@ -119,12 +119,40 @@ fn subset_check_dyn(arity: usize, taint: Expr, policy_reg: Var) -> Pred {
     )
 }
 
+/// Whether [`instrument`] can encode `fc`: its arity is at most
+/// [`MAX_INSTRUMENT_ARITY`], and the surveillance registers it adds above
+/// the program's own stay within [`MAX_REG`]. The error says which limit
+/// `fc` passes.
+pub fn instrumentable(fc: &Flowchart) -> Result<(), String> {
+    if fc.arity() > MAX_INSTRUMENT_ARITY {
+        return Err(format!(
+            "arity {} exceeds the bitmask encoding's limit {MAX_INSTRUMENT_ARITY}",
+            fc.arity()
+        ));
+    }
+    let layout = RegLayout {
+        orig_regs: fc.max_reg(),
+        arity: fc.arity(),
+    };
+    let top = if fc.has_policy_nodes() {
+        layout.policy()
+    } else {
+        layout.pc()
+    };
+    if top > Var::Reg(MAX_REG) {
+        return Err(format!(
+            "instrumenting needs register {top}, past the bound r{MAX_REG}"
+        ));
+    }
+    Ok(())
+}
+
 /// Applies the paper's transformations (1)–(4) to `fc` for the policy
 /// `allow(J)`; `timed` additionally applies the Theorem 3′ decision guard.
 ///
 /// # Panics
 ///
-/// Panics if the arity exceeds [`MAX_INSTRUMENT_ARITY`].
+/// Panics unless `fc` is [`instrumentable`].
 pub fn instrument(fc: &Flowchart, allowed: IndexSet, timed: bool) -> Instrumented {
     instrument_with(fc, allowed, timed, false)
 }
@@ -138,11 +166,9 @@ pub fn instrument_with(
     timed: bool,
     accumulate: bool,
 ) -> Instrumented {
-    assert!(
-        fc.arity() <= MAX_INSTRUMENT_ARITY,
-        "arity {} exceeds the bitmask encoding's limit",
-        fc.arity()
-    );
+    if let Err(e) = instrumentable(fc) {
+        panic!("{e}");
+    }
     let layout = RegLayout {
         orig_regs: fc.max_reg(),
         arity: fc.arity(),
@@ -691,6 +717,23 @@ mod tests {
                 assert_ne!(*var, policy_reg, "policy register leaked into static path");
             }
         }
+    }
+
+    #[test]
+    fn instrumentable_bounds_the_added_registers() {
+        // A fixed-policy program's top register is `C̄`'s, 2m + k + 2.
+        let at = |m: usize, policy: &str| {
+            let fc = parse(&format!("program(2) {{ r{m} := x1; {policy} y := r{m}; }}")).unwrap();
+            instrumentable(&fc)
+        };
+        assert_eq!(at(510, ""), Ok(()));
+        assert_eq!(
+            at(511, "").unwrap_err(),
+            "instrumenting needs register r1026, past the bound r1024"
+        );
+        // A dynamic-policy program also holds `J̄`, one register higher.
+        assert!(at(509, "setpolicy allow(1);").is_ok());
+        assert!(at(510, "setpolicy allow(1);").is_err());
     }
 
     #[test]

@@ -17,13 +17,34 @@ use enf_flowchart::graph::Node;
 
 /// The surveillance variables of a run: `x̄1 … x̄k`, `r̄1 … r̄m`, `ȳ`, `C̄`.
 /// As a static fact it is ordered pointwise by `⊆`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct TaintState {
     inputs: Vec<IndexSet>,
     regs: Vec<IndexSet>,
     out: IndexSet,
     /// The program counter's surveillance variable.
     pub pc: IndexSet,
+}
+
+/// `clone_from` copies field by field into the buffers `self` already
+/// holds, so a static transfer that starts from a copy of its input
+/// allocates nothing.
+impl Clone for TaintState {
+    fn clone(&self) -> Self {
+        TaintState {
+            inputs: self.inputs.clone(),
+            regs: self.regs.clone(),
+            out: self.out,
+            pc: self.pc,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.inputs.clone_from(&source.inputs);
+        self.regs.clone_from(&source.regs);
+        self.out = source.out;
+        self.pc = source.pc;
+    }
 }
 
 impl TaintState {

@@ -54,7 +54,7 @@ use enforcement::staticflow::dataflow::PcDiscipline;
 use enforcement::staticflow::search::improve;
 use enforcement::surveillance::dynamic::SurvConfig;
 use enforcement::surveillance::explain;
-use enforcement::surveillance::instrument::instrument_with;
+use enforcement::surveillance::instrument::{instrument_with, instrumentable};
 use std::io::Read as _;
 use std::process::ExitCode;
 
@@ -1005,6 +1005,7 @@ fn run_cli(argv: Vec<String>) -> Result<(String, u8), CliError> {
         }
         "instrument" => {
             let allow = parse_allow(args.value("allow")?, arity)?;
+            instrumentable(&fc).map_err(CliError::Usage)?;
             let inst = instrument_with(&fc, allow, args.has("timed"), args.has("highwater"));
             if args.has("dot") {
                 out.push_str(&to_dot(inst.flowchart(), "mechanism"));

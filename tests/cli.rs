@@ -842,6 +842,34 @@ fn compile_rejects_nesting_past_the_bound_with_2() {
     }
 }
 
+#[test]
+fn register_past_the_bound_is_a_parse_error_with_2() {
+    // The VM's lane file and every static fact hold one slot per register
+    // up to the largest index named, so an unbounded index would make
+    // `check --span 1` ask for 51 200 001 024 bytes.
+    let program = "program(1) { r100000000 := x1; y := r100000000; }";
+    for args in [
+        &["certify", "-", "--allow", "1"][..],
+        &["check", "-", "--allow", "1", "--span", "1"][..],
+        &["lint", "-", "--allow", "1"][..],
+    ] {
+        let (code, out, err) = enforce(args, program);
+        assert_eq!(code, 2, "{args:?}: {out}{err}");
+        assert!(
+            err.contains("uses register r100000000, past the bound r1024"),
+            "{args:?}: {err}"
+        );
+    }
+    // The bound itself is a register like any other, but the literal
+    // instrumentation adds its surveillance registers above the program's.
+    let program = "program(1) { r1024 := x1; y := r1024; }";
+    let (code, out, err) = enforce(&["certify", "-", "--allow", "1"], program);
+    assert_eq!(code, 0, "{out}{err}");
+    let (code, out, err) = enforce(&["instrument", "-", "--allow", "1"], program);
+    assert_eq!(code, 2, "{out}{err}");
+    assert!(err.contains("instrumenting needs register r2051"), "{err}");
+}
+
 /// Checkpoints written by an earlier build's `check --checkpoint F
 /// --budget N` (`tests/fixtures/*.v1.json`, with the `.fc` program next to
 /// each) resume to exactly the output of an uncut run.
